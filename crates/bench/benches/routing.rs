@@ -1,7 +1,8 @@
 //! Routing micro-benchmarks: per-query latency of every method (the basis
 //! of Table 5's QPS column), constrained vs unconstrained decoding, DFS
 //! serialization, index construction, and the f32 vs i8 quantized hot
-//! path (both the raw matvec kernel and end-to-end routing).
+//! path (the raw matvec kernel, the activation quantizer, and end-to-end
+//! routing).
 //!
 //! CI runs this bench in `--compare` mode against the committed baseline
 //! at `benches/baselines/routing.json`; refresh it with
@@ -12,6 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use dbcopilot_core::{load_router, save_router_as, DbcRouter, Format, SerializationMode};
 use dbcopilot_eval::{build_method, prepare, CorpusKind, MethodKind, Scale};
 use dbcopilot_graph::{dfs_serialize, IterOrder};
+use dbcopilot_nn::quant::{quantize_row_into, quantize_row_scalar};
 use dbcopilot_nn::{QuantizedMatrix, QuantizedVec, Tensor};
 use dbcopilot_retrieval::{PrecisionSwitch, RoutePrecision, SchemaRouter};
 
@@ -62,6 +64,20 @@ fn bench_routing(c: &mut Criterion) {
     dbc.decode_opts.constrained = true;
     dbc.decode_opts.diverse = false;
     group.bench_function("plain_beams", |b| b.iter(|| dbc.sequences(question)));
+    // The same constrained decode over a 25x larger catalogue: the decoding
+    // tables are built once per router, so a question must not pay for the
+    // catalogue's size (it did when they were rebuilt per call).
+    let mut big = bench_scale();
+    big.spider.num_databases = 200;
+    let prepared_big = prepare(CorpusKind::Spider, &big);
+    let (dbc_big, _) = DbcRouter::fit(
+        prepared_big.graph.clone(),
+        &prepared_big.synth_examples,
+        big.router.clone(),
+        SerializationMode::Dfs,
+    );
+    let question_big = &prepared_big.corpus.test[0].question;
+    group.bench_function("constrained_200db", |b| b.iter(|| dbc_big.sequences(question_big)));
     group.finish();
 
     // DFS serialization
@@ -140,6 +156,19 @@ fn bench_quantized(c: &mut Criterion) {
             qw.matvec_into(&qx, &mut qout);
             black_box(qout[rows - 1])
         })
+    });
+    group.finish();
+
+    // activation quantizer: one step input (dim 48 + hidden 64), the
+    // portable path against the dispatching one (AVX2 where the CPU has it)
+    let step_input: Vec<f32> = (0..112).map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0).collect();
+    let mut codes = vec![0i8; step_input.len()];
+    let mut group = c.benchmark_group("quant_quantize");
+    group.bench_function("scalar", |b| {
+        b.iter(|| quantize_row_scalar(black_box(&step_input), &mut codes))
+    });
+    group.bench_function("simd", |b| {
+        b.iter(|| quantize_row_into(black_box(&step_input), &mut codes))
     });
     group.finish();
 

@@ -14,41 +14,70 @@
 //! each group pays a penalty for re-using symbols chosen by earlier groups
 //! in the same step, yielding varied candidate schemata.
 
-use std::collections::HashMap;
-
 use dbcopilot_graph::{NodeId, QuerySchema, SchemaGraph, Trie};
 use dbcopilot_nn::Tensor;
 
 use crate::model::RouterModel;
 use crate::vocab::{PieceVocab, Sym, BOS, EOS, SEP};
 
-/// Precomputed decoding tables for a schema graph.
-pub struct Constrainer<'g> {
-    graph: &'g SchemaGraph,
-    /// Prefix trie over database names.
-    db_trie: Trie<NodeId>,
-    /// Per-database table name lists `(piece_seq, node)`.
-    tables_by_db: HashMap<NodeId, Vec<(Vec<Sym>, NodeId)>>,
-    max_tables: usize,
+/// One table's decoding entry: its name as vocabulary pieces, and its node.
+struct TableName {
+    seq: Vec<Sym>,
+    node: NodeId,
 }
 
-impl<'g> Constrainer<'g> {
-    pub fn new(graph: &'g SchemaGraph, vocab: &PieceVocab, max_tables: usize) -> Self {
+/// The decoding tables of one (graph, vocabulary) pair: every database and
+/// table name encoded to pieces, and each table's relation neighbours.
+///
+/// Pure derived data — nothing here is persisted — and the costly part of
+/// setting up a decode (it grows with the catalogue), so a router builds it
+/// once and every question borrows it through a [`Constrainer`].
+pub struct ConstraintTables {
+    /// Prefix trie over database names.
+    db_trie: Trie<NodeId>,
+    /// Table names of each database, in graph order; indexed by node id
+    /// (empty for nodes that are not databases).
+    tables_of: Vec<Vec<TableName>>,
+    /// Relation neighbours of each table; indexed by node id.
+    related: Vec<Vec<NodeId>>,
+}
+
+impl ConstraintTables {
+    /// # Panics
+    /// Panics if a database or table name of `graph` has a piece outside
+    /// `vocab` (a vocabulary built from the same graph has them all).
+    pub fn build(graph: &SchemaGraph, vocab: &PieceVocab) -> Self {
         let mut db_trie = Trie::new();
-        let mut tables_by_db = HashMap::new();
+        let mut tables_of: Vec<Vec<TableName>> = Vec::new();
+        tables_of.resize_with(graph.num_nodes(), Vec::new);
+        let mut related = vec![Vec::new(); graph.num_nodes()];
         for db in graph.database_nodes() {
             let seq =
                 vocab.encode_name(graph.name(db)).expect("database name pieces must be in vocab");
             db_trie.insert(&seq, db);
-            let mut tables = Vec::new();
             for t in graph.tables_of(db) {
-                let tseq =
+                let seq =
                     vocab.encode_name(graph.name(t)).expect("table name pieces must be in vocab");
-                tables.push((tseq, t));
+                tables_of[db.0 as usize].push(TableName { seq, node: t });
+                related[t.0 as usize] = graph.related_tables(t);
             }
-            tables_by_db.insert(db, tables);
         }
-        Constrainer { graph, db_trie, tables_by_db, max_tables }
+        ConstraintTables { db_trie, tables_of, related }
+    }
+}
+
+/// The decoding constraint for one search: a router's tables, its graph
+/// (for names) and the table budget.
+pub struct Constrainer<'g> {
+    graph: &'g SchemaGraph,
+    tables: &'g ConstraintTables,
+    max_tables: usize,
+}
+
+impl<'g> Constrainer<'g> {
+    /// `tables` must have been built from `graph`.
+    pub fn new(graph: &'g SchemaGraph, tables: &'g ConstraintTables, max_tables: usize) -> Self {
+        Constrainer { graph, tables, max_tables }
     }
 
     /// Initial decode state.
@@ -56,26 +85,28 @@ impl<'g> Constrainer<'g> {
         DecodeState { db: None, tables: Vec::new(), prefix: Vec::new(), done: false }
     }
 
-    /// Accessible table names for a state: all tables of the database when
-    /// none is decoded yet, else relation-neighbors of decoded tables.
-    fn accessible_tables(&self, state: &DecodeState) -> Vec<&(Vec<Sym>, NodeId)> {
-        let Some(db) = state.db else { return Vec::new() };
-        let all = &self.tables_by_db[&db];
-        if state.tables.is_empty() {
-            return all.iter().collect();
-        }
-        if state.tables.len() >= self.max_tables {
-            return Vec::new();
-        }
-        let mut neighbors: Vec<NodeId> = Vec::new();
-        for &t in &state.tables {
-            for r in self.graph.related_tables(t) {
-                if !state.tables.contains(&r) && !neighbors.contains(&r) {
-                    neighbors.push(r);
-                }
-            }
-        }
-        all.iter().filter(|(_, n)| neighbors.contains(n)).collect()
+    /// Accessible table names of database `db` once `decoded` (plus `extra`,
+    /// a table about to be committed) are in the schema: every table when
+    /// none is decoded yet, else the undecoded relation neighbours of the
+    /// decoded ones, in graph order.
+    fn accessible<'a>(
+        &'a self,
+        db: NodeId,
+        decoded: &'a [NodeId],
+        extra: Option<NodeId>,
+    ) -> impl Iterator<Item = &'a TableName> + 'a {
+        let count = decoded.len() + usize::from(extra.is_some());
+        let all: &[TableName] = if count > 0 && count >= self.max_tables {
+            &[]
+        } else {
+            &self.tables.tables_of[db.0 as usize]
+        };
+        let decoded = move || decoded.iter().copied().chain(extra);
+        all.iter().filter(move |name| {
+            count == 0
+                || (decoded().all(|t| t != name.node)
+                    && decoded().any(|t| self.tables.related[t.0 as usize].contains(&name.node)))
+        })
     }
 
     /// Allowed next symbols for a state.
@@ -87,36 +118,33 @@ impl<'g> Constrainer<'g> {
         match state.db {
             None => {
                 // decoding the database name through the trie
-                if let Some(cur) = self.db_trie.walk(&state.prefix) {
-                    out.extend(self.db_trie.continuations(cur));
-                    if self.db_trie.terminal(cur).is_some() && !state.prefix.is_empty() {
+                let trie = &self.tables.db_trie;
+                if let Some(cur) = trie.walk(&state.prefix) {
+                    out.extend(trie.continuations(cur));
+                    if trie.terminal(cur).is_some() && !state.prefix.is_empty() {
                         out.push(SEP); // commit database, start first table
                     }
                 }
             }
-            Some(_) => {
-                let candidates = self.accessible_tables(state);
-                let mut complete = false;
-                for (seq, _) in &candidates {
-                    if seq.len() > state.prefix.len() && seq.starts_with(&state.prefix) {
-                        let next = seq[state.prefix.len()];
+            Some(db) => {
+                let mut complete = None;
+                for name in self.accessible(db, &state.tables, None) {
+                    if name.seq.len() > state.prefix.len() && name.seq.starts_with(&state.prefix) {
+                        let next = name.seq[state.prefix.len()];
                         if !out.contains(&next) {
                             out.push(next);
                         }
                     }
-                    if **seq == state.prefix {
-                        complete = true;
+                    if complete.is_none() && name.seq == state.prefix {
+                        complete = Some(name.node);
                     }
                 }
-                if complete {
+                if complete.is_some() {
                     out.push(EOS);
                     // another table may follow if any remains accessible
                     // after committing this one
-                    let committed = self.commit(state);
-                    if let Some(c) = committed {
-                        if !self.accessible_tables(&c).is_empty() {
-                            out.push(SEP);
-                        }
+                    if self.accessible(db, &state.tables, complete).next().is_some() {
+                        out.push(SEP);
                     }
                 }
             }
@@ -127,21 +155,19 @@ impl<'g> Constrainer<'g> {
     /// Commit the current prefix as a completed element; `None` if the
     /// prefix is not a complete accessible name.
     fn commit(&self, state: &DecodeState) -> Option<DecodeState> {
-        let mut next = state.clone();
-        match state.db {
+        let (db, table) = match state.db {
             None => {
-                let cur = self.db_trie.walk(&state.prefix)?;
-                let db = *self.db_trie.terminal(cur)?;
-                next.db = Some(db);
+                let cur = self.tables.db_trie.walk(&state.prefix)?;
+                (*self.tables.db_trie.terminal(cur)?, None)
             }
-            Some(_) => {
-                let candidates = self.accessible_tables(state);
-                let (_, node) = candidates.iter().find(|(seq, _)| *seq == state.prefix)?;
-                next.tables.push(*node);
+            Some(db) => {
+                let name =
+                    self.accessible(db, &state.tables, None).find(|n| n.seq == state.prefix)?;
+                (db, Some(name.node))
             }
-        }
-        next.prefix.clear();
-        Some(next)
+        };
+        let tables = state.tables.iter().copied().chain(table).collect();
+        Some(DecodeState { db: Some(db), tables, prefix: Vec::new(), done: state.done })
     }
 
     /// Advance a state by one symbol; `None` if the symbol is invalid
@@ -231,6 +257,8 @@ pub struct DecodedSchema {
 #[derive(Clone)]
 struct Beam {
     state: DecodeState,
+    /// A [`Tensor`] clone shares its buffer, so sibling beams and the step
+    /// memo hold one row between them.
     h: Tensor,
     prev: Sym,
     logp: f32,
@@ -287,6 +315,49 @@ pub fn beam_search(
     beam_search_with(&mut scorer, constrainer, vocab_len, question, opts)
 }
 
+/// One scorer evaluation within a decode step: the input it was computed
+/// for and what came out. Beams whose `(prev, h)` match an entry reuse its
+/// `h_next` (all groups start from one beam, so the first step is one GRU
+/// step, not one per group), and its log-probabilities too when their
+/// candidate set is the same.
+struct Scored {
+    prev: Sym,
+    h: Tensor,
+    h_next: Tensor,
+    allowed: Vec<Sym>,
+    lps: Vec<f32>,
+}
+
+/// Whether two hidden rows hold the same bits. Bitwise, not `==`: `-0.0`
+/// and `0.0` compare equal but need not step to the same state.
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The index in `memo` of `beam`'s scores over `allowed`, running the scorer
+/// only for what no earlier beam of this decode step already computed.
+fn score_beam<S: StepScorer>(
+    scorer: &mut S,
+    memo: &mut Vec<Scored>,
+    beam: &Beam,
+    allowed: Vec<Sym>,
+) -> usize {
+    let mut stepped = None;
+    for (i, s) in memo.iter().enumerate() {
+        if s.prev == beam.prev && same_bits(&s.h, &beam.h) {
+            if s.allowed == allowed {
+                return i;
+            }
+            stepped = Some(s.h_next.clone());
+        }
+    }
+    let h_next = stepped.unwrap_or_else(|| scorer.step(beam.prev, &beam.h));
+    let lps = scorer.logprobs(&h_next, &allowed);
+    memo.push(Scored { prev: beam.prev, h: beam.h.clone(), h_next, allowed, lps });
+    memo.len() - 1
+}
+
 /// Run (diverse) beam search with an explicit scorer (precision dispatch).
 pub(crate) fn beam_search_with<S: StepScorer>(
     scorer: &mut S,
@@ -298,17 +369,23 @@ pub(crate) fn beam_search_with<S: StepScorer>(
     let q = scorer.encode(question);
     let groups = if opts.diverse { opts.groups.max(1) } else { 1 };
     let beams_per_group = (opts.beams / groups).max(1);
-    let init = Beam { state: constrainer.initial(), h: q.clone(), prev: BOS, logp: 0.0 };
+    let init = Beam { state: constrainer.initial(), h: q, prev: BOS, logp: 0.0 };
     let mut group_beams: Vec<Vec<Beam>> = vec![vec![init]; groups];
     let mut finished: Vec<(DecodeState, f32)> = Vec::new();
     let all_syms: Vec<Sym> = (0..vocab_len as Sym).collect();
+    let mut memo: Vec<Scored> = Vec::new();
+    // Symbols chosen so far in this step, with how many beams chose each.
+    let mut chosen: Vec<(Sym, f32)> = Vec::new();
 
     for _step in 0..opts.max_steps {
         let mut any_alive = false;
-        let mut used: HashMap<Sym, f32> = HashMap::new();
+        memo.clear();
+        chosen.clear();
         for beams in group_beams.iter_mut() {
-            let mut expansions: Vec<(Beam, Sym, f32)> = Vec::new();
-            for beam in beams.iter() {
+            // Expansions as (beam, memo entry, candidate, score): ranked
+            // first, so only the survivors pay for a state and a hidden row.
+            let mut ranked: Vec<(usize, usize, usize, f32)> = Vec::new();
+            for (b, beam) in beams.iter().enumerate() {
                 if beam.state.done {
                     continue;
                 }
@@ -320,45 +397,38 @@ pub(crate) fn beam_search_with<S: StepScorer>(
                 if allowed.is_empty() {
                     continue;
                 }
-                // advance hidden state once per beam
-                let h_next = scorer.step(beam.prev, &beam.h);
-                let lps = scorer.logprobs(&h_next, &allowed);
-                for (i, &sym) in allowed.iter().enumerate() {
-                    let penalty = opts.diversity_penalty * used.get(&sym).copied().unwrap_or(0.0);
-                    let score = beam.logp + lps[i] - penalty;
-                    expansions.push((
-                        Beam {
-                            state: beam.state.clone(),
-                            h: h_next.clone(),
-                            prev: sym,
-                            logp: beam.logp + lps[i],
-                        },
-                        sym,
-                        score,
-                    ));
+                let m = score_beam(scorer, &mut memo, beam, allowed);
+                for (i, (sym, lp)) in memo[m].allowed.iter().zip(&memo[m].lps).enumerate() {
+                    let count = chosen.iter().find(|(s, _)| s == sym).map_or(0.0, |&(_, n)| n);
+                    let score = beam.logp + lp - opts.diversity_penalty * count;
+                    ranked.push((b, m, i, score));
                 }
             }
-            expansions.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+            ranked.sort_by(|a, b| b.3.partial_cmp(&a.3).unwrap_or(std::cmp::Ordering::Equal));
             let mut next_beams: Vec<Beam> = Vec::with_capacity(beams_per_group);
-            for (beam, sym, _) in expansions {
+            for (b, m, i, _) in ranked {
                 if next_beams.len() >= beams_per_group {
                     break;
                 }
-                let Some(next_state) = constrainer.advance(&beam.state, sym) else {
+                let (beam, scored) = (&beams[b], &memo[m]);
+                let sym = scored.allowed[i];
+                let Some(state) = constrainer.advance(&beam.state, sym) else {
                     continue; // invalid under unconstrained decoding
                 };
-                *used.entry(sym).or_insert(0.0) += 1.0;
-                if next_state.done {
-                    finished.push((next_state, beam.logp));
+                match chosen.iter_mut().find(|(s, _)| *s == sym) {
+                    Some((_, n)) => *n += 1.0,
+                    None => chosen.push((sym, 1.0)),
+                }
+                let logp = beam.logp + scored.lps[i];
+                let state = if state.done {
+                    finished.push((state, logp));
                     // a finished beam still occupies a slot this step
-                    next_beams.push(Beam {
-                        state: DecodeState { done: true, ..next_state_placeholder() },
-                        ..beam
-                    });
+                    DecodeState { done: true, ..constrainer.initial() }
                 } else {
                     any_alive = true;
-                    next_beams.push(Beam { state: next_state, ..beam });
-                }
+                    state
+                };
+                next_beams.push(Beam { state, h: scored.h_next.clone(), prev: sym, logp });
             }
             *beams = next_beams;
         }
@@ -375,10 +445,6 @@ pub(crate) fn beam_search_with<S: StepScorer>(
         .collect();
     out.sort_by(|a, b| b.logp.partial_cmp(&a.logp).unwrap_or(std::cmp::Ordering::Equal));
     out
-}
-
-fn next_state_placeholder() -> DecodeState {
-    DecodeState { db: None, tables: Vec::new(), prefix: Vec::new(), done: true }
 }
 
 /// Merge candidate sequences that share a database: union their tables,
@@ -401,6 +467,286 @@ pub fn merge_candidates(decoded: &[DecodedSchema]) -> Vec<DecodedSchema> {
     }
     by_db.sort_by(|a, b| b.logp.partial_cmp(&a.logp).unwrap_or(std::cmp::Ordering::Equal));
     by_db
+}
+
+/// The decoder as it stood before the step memo, the ranked expansions and
+/// the cached tables, verbatim: a constrainer that encodes every name at
+/// construction and materializes the accessible tables through the graph on
+/// every call, and a search loop that steps and clones once per hypothesis.
+/// The tests hold today's decoder to it bit for bit.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashMap;
+
+    use super::{DecodeOptions, DecodeState, DecodedSchema, StepScorer};
+    use crate::vocab::{PieceVocab, Sym, BOS, EOS, SEP};
+    use dbcopilot_graph::{NodeId, QuerySchema, SchemaGraph, Trie};
+    use dbcopilot_nn::Tensor;
+
+    pub(super) struct Constrainer<'g> {
+        graph: &'g SchemaGraph,
+        /// Prefix trie over database names.
+        db_trie: Trie<NodeId>,
+        /// Per-database table name lists `(piece_seq, node)`.
+        tables_by_db: HashMap<NodeId, Vec<(Vec<Sym>, NodeId)>>,
+        max_tables: usize,
+    }
+
+    impl<'g> Constrainer<'g> {
+        pub(super) fn new(graph: &'g SchemaGraph, vocab: &PieceVocab, max_tables: usize) -> Self {
+            let mut db_trie = Trie::new();
+            let mut tables_by_db = HashMap::new();
+            for db in graph.database_nodes() {
+                let seq = vocab
+                    .encode_name(graph.name(db))
+                    .expect("database name pieces must be in vocab");
+                db_trie.insert(&seq, db);
+                let mut tables = Vec::new();
+                for t in graph.tables_of(db) {
+                    let tseq = vocab
+                        .encode_name(graph.name(t))
+                        .expect("table name pieces must be in vocab");
+                    tables.push((tseq, t));
+                }
+                tables_by_db.insert(db, tables);
+            }
+            Constrainer { graph, db_trie, tables_by_db, max_tables }
+        }
+
+        /// Initial decode state.
+        pub(super) fn initial(&self) -> DecodeState {
+            DecodeState { db: None, tables: Vec::new(), prefix: Vec::new(), done: false }
+        }
+
+        /// Accessible table names for a state: all tables of the database when
+        /// none is decoded yet, else relation-neighbors of decoded tables.
+        fn accessible_tables(&self, state: &DecodeState) -> Vec<&(Vec<Sym>, NodeId)> {
+            let Some(db) = state.db else { return Vec::new() };
+            let all = &self.tables_by_db[&db];
+            if state.tables.is_empty() {
+                return all.iter().collect();
+            }
+            if state.tables.len() >= self.max_tables {
+                return Vec::new();
+            }
+            let mut neighbors: Vec<NodeId> = Vec::new();
+            for &t in &state.tables {
+                for r in self.graph.related_tables(t) {
+                    if !state.tables.contains(&r) && !neighbors.contains(&r) {
+                        neighbors.push(r);
+                    }
+                }
+            }
+            all.iter().filter(|(_, n)| neighbors.contains(n)).collect()
+        }
+
+        /// Allowed next symbols for a state.
+        pub(super) fn allowed(&self, state: &DecodeState) -> Vec<Sym> {
+            if state.done {
+                return Vec::new();
+            }
+            let mut out = Vec::new();
+            match state.db {
+                None => {
+                    // decoding the database name through the trie
+                    if let Some(cur) = self.db_trie.walk(&state.prefix) {
+                        out.extend(self.db_trie.continuations(cur));
+                        if self.db_trie.terminal(cur).is_some() && !state.prefix.is_empty() {
+                            out.push(SEP); // commit database, start first table
+                        }
+                    }
+                }
+                Some(_) => {
+                    let candidates = self.accessible_tables(state);
+                    let mut complete = false;
+                    for (seq, _) in &candidates {
+                        if seq.len() > state.prefix.len() && seq.starts_with(&state.prefix) {
+                            let next = seq[state.prefix.len()];
+                            if !out.contains(&next) {
+                                out.push(next);
+                            }
+                        }
+                        if **seq == state.prefix {
+                            complete = true;
+                        }
+                    }
+                    if complete {
+                        out.push(EOS);
+                        // another table may follow if any remains accessible
+                        // after committing this one
+                        let committed = self.commit(state);
+                        if let Some(c) = committed {
+                            if !self.accessible_tables(&c).is_empty() {
+                                out.push(SEP);
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// Commit the current prefix as a completed element; `None` if the
+        /// prefix is not a complete accessible name.
+        fn commit(&self, state: &DecodeState) -> Option<DecodeState> {
+            let mut next = state.clone();
+            match state.db {
+                None => {
+                    let cur = self.db_trie.walk(&state.prefix)?;
+                    let db = *self.db_trie.terminal(cur)?;
+                    next.db = Some(db);
+                }
+                Some(_) => {
+                    let candidates = self.accessible_tables(state);
+                    let (_, node) = candidates.iter().find(|(seq, _)| *seq == state.prefix)?;
+                    next.tables.push(*node);
+                }
+            }
+            next.prefix.clear();
+            Some(next)
+        }
+
+        /// Advance a state by one symbol; `None` if the symbol is invalid
+        /// (used by the unconstrained-decoding ablation, where beams may die).
+        pub(super) fn advance(&self, state: &DecodeState, sym: Sym) -> Option<DecodeState> {
+            if state.done {
+                return None;
+            }
+            match sym {
+                SEP => self.commit(state),
+                EOS => {
+                    let committed = self.commit(state)?;
+                    if committed.tables.is_empty() {
+                        return None; // a schema needs at least one table
+                    }
+                    let mut done = committed;
+                    done.done = true;
+                    Some(done)
+                }
+                BOS => None,
+                piece => {
+                    let mut next = state.clone();
+                    next.prefix.push(piece);
+                    Some(next)
+                }
+            }
+        }
+
+        /// The decoded query schema of a finished state.
+        pub(super) fn schema_of(&self, state: &DecodeState) -> Option<QuerySchema> {
+            let db = state.db?;
+            if state.tables.is_empty() {
+                return None;
+            }
+            Some(QuerySchema::new(
+                self.graph.name(db).to_string(),
+                state.tables.iter().map(|t| self.graph.name(*t).to_string()).collect(),
+            ))
+        }
+    }
+
+    #[derive(Clone)]
+    struct Beam {
+        state: DecodeState,
+        h: Tensor,
+        prev: Sym,
+        logp: f32,
+    }
+
+    pub(super) fn beam_search<S: StepScorer>(
+        scorer: &mut S,
+        constrainer: &Constrainer<'_>,
+        vocab_len: usize,
+        question: &str,
+        opts: &DecodeOptions,
+    ) -> Vec<DecodedSchema> {
+        let q = scorer.encode(question);
+        let groups = if opts.diverse { opts.groups.max(1) } else { 1 };
+        let beams_per_group = (opts.beams / groups).max(1);
+        let init = Beam { state: constrainer.initial(), h: q.clone(), prev: BOS, logp: 0.0 };
+        let mut group_beams: Vec<Vec<Beam>> = vec![vec![init]; groups];
+        let mut finished: Vec<(DecodeState, f32)> = Vec::new();
+        let all_syms: Vec<Sym> = (0..vocab_len as Sym).collect();
+
+        for _step in 0..opts.max_steps {
+            let mut any_alive = false;
+            let mut used: HashMap<Sym, f32> = HashMap::new();
+            for beams in group_beams.iter_mut() {
+                let mut expansions: Vec<(Beam, Sym, f32)> = Vec::new();
+                for beam in beams.iter() {
+                    if beam.state.done {
+                        continue;
+                    }
+                    let allowed: Vec<Sym> = if opts.constrained {
+                        constrainer.allowed(&beam.state)
+                    } else {
+                        all_syms.clone()
+                    };
+                    if allowed.is_empty() {
+                        continue;
+                    }
+                    // advance hidden state once per beam
+                    let h_next = scorer.step(beam.prev, &beam.h);
+                    let lps = scorer.logprobs(&h_next, &allowed);
+                    for (i, &sym) in allowed.iter().enumerate() {
+                        let penalty =
+                            opts.diversity_penalty * used.get(&sym).copied().unwrap_or(0.0);
+                        let score = beam.logp + lps[i] - penalty;
+                        expansions.push((
+                            Beam {
+                                state: beam.state.clone(),
+                                h: h_next.clone(),
+                                prev: sym,
+                                logp: beam.logp + lps[i],
+                            },
+                            sym,
+                            score,
+                        ));
+                    }
+                }
+                expansions
+                    .sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+                let mut next_beams: Vec<Beam> = Vec::with_capacity(beams_per_group);
+                for (beam, sym, _) in expansions {
+                    if next_beams.len() >= beams_per_group {
+                        break;
+                    }
+                    let Some(next_state) = constrainer.advance(&beam.state, sym) else {
+                        continue; // invalid under unconstrained decoding
+                    };
+                    *used.entry(sym).or_insert(0.0) += 1.0;
+                    if next_state.done {
+                        finished.push((next_state, beam.logp));
+                        // a finished beam still occupies a slot this step
+                        next_beams.push(Beam {
+                            state: DecodeState { done: true, ..next_state_placeholder() },
+                            ..beam
+                        });
+                    } else {
+                        any_alive = true;
+                        next_beams.push(Beam { state: next_state, ..beam });
+                    }
+                }
+                *beams = next_beams;
+            }
+            if !any_alive {
+                break;
+            }
+        }
+
+        let mut out: Vec<DecodedSchema> = finished
+            .into_iter()
+            .filter_map(|(state, logp)| {
+                constrainer.schema_of(&state).map(|schema| DecodedSchema { schema, logp })
+            })
+            .collect();
+        out.sort_by(|a, b| b.logp.partial_cmp(&a.logp).unwrap_or(std::cmp::Ordering::Equal));
+        out
+    }
+
+    fn next_state_placeholder() -> DecodeState {
+        DecodeState { db: None, tables: Vec::new(), prefix: Vec::new(), done: true }
+    }
 }
 
 #[cfg(test)]
@@ -440,7 +786,8 @@ mod tests {
         let coll = collection();
         let g = SchemaGraph::build(&coll);
         let v = PieceVocab::build(&g);
-        let c = Constrainer::new(&g, &v, 4);
+        let t = ConstraintTables::build(&g, &v);
+        let c = Constrainer::new(&g, &t, 4);
         let allowed = c.allowed(&c.initial());
         let concert = v.id_of("concert").unwrap();
         let world = v.id_of("world").unwrap();
@@ -455,7 +802,8 @@ mod tests {
         let coll = collection();
         let g = SchemaGraph::build(&coll);
         let v = PieceVocab::build(&g);
-        let c = Constrainer::new(&g, &v, 4);
+        let t = ConstraintTables::build(&g, &v);
+        let c = Constrainer::new(&g, &t, 4);
         let mut s = c.initial();
         s = c.advance(&s, v.id_of("concert").unwrap()).unwrap();
         // "concert" is not a complete db name ("concert_singer" is) → no SEP
@@ -472,7 +820,8 @@ mod tests {
         let coll = collection();
         let g = SchemaGraph::build(&coll);
         let v = PieceVocab::build(&g);
-        let c = Constrainer::new(&g, &v, 4);
+        let t = ConstraintTables::build(&g, &v);
+        let c = Constrainer::new(&g, &t, 4);
         let mut s = c.initial();
         for p in ["concert", "singer"] {
             s = c.advance(&s, v.id_of(p).unwrap()).unwrap();
@@ -502,7 +851,8 @@ mod tests {
         let coll = collection();
         let g = SchemaGraph::build(&coll);
         let v = PieceVocab::build(&g);
-        let c = Constrainer::new(&g, &v, 4);
+        let t = ConstraintTables::build(&g, &v);
+        let c = Constrainer::new(&g, &t, 4);
         let mut s = c.initial();
         s = c.advance(&s, v.id_of("world").unwrap()).unwrap();
         assert!(c.advance(&s, EOS).is_none(), "EOS before any table must fail");
@@ -513,7 +863,8 @@ mod tests {
         let coll = collection();
         let g = SchemaGraph::build(&coll);
         let v = PieceVocab::build(&g);
-        let c = Constrainer::new(&g, &v, 4);
+        let t = ConstraintTables::build(&g, &v);
+        let c = Constrainer::new(&g, &t, 4);
         let mut s = c.initial();
         let syms = [
             v.id_of("world").unwrap(),
@@ -536,7 +887,8 @@ mod tests {
         let coll = collection();
         let g = SchemaGraph::build(&coll);
         let v = PieceVocab::build(&g);
-        let c = Constrainer::new(&g, &v, 3);
+        let t = ConstraintTables::build(&g, &v);
+        let c = Constrainer::new(&g, &t, 3);
         let model = RouterModel::new(RouterConfig::tiny(), v.len());
         let opts = DecodeOptions {
             beams: 4,
@@ -558,7 +910,8 @@ mod tests {
         let coll = collection();
         let g = SchemaGraph::build(&coll);
         let v = PieceVocab::build(&g);
-        let c = Constrainer::new(&g, &v, 3);
+        let t = ConstraintTables::build(&g, &v);
+        let c = Constrainer::new(&g, &t, 3);
         let model = RouterModel::new(RouterConfig::tiny(), v.len());
         let opts = DecodeOptions {
             beams: 6,
@@ -586,5 +939,189 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].schema.tables.len(), 2);
         assert_eq!(m[0].logp, -1.0);
+    }
+    // ----- today's decoder against the reference, bit for bit -----
+
+    /// The determinism suite's four questions, over a graph that also has
+    /// table relations (so multi-table schemata decode) and a prefix-sharing
+    /// pair of table names.
+    fn trained_router() -> (crate::router::DbcRouter, Vec<&'static str>) {
+        use crate::train::{SerializationMode, TrainExample};
+        let mut coll = collection();
+        for (db, tables) in [("library", ["book", "author"]), ("cinema", ["movie", "director"])] {
+            let mut d = DatabaseSchema::new(db);
+            for t in tables {
+                d.add_table(TableSchema::new(t).column("id", DataType::Int).primary(0));
+            }
+            coll.add_database(d);
+        }
+        let gold = [
+            ("how many vocalists are there", "concert_singer", vec!["singer", "singer_in_concert"]),
+            ("list the names of all towns", "world", vec!["country", "countrylanguage"]),
+            ("which writer published the most volumes", "library", vec!["book"]),
+            ("who directed the longest film", "cinema", vec!["movie"]),
+        ];
+        let examples: Vec<TrainExample> = (0..10)
+            .flat_map(|_| gold.iter())
+            .map(|(q, db, tables)| TrainExample {
+                question: q.to_string(),
+                schema: QuerySchema::new(*db, tables.iter().map(|t| t.to_string()).collect()),
+            })
+            .collect();
+        let mut cfg = RouterConfig::tiny();
+        cfg.epochs = 4;
+        let (mut router, _) = crate::router::DbcRouter::fit(
+            SchemaGraph::build(&coll),
+            &examples,
+            cfg,
+            SerializationMode::Dfs,
+        );
+        router.model.freeze_quant();
+        let mut questions: Vec<&str> = gold.iter().map(|g| g.0).collect();
+        questions.extend(["", "concerts per singer and their languages"]);
+        (router, questions)
+    }
+
+    fn assert_same_candidates(new: &[DecodedSchema], old: &[DecodedSchema], what: &str) {
+        let key = |d: &DecodedSchema| (d.schema.clone(), d.logp.to_bits());
+        assert_eq!(
+            new.iter().map(key).collect::<Vec<_>>(),
+            old.iter().map(key).collect::<Vec<_>>(),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn beam_search_matches_the_reference_loop_at_both_precisions() {
+        let (router, questions) = trained_router();
+        let (model, vocab, graph) = (&router.model, &router.vocab, &router.graph);
+        let qm = model.quant.as_ref().unwrap();
+        let tables = ConstraintTables::build(graph, vocab);
+        let new_c = Constrainer::new(graph, &tables, model.cfg.max_tables);
+        let old_c = reference::Constrainer::new(graph, vocab, model.cfg.max_tables);
+        let mut finished = 0;
+        for (constrained, diverse) in [(true, true), (true, false), (false, true), (false, false)] {
+            let opts =
+                DecodeOptions { constrained, diverse, ..DecodeOptions::from_config(&model.cfg) };
+            for q in &questions {
+                let what = format!("constrained {constrained}, diverse {diverse}, {q:?}");
+                let f32_scorer = || F32Scorer { model, q: Tensor::zeros(1, 1) };
+                let new = beam_search_with(&mut f32_scorer(), &new_c, vocab.len(), q, &opts);
+                let old = reference::beam_search(&mut f32_scorer(), &old_c, vocab.len(), q, &opts);
+                assert_same_candidates(&new, &old, &format!("f32, {what}"));
+                let i8_scorer = || crate::qmodel::QuantScorer::new(model, qm);
+                let new = beam_search_with(&mut i8_scorer(), &new_c, vocab.len(), q, &opts);
+                let old = reference::beam_search(&mut i8_scorer(), &old_c, vocab.len(), q, &opts);
+                assert_same_candidates(&new, &old, &format!("i8, {what}"));
+                finished += new.len();
+            }
+        }
+        assert!(finished > 0, "the comparison must see decoded schemata");
+    }
+
+    #[test]
+    fn constrainer_matches_the_reference_on_every_reachable_state() {
+        // Breadth-first over the constrained state space, trying *every*
+        // vocabulary symbol at each state (the unconstrained ablation does),
+        // at a table budget the walk reaches and one it does not.
+        let (router, _) = trained_router();
+        let (vocab, graph) = (&router.vocab, &router.graph);
+        let tables = ConstraintTables::build(graph, vocab);
+        for max_tables in [0, 1, 2, 4] {
+            let new_c = Constrainer::new(graph, &tables, max_tables);
+            let old_c = reference::Constrainer::new(graph, vocab, max_tables);
+            let mut frontier = vec![new_c.initial()];
+            let mut visited = 0;
+            while let Some(state) = frontier.pop() {
+                visited += 1;
+                let allowed = new_c.allowed(&state);
+                assert_eq!(allowed, old_c.allowed(&state), "allowed at {state:?}");
+                for sym in 0..vocab.len() as Sym {
+                    let (new, old) = (new_c.advance(&state, sym), old_c.advance(&state, sym));
+                    assert_eq!(format!("{new:?}"), format!("{old:?}"), "{sym} from {state:?}");
+                    if let (Some(next), true) = (new, allowed.contains(&sym)) {
+                        frontier.push(next);
+                    }
+                }
+            }
+            assert!(visited > 20, "walk too short at budget {max_tables}: {visited}");
+        }
+    }
+
+    /// Counts scorer calls. A step negates the first lane, so `0.0` and
+    /// `-0.0` step to different states.
+    struct CountingScorer {
+        steps: usize,
+        logprobs: usize,
+    }
+
+    impl StepScorer for CountingScorer {
+        fn encode(&mut self, _question: &str) -> Tensor {
+            Tensor::zeros(1, 2)
+        }
+
+        fn step(&mut self, _prev: Sym, h: &Tensor) -> Tensor {
+            self.steps += 1;
+            Tensor::from_row(vec![-h.get(0, 0), 1.0])
+        }
+
+        fn logprobs(&mut self, _h: &Tensor, candidates: &[Sym]) -> Vec<f32> {
+            self.logprobs += 1;
+            vec![0.0; candidates.len()]
+        }
+    }
+
+    #[test]
+    fn step_memo_keys_on_hidden_state_bits() {
+        let beam = |h: Vec<f32>, prev| Beam {
+            state: DecodeState { db: None, tables: Vec::new(), prefix: Vec::new(), done: false },
+            h: Tensor::from_row(h),
+            prev,
+            logp: 0.0,
+        };
+        let mut scorer = CountingScorer { steps: 0, logprobs: 0 };
+        let mut memo = Vec::new();
+        let first = score_beam(&mut scorer, &mut memo, &beam(vec![0.0, f32::NAN], 5), vec![1, 2]);
+        // same previous symbol, `==`-equal hidden state, different bits: a
+        // separate entry and a separate GRU step
+        let negz = score_beam(&mut scorer, &mut memo, &beam(vec![-0.0, f32::NAN], 5), vec![1, 2]);
+        assert_ne!(first, negz);
+        assert_eq!((scorer.steps, scorer.logprobs), (2, 2));
+        assert_ne!(
+            memo[first].h_next.get(0, 0).to_bits(),
+            memo[negz].h_next.get(0, 0).to_bits(),
+            "merging the two would have lost this difference"
+        );
+        // same bits (NaN included, which `==` would never match): reused whole
+        let again = score_beam(&mut scorer, &mut memo, &beam(vec![0.0, f32::NAN], 5), vec![1, 2]);
+        assert_eq!(again, first);
+        assert_eq!((scorer.steps, scorer.logprobs), (2, 2));
+        // same input, other candidates: the step is reused, the softmax is not
+        let other = score_beam(&mut scorer, &mut memo, &beam(vec![0.0, f32::NAN], 5), vec![1, 3]);
+        assert_ne!(other, first);
+        assert_eq!((scorer.steps, scorer.logprobs), (2, 3));
+        // other previous symbol: nothing is shared
+        score_beam(&mut scorer, &mut memo, &beam(vec![0.0, f32::NAN], 6), vec![1, 2]);
+        assert_eq!((scorer.steps, scorer.logprobs), (3, 4));
+    }
+
+    #[test]
+    fn first_decode_step_runs_one_gru_step_for_all_groups() {
+        let coll = collection();
+        let g = SchemaGraph::build(&coll);
+        let v = PieceVocab::build(&g);
+        let t = ConstraintTables::build(&g, &v);
+        let c = Constrainer::new(&g, &t, 3);
+        let opts = DecodeOptions {
+            beams: 6,
+            groups: 6,
+            diversity_penalty: 1.0,
+            constrained: true,
+            diverse: true,
+            max_steps: 1,
+        };
+        let mut scorer = CountingScorer { steps: 0, logprobs: 0 };
+        beam_search_with(&mut scorer, &c, v.len(), "q", &opts);
+        assert_eq!((scorer.steps, scorer.logprobs), (1, 1), "six groups share one first step");
     }
 }

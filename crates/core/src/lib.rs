@@ -43,7 +43,9 @@ pub mod vocab;
 
 pub use dbcopilot_retrieval::{PrecisionSwitch, RoutePrecision};
 
-pub use decode::{beam_search, merge_candidates, Constrainer, DecodeOptions, DecodedSchema};
+pub use decode::{
+    beam_search, merge_candidates, Constrainer, ConstraintTables, DecodeOptions, DecodedSchema,
+};
 pub use model::{RouterConfig, RouterModel};
 pub use persist::{
     extend_router, load_router, load_router_file, load_router_slice, load_sharded_router_bytes,

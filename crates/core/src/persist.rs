@@ -33,11 +33,9 @@ pub use dbcopilot_nn::serialize::{Format, PersistError};
 use dbcopilot_nn::ParamStore;
 use dbcopilot_nn::QuantizedStore;
 use dbcopilot_nn::Tensor;
-use dbcopilot_retrieval::RoutePrecision;
 use dbcopilot_sqlengine::Collection;
 use dbcopilot_synth::Questioner;
 
-use crate::decode::DecodeOptions;
 use crate::model::{RouterConfig, RouterModel};
 use crate::router::DbcRouter;
 use crate::shard::{ShardSlot, ShardedRouter};
@@ -440,17 +438,7 @@ fn assemble_router(
         let attached = crate::qmodel::QuantRouterModel::attach(&model, qs);
         model.quant = Some(attached);
     }
-    let decode_opts = DecodeOptions::from_config(&model.cfg);
-    let mut router = DbcRouter {
-        model,
-        vocab: saved.vocab,
-        graph: saved.graph,
-        decode_opts,
-        label: String::new(),
-        precision: RoutePrecision::F32,
-    };
-    router.set_label("DBCopilot");
-    Ok(router)
+    Ok(DbcRouter::assemble(model, saved.vocab, saved.graph))
 }
 
 /// Verify that `loaded` matches the freshly-initialized `expected` layout:
@@ -612,17 +600,7 @@ pub fn extend_router(
     } else {
         train_router(&mut model, &new_graph, &new_vocab, &examples, SerializationMode::Dfs)
     };
-    let decode_opts = DecodeOptions::from_config(&model.cfg);
-    let mut out = DbcRouter {
-        model,
-        vocab: new_vocab,
-        graph: new_graph,
-        decode_opts,
-        label: String::new(),
-        precision: RoutePrecision::F32,
-    };
-    out.set_label("DBCopilot");
-    Ok((out, stats))
+    Ok((DbcRouter::assemble(model, new_vocab, new_graph), stats))
 }
 
 /// Copy weights from the old model into the new one: encoder verbatim,

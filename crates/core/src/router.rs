@@ -6,7 +6,8 @@ use dbcopilot_graph::{QuerySchema, SchemaGraph};
 use dbcopilot_retrieval::{PrecisionSwitch, RoutePrecision, RoutingResult, SchemaRouter};
 
 use crate::decode::{
-    beam_search, beam_search_with, merge_candidates, Constrainer, DecodeOptions, DecodedSchema,
+    beam_search, beam_search_with, merge_candidates, Constrainer, ConstraintTables, DecodeOptions,
+    DecodedSchema,
 };
 use crate::model::{RouterConfig, RouterModel};
 use crate::qmodel::QuantScorer;
@@ -17,6 +18,10 @@ use crate::vocab::{PieceVocab, Sym, BOS, SEP};
 ///
 /// `Debug` prints a summary (label, vocabulary and graph sizes), not the
 /// weights.
+///
+/// `vocab` and `graph` are fixed for the router's life: its decoding tables
+/// are derived from the pair at construction, so a changed catalogue means a
+/// new router ([`crate::persist::extend_router`]), never an edit in place.
 pub struct DbcRouter {
     pub model: RouterModel,
     pub vocab: PieceVocab,
@@ -27,9 +32,27 @@ pub struct DbcRouter {
     /// [`PrecisionSwitch::set_precision`], which freezes quantized weights
     /// on first use.
     pub(crate) precision: RoutePrecision,
+    /// The constrained-decoding tables of `graph` × `vocab`, built once here
+    /// rather than per question: their cost grows with the catalogue.
+    tables: ConstraintTables,
 }
 
 impl DbcRouter {
+    /// The one constructor: a model with everything derived from it and its
+    /// catalogue — decode options from the config, the decoding tables, the
+    /// default label, f32 precision.
+    pub(crate) fn assemble(model: RouterModel, vocab: PieceVocab, graph: SchemaGraph) -> Self {
+        DbcRouter {
+            decode_opts: DecodeOptions::from_config(&model.cfg),
+            tables: ConstraintTables::build(&graph, &vocab),
+            model,
+            vocab,
+            graph,
+            label: "DBCopilot".to_string(),
+            precision: RoutePrecision::F32,
+        }
+    }
+
     /// Train a router over a schema graph from (question, schema) examples.
     pub fn fit(
         graph: SchemaGraph,
@@ -40,33 +63,14 @@ impl DbcRouter {
         let vocab = PieceVocab::build(&graph);
         let mut model = RouterModel::new(cfg, vocab.len());
         let stats = train_router(&mut model, &graph, &vocab, data, mode);
-        let decode_opts = DecodeOptions::from_config(&model.cfg);
-        (
-            DbcRouter {
-                model,
-                vocab,
-                graph,
-                decode_opts,
-                label: "DBCopilot".to_string(),
-                precision: RoutePrecision::F32,
-            },
-            stats,
-        )
+        (Self::assemble(model, vocab, graph), stats)
     }
 
     /// Build an untrained router (tests, decoding benchmarks).
     pub fn untrained(graph: SchemaGraph, cfg: RouterConfig) -> Self {
         let vocab = PieceVocab::build(&graph);
         let model = RouterModel::new(cfg, vocab.len());
-        let decode_opts = DecodeOptions::from_config(&model.cfg);
-        DbcRouter {
-            model,
-            vocab,
-            graph,
-            decode_opts,
-            label: "DBCopilot".to_string(),
-            precision: RoutePrecision::F32,
-        }
+        Self::assemble(model, vocab, graph)
     }
 
     pub fn set_label(&mut self, label: &str) {
@@ -76,7 +80,7 @@ impl DbcRouter {
     /// Raw candidate sequences (best first), scored at the selected
     /// precision.
     pub fn sequences(&self, question: &str) -> Vec<DecodedSchema> {
-        let constrainer = Constrainer::new(&self.graph, &self.vocab, self.model.cfg.max_tables);
+        let constrainer = Constrainer::new(&self.graph, &self.tables, self.model.cfg.max_tables);
         match self.precision {
             RoutePrecision::F32 => beam_search(
                 &self.model,

@@ -32,7 +32,7 @@ use dbcopilot_graph::{
 use dbcopilot_nn::{AdamW, GradShard, Tape};
 use dbcopilot_synth::{CorpusMeta, Questioner};
 
-use crate::decode::Constrainer;
+use crate::decode::{Constrainer, ConstraintTables};
 use crate::model::RouterModel;
 use crate::vocab::{PieceVocab, Sym, BOS, EOS, SEP};
 
@@ -190,7 +190,8 @@ pub fn train_router(
 ) -> TrainStats {
     assert!(!data.is_empty(), "no training data");
     let cfg = model.cfg.clone();
-    let constrainer = Constrainer::new(graph, vocab, cfg.max_tables.max(8));
+    let tables = ConstraintTables::build(graph, vocab);
+    let constrainer = Constrainer::new(graph, &tables, cfg.max_tables.max(8));
     // The shuffle RNG runs serially between parallel sections; per-example
     // randomness is derived per (seed, epoch, index) inside the workers.
     let mut shuffle_rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(101));
@@ -352,7 +353,8 @@ mod tests {
         cfg.epochs = 25;
         let mut model = RouterModel::new(cfg, v.len());
         train_router(&mut model, &g, &v, &toy_examples(), SerializationMode::Dfs);
-        let c = Constrainer::new(&g, &v, 3);
+        let t = ConstraintTables::build(&g, &v);
+        let c = Constrainer::new(&g, &t, 3);
         let opts = DecodeOptions {
             beams: 4,
             groups: 4,
@@ -372,7 +374,8 @@ mod tests {
         let coll = collection();
         let g = SchemaGraph::build(&coll);
         let v = PieceVocab::build(&g);
-        let c = Constrainer::new(&g, &v, 4);
+        let t = ConstraintTables::build(&g, &v);
+        let c = Constrainer::new(&g, &t, 4);
         let mut rng = SmallRng::seed_from_u64(5);
         let state = c.initial();
         for gold in [EOS, SEP, 5, 7] {

@@ -150,6 +150,40 @@ fn pooled_route_batch_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn i8_routing_is_bit_identical_across_thread_counts() {
+    // The quantized hot path — blocked i8 kernel, vector quantizer, step
+    // memo, cached decoding tables — carries no cross-question state, so
+    // candidates and score bits must not depend on how many workers route.
+    use dbcopilot_core::{DbcRouter, PrecisionSwitch, RoutePrecision};
+
+    let g = SchemaGraph::build(&collection());
+    let mut cfg = RouterConfig::tiny();
+    cfg.epochs = 4;
+    let (mut router, _) = DbcRouter::fit(g, &examples(), cfg, SerializationMode::Dfs);
+    router.set_precision(RoutePrecision::I8);
+    let questions: Vec<String> = examples().iter().map(|e| e.question.clone()).take(12).collect();
+
+    let fingerprint = |threads: usize| {
+        with_thread_count(threads, || {
+            let routed: Vec<Vec<(String, String, u32)>> = router
+                .route_batch(&questions, 10)
+                .into_iter()
+                .map(|r| r.tables.into_iter().map(|(d, t, s)| (d, t, s.to_bits())).collect())
+                .collect();
+            let candidates: Vec<Vec<(String, u32)>> = questions
+                .iter()
+                .map(|q| router.route_schemata(q))
+                .map(|c| c.iter().map(|d| (d.schema.to_string(), d.logp.to_bits())).collect())
+                .collect();
+            (routed, candidates)
+        })
+    };
+    let base = fingerprint(1);
+    assert!(base.1.iter().all(|c| !c.is_empty()), "every question decodes a candidate");
+    assert_eq!(base, fingerprint(2), "i8 candidates or score bits drifted at 2 threads");
+}
+
+#[test]
 fn sharded_scatter_gather_is_bit_identical_across_thread_counts() {
     // A fixed shard count must produce bit-identical merged rankings at any
     // DBC_THREADS value: shards are scattered on the pool but merged in

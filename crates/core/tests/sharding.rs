@@ -90,6 +90,63 @@ fn one_shard_fit_is_bit_identical_to_monolith() {
 }
 
 #[test]
+fn one_shard_tier_stays_bit_identical_to_the_monolith_across_an_extend() {
+    // Each router owns decoding tables derived from its graph. An extend
+    // builds a new graph, so the retrained router must come with new tables
+    // (stale ones could not even spell the new database) and the 1-shard
+    // tier must keep routing exactly like the monolith it mirrors.
+    use dbcopilot_core::extend_router;
+
+    let sharded = fit_sharded(1);
+    let (mono, _) = DbcRouter::fit(
+        SchemaGraph::build(&collection()),
+        &examples(),
+        cfg(),
+        SerializationMode::Dfs,
+    );
+    let mut grown = collection();
+    let mut extra = DatabaseSchema::new("aquarium");
+    for t in ["tank", "fish"] {
+        extra.add_table(TableSchema::new(t).column("id", DataType::Int).primary(0));
+    }
+    grown.add_database(extra);
+    let meta = dbcopilot_synth::CorpusMeta::default();
+    let questioner = dbcopilot_synth::Questioner::train(
+        &[dbcopilot_synth::TrainPair {
+            entities: vec!["fish".into()],
+            attrs: vec![],
+            question: "how many fish live in the tank".into(),
+        }],
+        &dbcopilot_synth::QuestionerConfig::default(),
+    );
+    let (sharded, retrained) = sharded.extend(&grown, &meta, &questioner, 24, 2).unwrap();
+    assert_eq!(retrained.len(), 1);
+    let (mono, _) = extend_router(&mono, &grown, &meta, &questioner, 24, 2).unwrap();
+
+    let mut saw_new_database = false;
+    for q in ["how many vocalists are there", "how many fish live in the tank", "fish tank"] {
+        let (mut a, b) = (mono.route(q, 10), sharded.route(q, 10));
+        // the tier re-sorts with its total-order tie-break; do the same
+        a.tables.sort_by(|x, y| {
+            y.2.total_cmp(&x.2).then_with(|| x.0.cmp(&y.0)).then_with(|| x.1.cmp(&y.1))
+        });
+        a.databases.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
+        let bits = |r: &dbcopilot_retrieval::RoutingResult| {
+            let tables: Vec<_> =
+                r.tables.iter().map(|(d, t, s)| (d.clone(), t.clone(), s.to_bits())).collect();
+            let dbs: Vec<_> = r.databases.iter().map(|(d, s)| (d.clone(), s.to_bits())).collect();
+            (tables, dbs)
+        };
+        assert_eq!(bits(&a), bits(&b), "question {q:?}");
+        saw_new_database |= b.database_names().contains(&"aquarium");
+        for cand in sharded.shard_router(0).unwrap().sequences(q) {
+            assert!(mono.graph.is_valid_schema(&cand.schema), "{} after extend", cand.schema);
+        }
+    }
+    assert!(saw_new_database, "the extended routers never decoded the new database");
+}
+
+#[test]
 fn scatter_gather_routes_to_the_trained_database() {
     let sharded = fit_sharded(4);
     assert_eq!(sharded.num_shards(), 4);
