@@ -10,7 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use dbcopilot_core::{load_router, save_router_as, DbcRouter, Format, SerializationMode};
+use dbcopilot_core::{load_router, save_router, DbcRouter, SerializationMode};
 use dbcopilot_eval::{build_method, prepare, CorpusKind, MethodKind, Scale};
 use dbcopilot_graph::{dfs_serialize, IterOrder};
 use dbcopilot_nn::quant::{quantize_row_into, quantize_row_scalar};
@@ -96,29 +96,19 @@ fn bench_routing(c: &mut Criterion) {
         })
     });
 
-    // persistence: the DBC1 binary codec vs the JSON escape hatch, on the
-    // same pre-trained fixture (Table 5 build/disk accounting path)
+    // persistence: the DBC1 bundle codec on the same pre-trained fixture
+    // (Table 5 build/disk accounting path)
     let mut group = c.benchmark_group("persistence");
     let mut bin = Vec::new();
-    save_router_as(&dbc, &mut bin, Format::Binary).unwrap();
-    let mut json = Vec::new();
-    save_router_as(&dbc, &mut json, Format::Json).unwrap();
+    save_router(&dbc, &mut bin).unwrap();
     group.bench_function("save_binary", |b| {
         b.iter(|| {
             let mut buf = Vec::with_capacity(bin.len());
-            save_router_as(&dbc, &mut buf, Format::Binary).unwrap();
-            buf
-        })
-    });
-    group.bench_function("save_json", |b| {
-        b.iter(|| {
-            let mut buf = Vec::with_capacity(json.len());
-            save_router_as(&dbc, &mut buf, Format::Json).unwrap();
+            save_router(&dbc, &mut buf).unwrap();
             buf
         })
     });
     group.bench_function("load_binary", |b| b.iter(|| load_router(bin.as_slice()).unwrap()));
-    group.bench_function("load_json", |b| b.iter(|| load_router(json.as_slice()).unwrap()));
     group.finish();
 }
 

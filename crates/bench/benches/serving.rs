@@ -1,11 +1,10 @@
-//! Serving-layer micro-benchmarks: persistent-pool dispatch vs per-call
-//! scoped spawn, warm-cache hits vs cold routes, and micro-batched routing
-//! through the `RouterService`.
+//! Serving-layer micro-benchmarks: persistent-pool dispatch vs the serial
+//! loop, warm-cache hits vs cold routes, and micro-batched routing through
+//! the `RouterService`.
 //!
 //! The dispatch group isolates executor overhead on repeated *small*
-//! batches — the serving workload where per-call `thread::spawn` is most
-//! of the latency. The cache group compares a served warm hit against the
-//! cold model route it replaces.
+//! batches — the regime micro-batched serving lives in. The cache group
+//! compares a served warm hit against the cold model route it replaces.
 
 use std::sync::Arc;
 
@@ -14,7 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dbcopilot_core::{DbcRouter, SerializationMode};
 use dbcopilot_eval::{prepare, CorpusKind, Scale};
 use dbcopilot_retrieval::SchemaRouter;
-use dbcopilot_runtime::{parallel_map_chunks, with_thread_count, WorkerPool};
+use dbcopilot_runtime::{with_thread_count, WorkerPool};
 use dbcopilot_serve::{RouterService, ServiceConfig};
 
 /// Same tiny fixture rationale as `benches/routing.rs`: latency benches do
@@ -44,15 +43,6 @@ fn bench_dispatch(c: &mut Criterion) {
     let pool = WorkerPool::new(4);
 
     let mut group = c.benchmark_group("dispatch_small_batch");
-    group.bench_function("scoped_spawn", |b| {
-        b.iter(|| {
-            with_thread_count(4, || {
-                parallel_map_chunks(black_box(&items), 4, |_, c| {
-                    c.iter().map(|&x| small_work(x)).sum::<u64>()
-                })
-            })
-        })
-    });
     group.bench_function("worker_pool", |b| {
         b.iter(|| {
             with_thread_count(4, || {

@@ -1,14 +1,13 @@
-//! SQL engine micro-benchmarks: parsing, and each executor shape run under
-//! both strategies — `interp` is the tree-walking interpreter, `compiled`
-//! is the interned/index-resolved/hash-join path against a prepared
-//! database (the serving and eval hot path). The compiled/interp pairs at
-//! two row scales are what the CI baseline gate watches.
+//! SQL engine micro-benchmarks: parsing, and each executor shape through
+//! the interned/index-resolved/hash-join engine against a prepared database
+//! (the serving and eval hot path), at two row scales — the rows the CI
+//! baseline gate watches.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dbcopilot_sqlengine::{
-    execute_prepared, execute_with, parse_select, DataType, Database, DatabaseSchema, ExecStrategy,
-    PreparedDb, TableSchema, Value,
+    execute_prepared, parse_select, DataType, Database, DatabaseSchema, PreparedDb, TableSchema,
+    Value,
 };
 
 fn make_db(rows: usize) -> Database {
@@ -89,12 +88,8 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
     for rows in [100usize, 1000] {
-        let db = make_db(rows);
-        let pdb = PreparedDb::prepare(&db);
+        let pdb = PreparedDb::prepare(&make_db(rows));
         for (shape, sql) in SHAPES {
-            c.bench_function(&format!("sqlengine/{shape}_{rows}/interp"), |b| {
-                b.iter(|| execute_with(&db, sql, ExecStrategy::Interpreted))
-            });
             c.bench_function(&format!("sqlengine/{shape}_{rows}/compiled"), |b| {
                 b.iter(|| execute_prepared(&pdb, sql))
             });

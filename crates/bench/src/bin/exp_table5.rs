@@ -8,12 +8,11 @@
 use dbcopilot::{AskOptions, DbCopilot};
 use dbcopilot_core::{save_router, DbcRouter, SerializationMode};
 use dbcopilot_eval::{
-    build_method, eval_ask, eval_routing, measure_latency_us, measure_served_ask_qps,
-    measure_served_http_qps, measure_served_qps, prepare, render_ask_table, render_precision_table,
-    render_table5, report, BuildReport, CorpusKind, MethodKind, PrecisionRow, ResourceReport,
-    Scale,
+    build_method, eval_ask, eval_routing, measure_concurrent, measure_latency_us, prepare,
+    render_ask_table, render_precision_table, render_table5, report, BuildReport, CorpusKind,
+    MethodKind, PrecisionRow, ResourceReport, Scale,
 };
-use dbcopilot_http::{wire, Dispatcher, HttpClient, HttpConfig, HttpServer};
+use dbcopilot_http::{run_load, wire, Dispatcher, HttpClient, HttpConfig, HttpServer, LoadConfig};
 use dbcopilot_retrieval::{PrecisionSwitch, RoutePrecision, SchemaRouter};
 use dbcopilot_serve::{
     AskOutcome, AskService, QueryPipeline, RouterService, ServiceConfig, ServiceStats,
@@ -77,7 +76,9 @@ fn main() {
             eprintln!("  measuring DBC (served)");
             let dbc = rows.last().expect("just pushed").clone();
             let service = RouterService::from_router(router, ServiceConfig::default());
-            let qps = measure_served_qps(&service, &questions, 256, 4);
+            let qps = measure_concurrent(&questions, 256, 4, |q| {
+                let _ = service.route(q);
+            });
             rows.push(ResourceReport { method: "DBC (served)".to_string(), qps, ..dbc });
         }
     }
@@ -112,14 +113,13 @@ fn main() {
 
     // -----------------------------------------------------------------
     // SQL engine: the execution substrate under every EX number. Replay
-    // the test split's gold queries under the interpreter, the compiled
-    // path (fresh prepare per query), and the compiled path with
-    // per-database prepared reuse — the configuration eval and serving
-    // actually run.
+    // the test split's gold queries with a fresh prepare per query, then
+    // with per-database prepared reuse — the configuration eval and
+    // serving actually run.
     // -----------------------------------------------------------------
-    eprintln!("  measuring engine latency (interpreted vs compiled)");
+    eprintln!("  measuring engine latency (per-query vs prepared)");
     {
-        use dbcopilot::sqlengine::{execute_prepared, execute_with, ExecStrategy, PreparedStore};
+        use dbcopilot::sqlengine::{execute, execute_prepared, PreparedStore};
         let store = &prepared.corpus.store;
         let pstore = PreparedStore::new(store.clone());
         let workload: Vec<_> = prepared
@@ -140,14 +140,9 @@ fn main() {
             }
             start.elapsed().as_secs_f64() * 1e6 / (reps * workload.len().max(1)) as f64
         };
-        let interp = per_query_us(&|| {
+        let one_shot = per_query_us(&|| {
             for (db, _, sql) in &workload {
-                let _ = execute_with(db, sql, ExecStrategy::Interpreted);
-            }
-        });
-        let compiled = per_query_us(&|| {
-            for (db, _, sql) in &workload {
-                let _ = execute_with(db, sql, ExecStrategy::Compiled);
+                let _ = execute(db, sql);
             }
         });
         let reused = per_query_us(&|| {
@@ -156,9 +151,8 @@ fn main() {
             }
         });
         println!("== SQL engine — µs/query over the EX workload ({} queries) ==", workload.len());
-        println!("interpreted            {interp:>10.1} µs/query");
-        println!("compiled (per-query)   {compiled:>10.1} µs/query  ({:.1}x)", interp / compiled);
-        println!("compiled (prepared)    {reused:>10.1} µs/query  ({:.1}x)", interp / reused);
+        println!("per-query prepare      {one_shot:>10.1} µs/query");
+        println!("prepared reuse         {reused:>10.1} µs/query  ({:.1}x)", one_shot / reused);
     }
 
     // -----------------------------------------------------------------
@@ -204,7 +198,9 @@ fn main() {
         AskOptions::new().top_k(3).repair_attempts(1),
         ServiceConfig::default(),
     );
-    let qps = measure_served_ask_qps(&service, &ask_questions, 256, 4);
+    let qps = measure_concurrent(&ask_questions, 256, 4, |q| {
+        let _ = service.ask(q);
+    });
     let stats = service.stats();
     println!(
         "AskService (k=3 + repair): {qps:.1} answers/s over 4 clients \
@@ -250,7 +246,15 @@ fn main() {
         HttpConfig::new().workers(4),
     )
     .expect("bind the HTTP edge on an ephemeral port");
-    let http_qps = measure_served_http_qps(server.addr(), &ask_questions, 256, 4);
+    // A typed pipeline failure is a served request and counts; a shed or a
+    // transport failure means the measurement itself broke.
+    let load = run_load(
+        server.addr(),
+        &ask_questions,
+        &LoadConfig::new().clients(4).requests_per_client(64),
+    );
+    assert!(load.shed == 0 && load.protocol_errors == 0, "HTTP load broke: {}", load.summary());
+    let http_qps = load.achieved_qps();
     let edge = server.stats();
     println!(
         "HTTP edge (4 keep-alive clients): {http_qps:.1} answers/s \

@@ -10,26 +10,20 @@
 //!   synthesized questions for the new schemata only, reusing the existing
 //!   weights (new word pieces get fresh embedding rows).
 //!
-//! The default on-disk form is a `DBC1` binary container (see
+//! The on-disk form is a `DBC1` binary container (see
 //! [`dbcopilot_nn::codec`]): one section per bundle component, with the
 //! weight section storing raw `f32` bits so a save→load round trip is
-//! bit-exact. JSON remains available behind [`Format::Json`] for human
-//! inspection, and [`load_router`] sniffs the format so either file kind
-//! loads through the same entry point. Every load validates magic, version,
-//! parameter names and tensor shapes against the config and fails with a
-//! typed [`PersistError`] in release builds — corruption is never a
-//! `debug_assert!`.
+//! bit-exact. Every load validates magic, version, parameter names and
+//! tensor shapes against the config and fails with a typed [`PersistError`]
+//! in release builds — corruption is never a `debug_assert!`.
 
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use dbcopilot_graph::SchemaGraph;
 use dbcopilot_nn::codec::{self, Section};
-use dbcopilot_nn::serialize::{ensure_finite, sniff_format};
-pub use dbcopilot_nn::serialize::{Format, PersistError};
+pub use dbcopilot_nn::serialize::PersistError;
 use dbcopilot_nn::ParamStore;
 use dbcopilot_nn::QuantizedStore;
 use dbcopilot_nn::Tensor;
@@ -55,38 +49,6 @@ const SEC_SHARDS: [u8; 4] = *b"SHRD";
 /// container; empty shards contribute zero bytes).
 const SEC_SHARD_BUNDLES: [u8; 4] = *b"SBDL";
 
-/// On-disk router representation (the JSON escape hatch; the binary path
-/// writes the same four components as `DBC1` sections).
-#[derive(Serialize, Deserialize)]
-struct SavedRouter {
-    store: ParamStore,
-    vocab: PieceVocab,
-    graph: SchemaGraph,
-    cfg: RouterConfig,
-}
-
-/// Borrowed mirror of [`SavedRouter`] for the JSON save path: serializes to
-/// the identical object (same field names and order, so [`SavedRouter`]
-/// deserializes it) without deep-copying the store, vocabulary, or graph.
-/// Hand-implemented because the vendored derive does not support lifetimes.
-struct SavedRouterRef<'a> {
-    store: &'a ParamStore,
-    vocab: &'a PieceVocab,
-    graph: &'a SchemaGraph,
-    cfg: &'a RouterConfig,
-}
-
-impl Serialize for SavedRouterRef<'_> {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("store".to_string(), self.store.serialize()),
-            ("vocab".to_string(), self.vocab.serialize()),
-            ("graph".to_string(), self.graph.serialize()),
-            ("cfg".to_string(), self.cfg.serialize()),
-        ])
-    }
-}
-
 /// Encode a router as a `DBC1` binary bundle. Weight bits are preserved
 /// exactly; the config/vocab/graph sections are JSON payloads (they hold no
 /// weights and are dwarfed by the parameter section).
@@ -106,95 +68,71 @@ pub fn router_to_vec(router: &DbcRouter) -> Result<Vec<u8>, PersistError> {
     Ok(codec::encode_container(&sections))
 }
 
-/// Serialize a trained router to a writer in the given format.
-pub fn save_router_as<W: Write>(
-    router: &DbcRouter,
-    mut w: W,
-    format: Format,
-) -> Result<(), PersistError> {
-    match format {
-        Format::Binary => Ok(w.write_all(&router_to_vec(router)?)?),
-        Format::Json => {
-            ensure_finite(&router.model.store)?;
-            let saved = SavedRouterRef {
-                store: &router.model.store,
-                vocab: &router.vocab,
-                graph: &router.graph,
-                cfg: &router.model.cfg,
-            };
-            serde_json::to_writer(w, &saved)?;
-            Ok(())
-        }
-    }
-}
-
 /// Serialize a trained router to a writer (binary `DBC1`).
-pub fn save_router<W: Write>(router: &DbcRouter, w: W) -> Result<(), PersistError> {
-    save_router_as(router, w, Format::Binary)
+pub fn save_router<W: Write>(router: &DbcRouter, mut w: W) -> Result<(), PersistError> {
+    Ok(w.write_all(&router_to_vec(router)?)?)
 }
 
-/// Deserialize a router from a byte buffer, sniffing the format.
+/// Deserialize a router from a byte buffer.
 pub fn load_router_slice(bytes: &[u8]) -> Result<DbcRouter, PersistError> {
-    let (saved, quant) = match sniff_format(bytes)? {
-        Format::Binary => {
-            let sections = codec::decode_container(bytes)?;
-            // A sharded manifest is a different artifact kind, not a broken
-            // monolithic bundle: refuse it with a pointer to the right
-            // loader instead of failing on a "missing" VOCB section.
-            if codec::find_section(&sections, SEC_SHARDS)?.is_some() {
-                return Err(PersistError::Corrupt(
-                    "sharded (SHRD) router bundle: load it with \
-                     load_sharded_router_bytes / load_sharded_router_file"
-                        .to_string(),
-                ));
-            }
-            let cfg: RouterConfig =
-                serde_json::from_slice(&codec::require_section(&sections, SEC_CONFIG)?.bytes)?;
-            let vocab: PieceVocab =
-                serde_json::from_slice(&codec::require_section(&sections, SEC_VOCAB)?.bytes)?;
-            let graph: SchemaGraph =
-                serde_json::from_slice(&codec::require_section(&sections, SEC_GRAPH)?.bytes)?;
-            let store = codec::decode_store_section(
-                &codec::require_section(&sections, codec::SEC_PARAMS)?.bytes,
-            )?;
-            // `QNT8` is optional: pre-quantization bundles load fine and
-            // serve at F32 (I8 re-freezes from the f32 weights on demand).
-            let quant = match codec::find_section(&sections, codec::SEC_QUANT)? {
-                Some(sec) => Some(codec::decode_quant_section(&sec.bytes)?),
-                None => None,
-            };
-            (SavedRouter { store, vocab, graph, cfg }, quant)
-        }
-        // The JSON escape hatch never carries quantized weights: it exists
-        // for human inspection of the f32 bundle.
-        Format::Json => (serde_json::from_slice(bytes)?, None),
+    let sections = codec::decode_container(bytes)?;
+    // A sharded manifest is a different artifact kind, not a broken
+    // monolithic bundle: refuse it with a pointer to the right loader
+    // instead of failing on a "missing" VOCB section.
+    if codec::find_section(&sections, SEC_SHARDS)?.is_some() {
+        return Err(PersistError::Corrupt(
+            "sharded (SHRD) router bundle: load it with \
+             load_sharded_router_bytes / load_sharded_router_file"
+                .to_string(),
+        ));
+    }
+    let cfg: RouterConfig =
+        serde_json::from_slice(&codec::require_section(&sections, SEC_CONFIG)?.bytes)?;
+    let vocab: PieceVocab =
+        serde_json::from_slice(&codec::require_section(&sections, SEC_VOCAB)?.bytes)?;
+    let graph: SchemaGraph =
+        serde_json::from_slice(&codec::require_section(&sections, SEC_GRAPH)?.bytes)?;
+    let store =
+        codec::decode_store_section(&codec::require_section(&sections, codec::SEC_PARAMS)?.bytes)?;
+    // `QNT8` is optional: pre-quantization bundles load fine and serve at
+    // F32 (I8 re-freezes from the f32 weights on demand).
+    let quant = match codec::find_section(&sections, codec::SEC_QUANT)? {
+        Some(sec) => Some(codec::decode_quant_section(&sec.bytes)?),
+        None => None,
     };
-    assemble_router(saved, quant)
+
+    let mut model = RouterModel::new(cfg, vocab.len());
+    // The layer structs hold ParamIds bound during `RouterModel::new`; the
+    // loaded store must present the same parameters, in the same order, with
+    // the same shapes, or those ids would silently address the wrong
+    // tensors. Corrupted or truncated files fail here with a typed error.
+    validate_store_layout(&model.store, &store)?;
+    model.store = store;
+    if let Some(qs) = quant {
+        // The quantized store is addressed by the same ParamIds, so it must
+        // mirror the f32 layout entry for entry — including the transposed
+        // orientation the scorer assumes for matvec weights.
+        validate_quant_layout(&model.store, &qs)?;
+        let attached = crate::qmodel::QuantRouterModel::attach(&model, qs);
+        model.quant = Some(attached);
+    }
+    Ok(DbcRouter::assemble(model, vocab, graph))
 }
 
-/// Deserialize a router from a reader, sniffing the format.
+/// Deserialize a router from a reader.
 pub fn load_router<R: Read>(mut r: R) -> Result<DbcRouter, PersistError> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
     load_router_slice(&buf)
 }
 
-/// Save to a file in the given format.
-pub fn save_router_file_as(
-    router: &DbcRouter,
-    path: impl AsRef<Path>,
-    format: Format,
-) -> Result<(), PersistError> {
-    let f = std::fs::File::create(path)?;
-    save_router_as(router, std::io::BufWriter::new(f), format)
-}
-
-/// Save to a file (binary `DBC1`).
+/// Save to a file.
 pub fn save_router_file(router: &DbcRouter, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    save_router_file_as(router, path, Format::Binary)
+    let f = std::fs::File::create(path)?;
+    save_router(router, std::io::BufWriter::new(f))
 }
 
-/// Load from a file (either format).
+/// Load from a file.
 pub fn load_router_file(path: impl AsRef<Path>) -> Result<DbcRouter, PersistError> {
     let f = std::fs::File::open(path)?;
     load_router(std::io::BufReader::new(f))
@@ -287,14 +225,11 @@ struct ShardManifestEntry {
 /// 64-shard bundle starts serving after decoding exactly the shards the
 /// traffic reaches.
 ///
-/// Pre-manifest bundles — monolithic `DBC1` containers and the JSON escape
-/// hatch — load as a 1-shard tier, so every artifact ever written by
-/// [`save_router`] keeps loading here (back compat is covered both ways:
-/// see also the `SHRD` rejection in [`load_router_slice`]).
+/// Pre-manifest bundles — monolithic `DBC1` containers — load as a 1-shard
+/// tier, so every artifact written by [`save_router`] keeps loading here
+/// (back compat is covered both ways: see also the `SHRD` rejection in
+/// [`load_router_slice`]).
 pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, PersistError> {
-    if matches!(sniff_format(&bytes)?, Format::Json) {
-        return Ok(ShardedRouter::from_monolith(load_router_slice(&bytes)?));
-    }
     let parsed: Option<(Vec<ShardManifestEntry>, RouterConfig, usize, Vec<String>)> = {
         let sections = codec::decode_container(&bytes)?;
         match codec::find_section(&sections, SEC_SHARDS)? {
@@ -415,30 +350,6 @@ pub fn router_disk_size(router: &DbcRouter) -> Result<usize, PersistError> {
         lens.push(codec::quant_section_len(qm.store()));
     }
     Ok(codec::container_len(&lens))
-}
-
-/// Build a serving router from loaded components, verifying the loaded
-/// parameters against the layout the config implies.
-fn assemble_router(
-    saved: SavedRouter,
-    quant: Option<QuantizedStore>,
-) -> Result<DbcRouter, PersistError> {
-    let mut model = RouterModel::new(saved.cfg, saved.vocab.len());
-    // The layer structs hold ParamIds bound during `RouterModel::new`; the
-    // loaded store must present the same parameters, in the same order, with
-    // the same shapes, or those ids would silently address the wrong
-    // tensors. Corrupted or truncated files fail here with a typed error.
-    validate_store_layout(&model.store, &saved.store)?;
-    model.store = saved.store;
-    if let Some(qs) = quant {
-        // The quantized store is addressed by the same ParamIds, so it must
-        // mirror the f32 layout entry for entry — including the transposed
-        // orientation the scorer assumes for matvec weights.
-        validate_quant_layout(&model.store, &qs)?;
-        let attached = crate::qmodel::QuantRouterModel::attach(&model, qs);
-        model.quant = Some(attached);
-    }
-    Ok(DbcRouter::assemble(model, saved.vocab, saved.graph))
 }
 
 /// Verify that `loaded` matches the freshly-initialized `expected` layout:
@@ -712,6 +623,16 @@ mod tests {
         router
     }
 
+    /// `router`'s bundle with its weight section swapped for `store`.
+    fn bundle_with_store(router: &DbcRouter, store: &ParamStore) -> Vec<u8> {
+        codec::encode_container(&[
+            Section::new(SEC_CONFIG, serde_json::to_vec(&router.model.cfg).unwrap()),
+            Section::new(SEC_VOCAB, serde_json::to_vec(&router.vocab).unwrap()),
+            Section::new(SEC_GRAPH, serde_json::to_vec(&router.graph).unwrap()),
+            Section::new(codec::SEC_PARAMS, codec::encode_store_section(store)),
+        ])
+    }
+
     #[test]
     fn save_load_roundtrip_preserves_routing_and_bits() {
         let router = trained_router();
@@ -736,6 +657,33 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "{an} drifted");
             }
         }
+    }
+
+    #[test]
+    fn bundle_bytes_are_reproducible() {
+        // Enough names that two hash-ordered maps would almost surely
+        // disagree: the `GRPH` and `VOCB` sections serialize name maps and
+        // must not depend on their iteration order.
+        let mut c = Collection::new();
+        for i in 0..12 {
+            let mut d = DatabaseSchema::new(format!("db_{i}"));
+            for t in ["alpha", "beta", "gamma"] {
+                d.add_table(TableSchema::new(t).column("id", DataType::Int).primary(0));
+            }
+            c.add_database(d);
+        }
+        let examples = [TrainExample {
+            question: "how many alphas".into(),
+            schema: QuerySchema::new("db_3", vec!["alpha".into()]),
+        }];
+        let bundle = || {
+            let mut cfg = RouterConfig::tiny();
+            cfg.epochs = 1;
+            let (router, _) =
+                DbcRouter::fit(SchemaGraph::build(&c), &examples, cfg, SerializationMode::Dfs);
+            router_to_vec(&router).unwrap()
+        };
+        assert!(bundle() == bundle(), "two saves of the same router differ");
     }
 
     #[test]
@@ -804,50 +752,19 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_hatch_roundtrips_through_sniffer() {
-        let router = trained_router();
-        let before = router.best_schema("population of towns").unwrap();
-        let mut buf = Vec::new();
-        save_router_as(&router, &mut buf, Format::Json).unwrap();
-        assert_eq!(buf[0], b'{');
-        let loaded = load_router(buf.as_slice()).unwrap();
-        let after = loaded.best_schema("population of towns").unwrap();
-        assert!(before.same_as(&after), "{before} vs {after}");
-    }
-
-    #[test]
-    fn binary_bundle_is_at_most_40_percent_of_json() {
-        let router = trained_router();
-        let mut json = Vec::new();
-        save_router_as(&router, &mut json, Format::Json).unwrap();
-        let bin = router_disk_size(&router).unwrap();
-        assert!(
-            bin * 100 <= json.len() * 40,
-            "binary {bin} bytes should be ≤ 40% of JSON {} bytes",
-            json.len()
-        );
-    }
-
-    #[test]
-    fn nan_weight_survives_binary_and_is_refused_by_json() {
+    fn nan_weight_survives_save_load_bit_exactly() {
         let mut router = trained_router();
         let id = router.model.store.id_of("q_proj.b").unwrap();
         let nan = f32::from_bits(0x7fc0_1234);
         router.model.store.value_mut(id).set(0, 0, nan);
+        router.model.store.value_mut(id).set(0, 1, f32::NEG_INFINITY);
 
-        // regression: the JSON path used to write `null` silently
-        let mut json = Vec::new();
-        match save_router_as(&router, &mut json, Format::Json) {
-            Err(PersistError::NonFinite { param }) => assert!(param.starts_with("q_proj.b")),
-            other => panic!("expected NonFinite, got {other:?}"),
-        }
-
-        // the binary path preserves the exact NaN payload
         let mut bin = Vec::new();
         save_router(&router, &mut bin).unwrap();
         let loaded = load_router(bin.as_slice()).unwrap();
         let lid = loaded.model.store.id_of("q_proj.b").unwrap();
         assert_eq!(loaded.model.store.value(lid).get(0, 0).to_bits(), nan.to_bits());
+        assert_eq!(loaded.model.store.value(lid).get(0, 1), f32::NEG_INFINITY);
     }
 
     #[test]
@@ -872,16 +789,24 @@ mod tests {
             load_router_slice(&bad),
             Err(PersistError::UnsupportedVersion { found: 9, supported: 1 })
         ));
+        // JSON is not a bundle format: `{`-leading input is a wrong magic
+        // for both loaders, not a decode attempt
+        let json = br#"{"store": {}, "vocab": {}, "graph": {}, "cfg": {}}"#;
+        assert!(matches!(load_router_slice(json), Err(PersistError::BadMagic { .. })));
+        assert!(matches!(
+            load_sharded_router_bytes(json.to_vec()),
+            Err(PersistError::BadMagic { .. })
+        ));
     }
 
     #[test]
     fn renamed_parameter_is_corrupt_not_debug_assert() {
         let router = trained_router();
-        let mut json = Vec::new();
-        save_router_as(&router, &mut json, Format::Json).unwrap();
-        let text = String::from_utf8(json).unwrap();
-        let tampered = text.replace("q_emb.weight", "q_emb.wrong0");
-        match load_router_slice(tampered.as_bytes()) {
+        let mut store = ParamStore::new();
+        for (name, value) in router.model.store.iter_values() {
+            store.add(if name == "q_emb.weight" { "q_emb.wrong0" } else { name }, value.clone());
+        }
+        match load_router_slice(&bundle_with_store(&router, &store)) {
             Err(PersistError::Corrupt(msg)) => assert!(msg.contains("q_emb"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -899,14 +824,7 @@ mod tests {
                 store.add(name, value.clone());
             }
         }
-        let sections = vec![
-            Section::new(SEC_CONFIG, serde_json::to_vec(&router.model.cfg).unwrap()),
-            Section::new(SEC_VOCAB, serde_json::to_vec(&router.vocab).unwrap()),
-            Section::new(SEC_GRAPH, serde_json::to_vec(&router.graph).unwrap()),
-            Section::new(codec::SEC_PARAMS, codec::encode_store_section(&store)),
-        ];
-        let bytes = codec::encode_container(&sections);
-        match load_router_slice(&bytes) {
+        match load_router_slice(&bundle_with_store(&router, &store)) {
             Err(PersistError::Corrupt(msg)) => assert!(msg.contains("q_proj.w"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }

@@ -68,7 +68,7 @@ pub fn synthesize_training_data(
     // Question generation is independent per schema: run it data-parallel
     // with one RNG per example derived from (seed, index), so the corpus is
     // identical at any thread count.
-    dbcopilot_runtime::parallel_map(&schemata, |i, schema| {
+    dbcopilot_runtime::pooled_map(&schemata, |i, schema| {
         let mut schema = schema.clone();
         let mut rng = dbcopilot_runtime::derive_rng(seed, i as u64);
         // Junction-first role order, matching the convention of the
@@ -205,7 +205,7 @@ pub fn train_router(
         let mut counted = 0usize;
         for chunk in order.chunks(cfg.batch) {
             let frozen: &RouterModel = model;
-            let shards = dbcopilot_runtime::parallel_map(chunk, |_, &i| {
+            let shards = dbcopilot_runtime::pooled_map(chunk, |_, &i| {
                 let stream = epoch as u64 * data.len() as u64 + i as u64;
                 example_shard(
                     frozen,

@@ -6,7 +6,7 @@
 //! `in`, `concert`), elements are separated by [`SEP`] and the sequence
 //! terminates with [`EOS`].
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +28,7 @@ pub const FIRST_PIECE: Sym = 3;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PieceVocab {
     pieces: Vec<String>,
-    by_text: HashMap<String, Sym>,
+    by_text: BTreeMap<String, Sym>,
 }
 
 /// Split a schema identifier into lowercase word pieces.
@@ -51,7 +51,7 @@ pub fn split_name(name: &str) -> Vec<String> {
 impl PieceVocab {
     /// Collect every piece of every database and table name in the graph.
     pub fn build(graph: &SchemaGraph) -> Self {
-        let mut v = PieceVocab { pieces: Vec::new(), by_text: HashMap::new() };
+        let mut v = PieceVocab { pieces: Vec::new(), by_text: BTreeMap::new() };
         let add = |name: &str, v: &mut PieceVocab| {
             for p in split_name(name) {
                 if !v.by_text.contains_key(&p) {

@@ -125,7 +125,7 @@ fn synthesis_is_identical_across_thread_counts() {
 fn pooled_route_batch_is_bit_identical_across_thread_counts() {
     // The serving path: routing through the persistent worker pool
     // (`DbcRouter::route_batch` → `pooled_map`) must produce bit-identical
-    // rankings and scores at any thread count, same as the scoped path.
+    // rankings and scores at any thread count.
     use dbcopilot_core::DbcRouter;
 
     let g = SchemaGraph::build(&collection());

@@ -46,8 +46,7 @@ pub use harness::{
 };
 pub use metrics::{average_precision, db_recall_at_k, table_recall_at_k, RoutingMetrics};
 pub use resources::{
-    measure_latency_us, measure_qps, measure_served_ask_qps, measure_served_http_qps,
-    measure_served_qps, render_precision_table, render_table5, report, PrecisionRow,
-    ResourceReport,
+    measure_concurrent, measure_latency_us, measure_qps, render_precision_table, render_table5,
+    report, PrecisionRow, ResourceReport,
 };
 pub use scale::Scale;

@@ -22,29 +22,24 @@ pub struct ResourceReport {
 }
 
 /// Measure query throughput (the paper uses a query batch of 64; queries
-/// cycle if fewer are provided).
+/// cycle if fewer are provided): the one-client case of
+/// [`measure_concurrent`].
 pub fn measure_qps(
     router: &(dyn SchemaRouter + Send + Sync),
     questions: &[String],
     batch: usize,
 ) -> f64 {
-    assert!(!questions.is_empty());
-    // dbc-lint: allow(no-wallclock-determinism): QPS measurement is the
-    // deliverable; the timing never reaches a routing result.
-    let start = Instant::now();
-    for i in 0..batch {
-        let q = &questions[i % questions.len()];
+    measure_concurrent(questions, batch, 1, |q| {
         let _ = router.route(q, 100);
-    }
-    let secs = start.elapsed().as_secs_f64();
-    batch as f64 / secs.max(1e-9)
+    })
 }
 
-/// The shared concurrent-load driver behind [`measure_served_qps`] and
-/// [`measure_served_ask_qps`]: `clients` threads issue `total` requests
-/// round-robin over `questions` through `serve_one`, returning requests
-/// per second.
-fn measure_concurrent(
+/// The concurrent-load driver behind every QPS number: `clients` threads
+/// (the caller is the first) issue `total` requests round-robin over
+/// `questions` through `serve_one`, returning requests per second. Pass a
+/// closure over `RouterService::route` or `AskService::ask` and the number
+/// includes cache hits, micro-batching and pool dispatch.
+pub fn measure_concurrent(
     questions: &[String],
     total: usize,
     clients: usize,
@@ -53,110 +48,22 @@ fn measure_concurrent(
     assert!(!questions.is_empty());
     let clients = clients.max(1);
     let per_client = total.div_ceil(clients);
-    let serve_one = &serve_one;
+    let run_client = &|client: usize| {
+        for i in 0..per_client {
+            serve_one(&questions[(client * per_client + i) % questions.len()]);
+        }
+    };
     // dbc-lint: allow(no-wallclock-determinism): QPS measurement is the
     // deliverable; the timing never reaches a routing result.
     let start = Instant::now();
     std::thread::scope(|s| {
-        for client in 0..clients {
+        for client in 1..clients {
             // dbc-lint: allow(no-raw-spawn): load-generator clients must be
             // independent OS threads — running them on the WorkerPool would
             // serialize the very concurrency being measured.
-            s.spawn(move || {
-                for i in 0..per_client {
-                    serve_one(&questions[(client * per_client + i) % questions.len()]);
-                }
-            });
+            s.spawn(move || run_client(client));
         }
-    });
-    let secs = start.elapsed().as_secs_f64();
-    (per_client * clients) as f64 / secs.max(1e-9)
-}
-
-/// Measure throughput through the serving layer under concurrent load:
-/// `clients` threads issue `total` requests round-robin over `questions`
-/// via [`RouterService::route`], so the number includes cache hits,
-/// micro-batching and pool dispatch — the served counterpart of
-/// [`measure_qps`].
-///
-/// [`RouterService::route`]: dbcopilot_serve::RouterService::route
-pub fn measure_served_qps<R: SchemaRouter + Send + Sync + 'static>(
-    service: &dbcopilot_serve::RouterService<R>,
-    questions: &[String],
-    total: usize,
-    clients: usize,
-) -> f64 {
-    measure_concurrent(questions, total, clients, |q| {
-        let _ = service.route(q);
-    })
-}
-
-/// Measure end-to-end ask throughput through [`AskService`] under
-/// concurrent load: `clients` threads issue `total` asks round-robin over
-/// `questions`, so the number includes answer caching, micro-batching and
-/// pool dispatch — the question→SQL→result counterpart of
-/// [`measure_served_qps`].
-///
-/// [`AskService`]: dbcopilot_serve::AskService
-pub fn measure_served_ask_qps<P: dbcopilot_serve::QueryPipeline + 'static>(
-    service: &dbcopilot_serve::AskService<P>,
-    questions: &[String],
-    total: usize,
-    clients: usize,
-) -> f64 {
-    measure_concurrent(questions, total, clients, |q| {
-        let _ = service.ask(q);
-    })
-}
-
-/// Measure end-to-end ask throughput **over the wire**: `clients`
-/// keep-alive HTTP connections issue `total` `POST /ask` requests
-/// round-robin over `questions` against a running
-/// [`HttpServer`](dbcopilot_http::HttpServer), so the number includes
-/// request parsing, socket round-trips and response rendering on top of
-/// everything [`measure_served_ask_qps`] covers.
-///
-/// Every request must be *answered*: a typed pipeline failure (404/410/
-/// 422/500 with a staged error body) is a served request and counts,
-/// exactly as the in-process [`measure_served_ask_qps`] counts `Err`
-/// outcomes. What panics is breakage of the measurement itself: a
-/// transport failure, a 429 shed (the server was sized too small for the
-/// load — the number would be meaningless), or a protocol-level status
-/// (400/408/413/431/505 mean the harness sent garbage).
-pub fn measure_served_http_qps(
-    addr: std::net::SocketAddr,
-    questions: &[String],
-    total: usize,
-    clients: usize,
-) -> f64 {
-    assert!(!questions.is_empty());
-    let clients = clients.max(1);
-    let per_client = total.div_ceil(clients);
-    // dbc-lint: allow(no-wallclock-determinism): QPS measurement is the
-    // deliverable; the timing never reaches a routing result.
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for client in 0..clients {
-            // dbc-lint: allow(no-raw-spawn): load-generator clients must be
-            // independent OS threads — running them on the WorkerPool would
-            // serialize the very concurrency being measured.
-            s.spawn(move || {
-                let mut conn = dbcopilot_http::HttpClient::connect(addr)
-                    .expect("http measurement client connects");
-                for i in 0..per_client {
-                    let q = &questions[(client * per_client + i) % questions.len()];
-                    let body = dbcopilot_http::wire::question_body(q);
-                    let response =
-                        conn.post("/ask", &body).expect("http measurement request completes");
-                    assert!(
-                        matches!(response.status, 200 | 404 | 410 | 422 | 500),
-                        "measurement request not answered (status {}): {}",
-                        response.status,
-                        response.body
-                    );
-                }
-            });
-        }
+        run_client(0);
     });
     let secs = start.elapsed().as_secs_f64();
     (per_client * clients) as f64 / secs.max(1e-9)
@@ -262,7 +169,9 @@ mod tests {
         use dbcopilot_serve::{RouterService, ServiceConfig};
         let service = RouterService::from_router(tiny_router(), ServiceConfig::default());
         let qs = vec!["a of t".to_string(), "b of t".to_string()];
-        let qps = measure_served_qps(&service, &qs, 64, 4);
+        let qps = measure_concurrent(&qs, 64, 4, |q| {
+            let _ = service.route(q);
+        });
         assert!(qps > 0.0);
         let stats = service.stats();
         assert!(stats.cache_hits > 0, "repeated questions must hit the cache: {stats:?}");

@@ -1,11 +1,12 @@
 //! Workload-scale engine parity: every gold query the synthetic corpus
 //! generator emits must produce identical results (or identical errors)
-//! under the interpreted and compiled execution strategies — against both
+//! from the reference interpreter and the compiled engine — against both
 //! ad-hoc and prepared databases. Identical results imply identical EX and
 //! answered% for any evaluation built on top, so this pins the end-to-end
 //! numbers across the engine swap.
 
-use dbcopilot_sqlengine::{execute_prepared, execute_with, ExecStrategy, PreparedStore};
+use dbcopilot_sqlengine::exec::interpret;
+use dbcopilot_sqlengine::{execute, execute_prepared, PreparedStore};
 use dbcopilot_synth::{build_spider_like, CorpusSizes};
 
 #[test]
@@ -18,8 +19,8 @@ fn gold_workload_is_strategy_invariant() {
         let Some(db) = corpus.store.database(&inst.schema.database) else {
             continue;
         };
-        let interp = execute_with(db, &inst.sql, ExecStrategy::Interpreted);
-        let compiled = execute_with(db, &inst.sql, ExecStrategy::Compiled);
+        let interp = interpret(db, &inst.sql);
+        let compiled = execute(db, &inst.sql);
         match (&interp, &compiled) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(

@@ -11,7 +11,7 @@
 //!   threshold, §4.1.5) — detected from populated content by
 //!   [`crate::joinable`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -59,10 +59,10 @@ pub struct SchemaGraph {
     /// Adjacency: outgoing `(target, kind)` pairs per node, in insertion
     /// order (deterministic).
     adj: Vec<Vec<(NodeId, EdgeKind)>>,
-    db_by_name: HashMap<String, NodeId>,
+    db_by_name: BTreeMap<String, NodeId>,
     /// Keyed by `"{db}\u{1f}{table}"` (string keys keep the graph
     /// JSON-serializable for router persistence).
-    table_by_name: HashMap<String, NodeId>,
+    table_by_name: BTreeMap<String, NodeId>,
 }
 
 /// Composite key for `table_by_name`.
@@ -82,8 +82,8 @@ impl SchemaGraph {
         let mut g = SchemaGraph {
             nodes: vec![Node { name: "<root>".into(), kind: NodeKind::Root }],
             adj: vec![Vec::new()],
-            db_by_name: HashMap::new(),
-            table_by_name: HashMap::new(),
+            db_by_name: BTreeMap::new(),
+            table_by_name: BTreeMap::new(),
         };
         for db in collection.databases.values() {
             let db_id = g.push_node(db.name.clone(), NodeKind::Database);

@@ -480,7 +480,7 @@ fn raw_spawn(toks: &[Tok], test: &[bool], out: &mut Vec<Finding>) {
                 rule: NO_RAW_SPAWN,
                 line: t.line,
                 message: "raw `spawn(...)` outside dbcopilot-runtime: route work through \
-                          WorkerPool/parallel_map so determinism, drain and panic containment \
+                          WorkerPool/pooled_map so determinism, drain and panic containment \
                           hold"
                     .into(),
             });

@@ -7,7 +7,6 @@
 //!   and the retrieval baselines at query time.
 
 use rand::rngs::SmallRng;
-use serde::{Deserialize, Serialize};
 
 use crate::init::xavier_uniform;
 use crate::optim::{ParamId, ParamStore};
@@ -15,7 +14,7 @@ use crate::tape::{Tape, ValId};
 use crate::tensor::Tensor;
 
 /// Fully connected layer `y = x·W + b`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     pub w: ParamId,
     pub b: ParamId,
@@ -49,7 +48,7 @@ impl Linear {
 }
 
 /// Embedding table `[vocab, dim]` with mean-pooled bag lookup.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Embedding {
     pub weight: ParamId,
     pub vocab: usize,
@@ -100,7 +99,7 @@ impl Embedding {
 ///
 /// `z = σ(x·Wz + h·Uz + bz)`, `r = σ(x·Wr + h·Ur + br)`,
 /// `h̃ = tanh(x·Wh + (r⊙h)·Uh + bh)`, `h' = (1−z)⊙h + z⊙h̃`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GruCell {
     pub wz: ParamId,
     pub uz: ParamId,

@@ -14,8 +14,7 @@
 //! * [`quant`] — read-only per-row i8 quantization of a frozen `ParamStore`
 //!   with i32-accumulating dot/matvec kernels for the serving hot path;
 //! * [`codec`] — the `DBC1` binary container (compact, versioned, bit-exact);
-//! * [`serialize`] — persistence entry points: binary by default, JSON behind
-//!   a [`serialize::Format::Json`] escape hatch (also measures index size).
+//! * [`serialize`] — persistence entry points over that one format.
 //!
 //! ```
 //! use dbcopilot_nn::tensor::Tensor;

@@ -9,13 +9,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use crate::tape::Grad;
 use crate::tensor::Tensor;
 
 /// Identifier of a parameter inside a [`ParamStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamId(pub(crate) usize);
 
 /// One worker's gradients, drained from its tape in ascending [`ParamId`]
@@ -23,17 +21,13 @@ pub struct ParamId(pub(crate) usize);
 /// combined with [`ParamStore::merge_grads`].
 pub type GradShard = Vec<(ParamId, Grad)>;
 
-#[derive(Serialize, Deserialize)]
 struct Param {
     name: String,
     value: Tensor,
-    #[serde(skip)]
     grad: GradAccum,
     /// First Adam moment.
-    #[serde(skip)]
     m: Option<Tensor>,
     /// Second Adam moment.
-    #[serde(skip)]
     v: Option<Tensor>,
 }
 
@@ -51,7 +45,7 @@ enum GradAccum {
 }
 
 /// Owns model parameters, gradients and optimizer state.
-#[derive(Default, Serialize, Deserialize)]
+#[derive(Default)]
 pub struct ParamStore {
     params: Vec<Param>,
     by_name: HashMap<String, usize>,

@@ -1,12 +1,9 @@
 //! Parameter persistence.
 //!
-//! The default format is the [`crate::codec`] `DBC1` binary container:
-//! compact (4 bytes per weight instead of decimal text), versioned, and
-//! bit-exact — every `f32` bit pattern, including NaN payloads and
-//! infinities, survives a save→load round trip. JSON stays available behind
-//! [`Format::Json`] for human inspection; [`load_store`] sniffs the format
-//! so both kinds of file load through one entry point. The serialized size
-//! is what the Table 5 "Disk" column measures for learned indexes.
+//! The one on-disk format is the [`crate::codec`] `DBC1` binary container:
+//! compact (4 bytes per weight), versioned, and bit-exact — every `f32` bit
+//! pattern, including NaN payloads and infinities, survives a save→load
+//! round trip. Anything else fails with a typed [`PersistError`].
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -18,9 +15,10 @@ use crate::optim::ParamStore;
 #[derive(Debug)]
 pub enum PersistError {
     Io(std::io::Error),
-    /// JSON encode/decode failure.
+    /// A JSON-payload section (config, vocabulary, graph) failed to
+    /// encode or decode.
     Codec(serde_json::Error),
-    /// The file does not start with the `DBC1` magic (and is not JSON).
+    /// The file does not start with the `DBC1` magic.
     BadMagic {
         found: [u8; 4],
     },
@@ -32,11 +30,6 @@ pub enum PersistError {
     /// Structurally invalid content: truncation, bad framing, shape or
     /// name mismatches against the expected model layout.
     Corrupt(String),
-    /// A non-finite weight cannot be written as JSON (it would silently
-    /// become `null`); save binary instead or fix the weights.
-    NonFinite {
-        param: String,
-    },
 }
 
 impl std::fmt::Display for PersistError {
@@ -45,19 +38,12 @@ impl std::fmt::Display for PersistError {
             PersistError::Io(e) => write!(f, "io error: {e}"),
             PersistError::Codec(e) => write!(f, "codec error: {e}"),
             PersistError::BadMagic { found } => {
-                write!(f, "bad magic {found:?}: not a DBC1 file (and not JSON)")
+                write!(f, "bad magic {found:?}: not a DBC1 file")
             }
             PersistError::UnsupportedVersion { found, supported } => {
                 write!(f, "unsupported DBC1 version {found} (this build reads {supported})")
             }
             PersistError::Corrupt(msg) => write!(f, "corrupt file: {msg}"),
-            PersistError::NonFinite { param } => {
-                write!(
-                    f,
-                    "parameter {param:?} holds a non-finite value; JSON would corrupt it \
-                     to null — save with Format::Binary instead"
-                )
-            }
         }
     }
 }
@@ -76,118 +62,35 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
-/// On-disk representation to write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// `DBC1` binary container (compact, bit-exact; the default).
-    Binary,
-    /// Human-inspectable JSON. Refuses non-finite weights, which JSON
-    /// cannot represent.
-    Json,
-}
-
-/// Detect which format a byte buffer holds.
-///
-/// Binary files start with the `DBC1` magic; JSON files start with `{`
-/// (after optional whitespace). Anything else is a typed error.
-pub fn sniff_format(bytes: &[u8]) -> Result<Format, PersistError> {
-    if bytes.starts_with(&codec::MAGIC) {
-        return Ok(Format::Binary);
-    }
-    if bytes.iter().copied().find(|b| !b.is_ascii_whitespace()) == Some(b'{') {
-        return Ok(Format::Json);
-    }
-    match bytes {
-        [a, b, c, d, ..] => Err(PersistError::BadMagic { found: [*a, *b, *c, *d] }),
-        _ => {
-            Err(PersistError::Corrupt(format!("file too short to identify: {} bytes", bytes.len())))
-        }
-    }
-}
-
-/// Refuse to JSON-encode a store holding non-finite weights: the vendored
-/// (and the real) serde_json writes them as `null`, which silently breaks
-/// the next load. Call before any JSON save path; binary saves preserve
-/// non-finite bit patterns and need no guard.
-pub fn ensure_finite(store: &ParamStore) -> Result<(), PersistError> {
-    for (name, value) in store.iter_values() {
-        if let Some(i) = value.as_slice().iter().position(|v| !v.is_finite()) {
-            return Err(PersistError::NonFinite { param: format!("{name}[{i}]") });
-        }
-    }
-    Ok(())
-}
-
-/// Serialize a store to a writer in the given format.
-pub fn save_store_as<W: Write>(
-    store: &ParamStore,
-    mut w: W,
-    format: Format,
-) -> Result<(), PersistError> {
-    match format {
-        Format::Binary => Ok(w.write_all(&codec::encode_store(store))?),
-        Format::Json => {
-            ensure_finite(store)?;
-            serde_json::to_writer(w, store)?;
-            Ok(())
-        }
-    }
-}
-
 /// Serialize a store to a writer (binary `DBC1`).
-pub fn save_store<W: Write>(store: &ParamStore, w: W) -> Result<(), PersistError> {
-    save_store_as(store, w, Format::Binary)
+pub fn save_store<W: Write>(store: &ParamStore, mut w: W) -> Result<(), PersistError> {
+    Ok(w.write_all(&codec::encode_store(store))?)
 }
 
-/// Deserialize a store from a byte buffer, sniffing the format. Optimizer
-/// state and gradients are not persisted; training can resume but Adam
-/// moments restart from zero.
+/// Deserialize a store from a byte buffer. Optimizer state and gradients
+/// are not persisted; training can resume but Adam moments restart from
+/// zero.
 pub fn load_store_slice(bytes: &[u8]) -> Result<ParamStore, PersistError> {
-    match sniff_format(bytes)? {
-        Format::Binary => codec::decode_store(bytes),
-        Format::Json => Ok(serde_json::from_slice(bytes)?),
-    }
+    codec::decode_store(bytes)
 }
 
-/// Deserialize a store from a reader, sniffing the format.
+/// Deserialize a store from a reader.
 pub fn load_store<R: Read>(mut r: R) -> Result<ParamStore, PersistError> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
     load_store_slice(&buf)
 }
 
-/// Save to a file path in the given format.
-pub fn save_store_file_as(
-    store: &ParamStore,
-    path: impl AsRef<Path>,
-    format: Format,
-) -> Result<(), PersistError> {
-    let f = std::fs::File::create(path)?;
-    save_store_as(store, std::io::BufWriter::new(f), format)
-}
-
-/// Save to a file path (binary `DBC1`).
+/// Save to a file path.
 pub fn save_store_file(store: &ParamStore, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    save_store_file_as(store, path, Format::Binary)
+    let f = std::fs::File::create(path)?;
+    save_store(store, std::io::BufWriter::new(f))
 }
 
-/// Load from a file path (either format).
+/// Load from a file path.
 pub fn load_store_file(path: impl AsRef<Path>) -> Result<ParamStore, PersistError> {
     let f = std::fs::File::open(path)?;
     load_store(std::io::BufReader::new(f))
-}
-
-/// Serialized size in bytes (what an on-disk index would occupy). A failed
-/// encoding is an error, never a silent zero-byte index: JSON refuses
-/// non-finite weights, while the binary size is computed exactly.
-pub fn serialized_size(store: &ParamStore, format: Format) -> Result<usize, PersistError> {
-    match format {
-        Format::Binary => Ok(codec::encoded_store_len(store)),
-        Format::Json => {
-            ensure_finite(store)?;
-            Ok(serde_json::to_vec(store)?.len())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +98,6 @@ mod tests {
     use super::*;
     use crate::init::seeded_rng;
     use crate::init::xavier_uniform;
-    use crate::tensor::Tensor;
 
     fn sample_store() -> (ParamStore, crate::ParamId, crate::ParamId) {
         let mut rng = seeded_rng(9);
@@ -210,7 +112,7 @@ mod tests {
         let (store, a, b) = sample_store();
         let mut buf = Vec::new();
         save_store(&store, &mut buf).unwrap();
-        assert_eq!(sniff_format(&buf).unwrap(), Format::Binary);
+        assert!(buf.starts_with(&codec::MAGIC));
         let loaded = load_store(buf.as_slice()).unwrap();
         assert_eq!(loaded.len(), 2);
         let la = loaded.id_of("alpha").unwrap();
@@ -220,63 +122,11 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_via_sniffer() {
-        let (store, a, _) = sample_store();
-        let mut buf = Vec::new();
-        save_store_as(&store, &mut buf, Format::Json).unwrap();
-        assert_eq!(sniff_format(&buf).unwrap(), Format::Json);
-        let loaded = load_store(buf.as_slice()).unwrap();
-        let la = loaded.id_of("alpha").unwrap();
-        assert!(loaded.value(la).approx_eq(store.value(a), 0.0));
-    }
-
-    #[test]
-    fn json_save_refuses_non_finite() {
-        let mut store = ParamStore::new();
-        store.add("w", Tensor::from_row(vec![1.0, f32::NAN]));
-        let mut buf = Vec::new();
-        match save_store_as(&store, &mut buf, Format::Json) {
-            Err(PersistError::NonFinite { param }) => assert_eq!(param, "w[1]"),
-            other => panic!("expected NonFinite, got {other:?}"),
-        }
-        assert!(buf.is_empty(), "nothing must be written on failure");
-        // the binary path takes the same store without complaint
-        save_store_as(&store, &mut buf, Format::Binary).unwrap();
-        let loaded = load_store(buf.as_slice()).unwrap();
-        let w = loaded.id_of("w").unwrap();
-        assert!(loaded.value(w).get(0, 1).is_nan());
-    }
-
-    #[test]
     fn serialized_size_matches_actual_output() {
         let (store, _, _) = sample_store();
-        for format in [Format::Binary, Format::Json] {
-            let mut buf = Vec::new();
-            save_store_as(&store, &mut buf, format).unwrap();
-            assert_eq!(serialized_size(&store, format).unwrap(), buf.len(), "{format:?}");
-        }
-    }
-
-    #[test]
-    fn serialized_size_reports_errors_not_zero() {
-        let mut store = ParamStore::new();
-        store.add("w", Tensor::from_row(vec![f32::INFINITY]));
-        assert!(matches!(
-            serialized_size(&store, Format::Json),
-            Err(PersistError::NonFinite { .. })
-        ));
-        // binary size is exact and infallible
-        assert!(serialized_size(&store, Format::Binary).unwrap() > 0);
-    }
-
-    #[test]
-    fn binary_is_much_smaller_than_json() {
-        let mut rng = seeded_rng(17);
-        let mut store = ParamStore::new();
-        store.add("emb", xavier_uniform(64, 32, &mut rng));
-        let bin = serialized_size(&store, Format::Binary).unwrap();
-        let json = serialized_size(&store, Format::Json).unwrap();
-        assert!(bin * 100 <= json * 40, "binary {bin} should be ≤ 40% of JSON {json}");
+        let mut buf = Vec::new();
+        save_store(&store, &mut buf).unwrap();
+        assert_eq!(codec::encoded_store_len(&store), buf.len());
     }
 
     #[test]
@@ -286,6 +136,10 @@ mod tests {
             PersistError::BadMagic { .. }
         ));
         assert!(matches!(load_store_slice(b"DB").unwrap_err(), PersistError::Corrupt(_)));
-        assert!(matches!(load_store_slice(b"{oops").unwrap_err(), PersistError::Codec(_)));
+        // JSON is not a bundle format: a `{`-leading buffer is just a wrong magic
+        match load_store_slice(br#"{"params": []}"#).unwrap_err() {
+            PersistError::BadMagic { found } => assert_eq!(&found, b"{\"pa"),
+            other => panic!("expected BadMagic, got {other:?}"),
+        }
     }
 }

@@ -8,10 +8,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix of `f32`.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

@@ -7,9 +7,7 @@
 use proptest::prelude::*;
 
 use dbcopilot_nn::codec::{decode_store, encode_store, encoded_store_len};
-use dbcopilot_nn::serialize::{
-    load_store_slice, save_store_as, serialized_size, Format, PersistError,
-};
+use dbcopilot_nn::serialize::load_store_slice;
 use dbcopilot_nn::{ParamStore, Tensor};
 
 /// Derive a deterministic stream of arbitrary `f32` bit patterns from one
@@ -94,28 +92,5 @@ proptest! {
         let bytes = encode_store(&store);
         let cut = (proptest::next_state(&mut { seed }) as usize) % bytes.len();
         prop_assert!(decode_store(&bytes[..cut]).is_err(), "prefix of {} bytes decoded", cut);
-    }
-}
-
-#[test]
-fn json_and_binary_sizes_agree_with_reality() {
-    let mut store = ParamStore::new();
-    store.add("w", Tensor::from_vec(3, 5, (0..15).map(|i| i as f32 / 7.0).collect()));
-    for format in [Format::Binary, Format::Json] {
-        let mut buf = Vec::new();
-        save_store_as(&store, &mut buf, format).unwrap();
-        assert_eq!(serialized_size(&store, format).unwrap(), buf.len());
-        let loaded = load_store_slice(&buf).unwrap();
-        assert_eq!(loaded.len(), 1);
-    }
-}
-
-#[test]
-fn json_nan_is_a_typed_error_not_silent_null() {
-    let mut store = ParamStore::new();
-    store.add("w", Tensor::from_row(vec![0.0, f32::NAN, 1.0]));
-    match serialized_size(&store, Format::Json) {
-        Err(PersistError::NonFinite { param }) => assert_eq!(param, "w[1]"),
-        other => panic!("expected NonFinite, got {other:?}"),
     }
 }

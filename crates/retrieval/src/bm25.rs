@@ -42,7 +42,7 @@ impl Bm25Index {
         // document order so every term's postings list stays sorted by
         // document id (exactly as the serial build produced it).
         let per_doc: Vec<(u32, Vec<(String, u32)>)> =
-            dbcopilot_runtime::parallel_map(&targets.targets, |_, t| {
+            dbcopilot_runtime::pooled_map(&targets.targets, |_, t| {
                 let toks = tokenize(&t.text);
                 let mut tf: BTreeMap<&str, u32> = BTreeMap::new();
                 for tok in &toks {
@@ -146,7 +146,7 @@ pub fn tune_bm25(
     let b_grid = [0.3f32, 0.5, 0.75, 0.9];
     let grid: Vec<Bm25Params> =
         k1_grid.iter().flat_map(|&k1| b_grid.iter().map(move |&b| Bm25Params { k1, b })).collect();
-    let recalls = dbcopilot_runtime::parallel_map(&grid, |_, &params| {
+    let recalls = dbcopilot_runtime::pooled_map(&grid, |_, &params| {
         let idx = Bm25Index::build(targets.clone(), params);
         let mut recall_sum = 0.0;
         for (q, gold) in train {

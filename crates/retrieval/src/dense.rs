@@ -88,7 +88,7 @@ impl TextEncoder {
         assert!(!pairs.is_empty(), "no training pairs");
         let cfg = self.cfg.clone();
         let feats: Vec<(Vec<usize>, Vec<usize>)> =
-            dbcopilot_runtime::parallel_map(pairs, |_, (q, d)| {
+            dbcopilot_runtime::pooled_map(pairs, |_, (q, d)| {
                 (hashed_features(q, cfg.buckets), hashed_features(d, cfg.buckets))
             });
         let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(7));
@@ -158,7 +158,7 @@ impl DenseRetriever {
     /// assembled in target order).
     pub fn index(encoder: TextEncoder, targets: TargetSet, label: &str) -> Self {
         let dim = encoder.cfg.dim;
-        let rows = dbcopilot_runtime::parallel_map(&targets.targets, |_, t| encoder.embed(&t.text));
+        let rows = dbcopilot_runtime::pooled_map(&targets.targets, |_, t| encoder.embed(&t.text));
         let mut data = Vec::with_capacity(targets.len() * dim);
         for v in &rows {
             data.extend_from_slice(v.as_slice());

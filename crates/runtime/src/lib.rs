@@ -1,12 +1,17 @@
 //! `dbcopilot-runtime` — deterministic data-parallel primitives.
 //!
 //! Every heavy phase of the pipeline (router training, synthetic-data
-//! generation, retrieval index builds, routing evaluation) runs on the two
-//! primitives in this crate instead of ad-hoc threads:
+//! generation, retrieval index builds, routing evaluation, serving
+//! micro-batches) runs on the two primitives in this crate instead of
+//! ad-hoc threads:
 //!
-//! * [`parallel_map`] — map a function over a slice, one item at a time;
-//! * [`parallel_map_chunks`] — map a function over fixed-size chunks of a
+//! * [`pooled_map`] — map a function over a slice, one item at a time;
+//! * [`pooled_map_chunks`] — map a function over fixed-size chunks of a
 //!   slice (for work where per-item dispatch would dominate).
+//!
+//! Both run on the process-wide [`WorkerPool`] ([`global_pool`]): long-lived
+//! threads fed by a channel work queue, so a dispatch is a channel send, not
+//! a thread spawn (see [`pool`]).
 //!
 //! # Determinism contract
 //!
@@ -34,26 +39,16 @@
 //! to 1, so nested parallel sections run serially instead of
 //! oversubscribing the machine.
 //!
-//! # Persistent pool
-//!
-//! The scoped primitives spawn and join workers on every call — fine for
-//! training-sized work, wasteful for serving-sized work. The [`pool`]
-//! module provides [`WorkerPool`] (long-lived threads, channel work queue,
-//! graceful drain-on-drop) and the drop-in variants [`pooled_map`] /
-//! [`pooled_map_chunks`] on a process-wide shared pool. Both families obey
-//! the same determinism contract, so callers can switch freely:
-//!
 //! ```
-//! use dbcopilot_runtime::{parallel_map, pooled_map, with_thread_count};
+//! use dbcopilot_runtime::{pooled_map, with_thread_count};
 //!
 //! let items: Vec<u64> = (0..100).collect();
-//! let scoped = with_thread_count(4, || parallel_map(&items, |_, &x| x * 2));
+//! let serial: Vec<u64> = items.iter().map(|&x| x * 2).collect();
 //! let pooled = with_thread_count(4, || pooled_map(&items, |_, &x| x * 2));
-//! assert_eq!(scoped, pooled);
+//! assert_eq!(pooled, serial);
 //! ```
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use rand::rngs::SmallRng;
@@ -69,7 +64,7 @@ pub use pool::{global_pool, pooled_map, pooled_map_chunks, PoolHandle, WorkerPoo
 /// (an explicit `DBC_THREADS` is honored as-is).
 pub const MAX_DEFAULT_THREADS: usize = 16;
 
-/// Items per worker dispatch below which spawning threads is never worth it.
+/// Items below which a map never leaves the calling thread.
 pub(crate) const MIN_PARALLEL_ITEMS: usize = 2;
 
 pub(crate) fn env_thread_count() -> usize {
@@ -137,80 +132,6 @@ pub fn derive_rng(seed: u64, stream: u64) -> SmallRng {
     SmallRng::seed_from_u64(split_seed(seed, stream))
 }
 
-/// Map `f` over `items` in parallel; results are returned **in item order**
-/// regardless of thread count. `f` receives `(index, &item)`.
-pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    parallel_map_chunks(items, 1, |i, chunk| f(i, &chunk[0]))
-}
-
-/// Map `f` over fixed-size chunks of `items` in parallel; results are
-/// returned **in chunk order**. `f` receives `(chunk_index, chunk)`; every
-/// chunk has `chunk_size` items except possibly the last.
-///
-/// The chunk boundaries depend only on `chunk_size` — never derive
-/// `chunk_size` from [`thread_count`], or the partition (and any
-/// float-accumulation order downstream) would change with the machine.
-///
-/// # Panics
-/// Panics if `chunk_size == 0`, or if any invocation of `f` panicked.
-pub fn parallel_map_chunks<T, U, F>(items: &[T], chunk_size: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let n_chunks = items.len().div_ceil(chunk_size);
-    let threads = thread_count().min(n_chunks);
-    if threads <= 1 || items.len() < MIN_PARALLEL_ITEMS {
-        return items.chunks(chunk_size).enumerate().map(|(i, c)| f(i, c)).collect();
-    }
-
-    // Dynamic scheduling (workers pull the next chunk index off an atomic
-    // counter) keeps load balanced when chunk costs vary; determinism is
-    // preserved because results are reassembled by chunk index below.
-    // Workers pin their own thread count to 1 so a nested parallel section
-    // inside `f` runs serially: the caller's thread budget is already spent
-    // on this fan-out, and the thread-local override would otherwise be
-    // invisible on worker threads (unpinning nested phases and
-    // oversubscribing the machine by threads² in e.g. tune_bm25 → Bm25
-    // build).
-    let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, U)> = Vec::with_capacity(n_chunks);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    with_thread_count(1, || {
-                        let mut local: Vec<(usize, U)> = Vec::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
-                                break;
-                            }
-                            let lo = c * chunk_size;
-                            let hi = (lo + chunk_size).min(items.len());
-                            local.push((c, f(c, &items[lo..hi])));
-                        }
-                        local
-                    })
-                })
-            })
-            .collect();
-        for h in handles {
-            tagged.extend(h.join().expect("runtime worker panicked"));
-        }
-    });
-    tagged.sort_unstable_by_key(|(c, _)| *c);
-    debug_assert_eq!(tagged.len(), n_chunks);
-    tagged.into_iter().map(|(_, u)| u).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +142,7 @@ mod tests {
         let items: Vec<u64> = (0..257).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let got = with_thread_count(threads, || parallel_map(&items, |_, &x| x * 3 + 1));
+            let got = with_thread_count(threads, || pooled_map(&items, |_, &x| x * 3 + 1));
             assert_eq!(got, serial, "threads={threads}");
         }
     }
@@ -229,23 +150,22 @@ mod tests {
     #[test]
     fn chunked_map_sees_correct_chunks() {
         let items: Vec<usize> = (0..10).collect();
-        let got = with_thread_count(4, || {
-            parallel_map_chunks(&items, 4, |ci, chunk| (ci, chunk.to_vec()))
-        });
+        let got =
+            with_thread_count(4, || pooled_map_chunks(&items, 4, |ci, chunk| (ci, chunk.to_vec())));
         assert_eq!(got, vec![(0, vec![0, 1, 2, 3]), (1, vec![4, 5, 6, 7]), (2, vec![8, 9])]);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
         let items: Vec<u32> = Vec::new();
-        assert!(parallel_map(&items, |_, &x| x).is_empty());
-        assert!(parallel_map_chunks(&items, 5, |_, c| c.len()).is_empty());
+        assert!(pooled_map(&items, |_, &x| x).is_empty());
+        assert!(pooled_map_chunks(&items, 5, |_, c| c.len()).is_empty());
     }
 
     #[test]
     fn indices_match_positions() {
         let items = vec!["a", "b", "c", "d", "e"];
-        let got = with_thread_count(3, || parallel_map(&items, |i, &s| format!("{i}:{s}")));
+        let got = with_thread_count(3, || pooled_map(&items, |i, &s| format!("{i}:{s}")));
         assert_eq!(got, vec!["0:a", "1:b", "2:c", "3:d", "4:e"]);
     }
 
@@ -263,7 +183,7 @@ mod tests {
         let draws = |threads: usize| -> Vec<u32> {
             with_thread_count(threads, || {
                 let idx: Vec<u64> = (0..64).collect();
-                parallel_map(&idx, |_, &i| derive_rng(42, i).gen_range(0..1_000_000))
+                pooled_map(&idx, |_, &i| derive_rng(42, i).gen_range(0..1_000_000))
             })
         };
         assert_eq!(draws(1), draws(5));
@@ -272,13 +192,13 @@ mod tests {
     #[test]
     fn nested_parallel_sections_run_serially_in_workers() {
         // A worker's own thread count is pinned to 1, so nested fan-outs
-        // cannot oversubscribe the machine (threads² spawns).
+        // run inline instead of queueing behind the workers they occupy.
         let items: Vec<u32> = (0..8).collect();
-        let counts = with_thread_count(4, || parallel_map(&items, |_, _| thread_count()));
+        let counts = with_thread_count(4, || pooled_map(&items, |_, _| thread_count()));
         assert_eq!(counts, vec![1; 8]);
         // ...and results of nested maps are still correct.
         let nested = with_thread_count(4, || {
-            parallel_map(&items, |_, &x| parallel_map(&[x, x + 1], |_, &y| y * 2))
+            pooled_map(&items, |_, &x| pooled_map(&[x, x + 1], |_, &y| y * 2))
         });
         assert_eq!(nested[3], vec![6, 8]);
     }
@@ -294,6 +214,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk_size must be positive")]
     fn zero_chunk_size_panics() {
-        parallel_map_chunks(&[1, 2, 3], 0, |_, c: &[i32]| c.len());
+        pooled_map_chunks(&[1, 2, 3], 0, |_, c: &[i32]| c.len());
     }
 }

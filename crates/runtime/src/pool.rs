@@ -1,19 +1,14 @@
 //! A persistent worker pool: long-lived threads fed by a channel work
-//! queue, with the same determinism contract as the scoped primitives.
+//! queue, under the crate's determinism contract.
 //!
-//! The scoped [`parallel_map`](crate::parallel_map) spawns and joins its
-//! workers on every call. That is cheap relative to training a router, but
-//! it dominates when the mapped work is small — the serving layer routes
-//! micro-batches of a handful of questions, and per-call thread spawns
-//! would be most of the latency. [`WorkerPool`] keeps its threads alive
-//! across calls: submitting a job is one channel send instead of one
-//! `thread::spawn`.
+//! [`WorkerPool`] keeps its threads alive across calls, so submitting a job
+//! is one channel send instead of one `thread::spawn` — what makes mapping
+//! a micro-batch of a handful of questions affordable on the serving path.
 //!
-//! Determinism is preserved exactly as in the scoped path: work is
-//! partitioned purely by chunk index, chunks are claimed dynamically off an
-//! atomic counter, and results are reassembled in chunk order — the output
-//! of [`WorkerPool::map_chunks`] never depends on the pool size, the
-//! effective thread count, or scheduling order.
+//! Work is partitioned purely by chunk index, chunks are claimed
+//! dynamically off an atomic counter, and results are reassembled in chunk
+//! order — the output of [`WorkerPool::map_chunks`] never depends on the
+//! pool size, the effective thread count, or scheduling order.
 //!
 //! # Shutdown
 //!
@@ -109,9 +104,8 @@ impl WorkerPool {
             .expect("pool workers alive until drop");
     }
 
-    /// Pool-backed equivalent of [`crate::parallel_map`]: map `f` over
-    /// `items`, results **in item order** regardless of pool size or thread
-    /// count. `f` receives `(index, &item)`.
+    /// Map `f` over `items`, results **in item order** regardless of pool
+    /// size or thread count. `f` receives `(index, &item)`.
     pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
@@ -121,8 +115,13 @@ impl WorkerPool {
         self.map_chunks(items, 1, |i, chunk| f(i, &chunk[0]))
     }
 
-    /// Pool-backed equivalent of [`crate::parallel_map_chunks`]: map `f`
-    /// over fixed-size chunks, results **in chunk order**.
+    /// Map `f` over fixed-size chunks of `items`, results **in chunk
+    /// order**. `f` receives `(chunk_index, chunk)`; every chunk has
+    /// `chunk_size` items except possibly the last.
+    ///
+    /// The chunk boundaries depend only on `chunk_size` — never derive
+    /// `chunk_size` from [`thread_count`], or the partition (and any
+    /// float-accumulation order downstream) would change with the machine.
     ///
     /// Concurrency is `min(thread_count(), pool size + 1, chunks)` — the
     /// calling thread always participates, so progress never depends on
@@ -311,8 +310,7 @@ pub fn global_pool() -> &'static WorkerPool {
     GLOBAL.get_or_init(|| WorkerPool::new(crate::env_thread_count()))
 }
 
-/// [`crate::parallel_map`] on the process-wide persistent pool: identical
-/// output, no per-call thread spawns.
+/// [`WorkerPool::map`] on the process-wide pool.
 pub fn pooled_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -322,8 +320,7 @@ where
     global_pool().map(items, f)
 }
 
-/// [`crate::parallel_map_chunks`] on the process-wide persistent pool:
-/// identical output, no per-call thread spawns.
+/// [`WorkerPool::map_chunks`] on the process-wide pool.
 pub fn pooled_map_chunks<T, U, F>(items: &[T], chunk_size: usize, f: F) -> Vec<U>
 where
     T: Sync,

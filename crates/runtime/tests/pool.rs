@@ -6,9 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dbcopilot_runtime::{
-    parallel_map_chunks, pooled_map, pooled_map_chunks, with_thread_count, WorkerPool,
-};
+use dbcopilot_runtime::{pooled_map, pooled_map_chunks, with_thread_count, WorkerPool};
 
 #[test]
 fn drop_drains_pending_jobs_before_shutdown() {
@@ -63,25 +61,6 @@ fn execute_panics_are_contained_and_counted() {
     let _ = with_thread_count(2, || pool.map(&[1u8, 2], |_, &x| x));
     assert_eq!(ran.load(Ordering::SeqCst), 1, "worker must survive the earlier panic");
     assert_eq!(pool.panic_count(), 1);
-}
-
-#[test]
-fn pooled_map_matches_scoped_map_at_any_thread_count() {
-    let items: Vec<u64> = (0..201).collect();
-    let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(2654435761) >> 7).collect();
-    for threads in [1, 2, 4, 8] {
-        let pooled = with_thread_count(threads, || {
-            pooled_map(&items, |_, &x| x.wrapping_mul(2654435761) >> 7)
-        });
-        assert_eq!(pooled, serial, "threads={threads}");
-        let chunked = with_thread_count(threads, || {
-            pooled_map_chunks(&items, 7, |_, c| c.iter().copied().sum::<u64>())
-        });
-        let scoped = with_thread_count(threads, || {
-            parallel_map_chunks(&items, 7, |_, c| c.iter().copied().sum::<u64>())
-        });
-        assert_eq!(chunked, scoped, "threads={threads}");
-    }
 }
 
 #[test]

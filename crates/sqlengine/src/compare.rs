@@ -5,9 +5,8 @@
 //! row order is ignored (ORDER BY exists mostly for LIMIT determinism),
 //! column names are ignored, and floats compare with a small tolerance.
 
-use crate::compile::{execute_prepared, PreparedDb};
+use crate::compile::{execute, execute_prepared, PreparedDb, ResultSet};
 use crate::error::EngineError;
-use crate::exec::{execute, ResultSet};
 use crate::storage::Database;
 
 /// Outcome of comparing a predicted query against a gold query.

@@ -30,7 +30,6 @@ use std::sync::OnceLock;
 
 use crate::ast::{AggFunc, BinOp, Expr, Projection, Select, SortDir, TableRef};
 use crate::error::EngineError;
-use crate::exec::ResultSet;
 use crate::intern::{Interner, Symbol};
 use crate::parser::parse_select;
 use crate::storage::{Database, Store};
@@ -293,8 +292,8 @@ impl PreparedTable {
 /// A database in execution-ready form: every text payload interned once,
 /// rows flattened. Build once with [`PreparedDb::prepare`] and reuse across
 /// queries (the eval loops and the serving pipeline do), or let
-/// [`execute_select_with`](crate::exec::execute_select_with) prepare just
-/// the referenced tables for a one-shot query.
+/// [`execute_select`] prepare just the referenced tables for a one-shot
+/// query.
 #[derive(Debug, Clone)]
 pub struct PreparedDb {
     pub name: String,
@@ -1556,11 +1555,28 @@ fn eval_binop(op: BinOp, l: &CVal, r: &CVal) -> Result<CVal, EngineError> {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// One-shot compiled execution: prepare referenced tables, compile, run.
-pub fn run_select(db: &Database, sel: &Select) -> Result<ResultSet, EngineError> {
-    let pdb = PreparedDb::for_select(db, sel);
-    let c = compile(&pdb, sel)?;
-    run(&pdb, &c)
+/// A query result: named columns and rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResultSet {
+    pub columns: Vec<String>,
+    pub rows: Vec<Vec<Value>>,
+}
+
+impl ResultSet {
+    pub fn empty() -> Self {
+        ResultSet { columns: Vec::new(), rows: Vec::new() }
+    }
+}
+
+/// Parse and execute a SELECT statement against a database.
+pub fn execute(db: &Database, sql: &str) -> Result<ResultSet, EngineError> {
+    execute_select(db, &parse_select(sql)?)
+}
+
+/// One-shot execution of a parsed SELECT: prepare the referenced tables,
+/// compile, run.
+pub fn execute_select(db: &Database, sel: &Select) -> Result<ResultSet, EngineError> {
+    execute_select_prepared(&PreparedDb::for_select(db, sel), sel)
 }
 
 /// Parse + compile + run against an already-prepared database — the hot

@@ -1,4 +1,11 @@
-//! Query execution: a straightforward tuple-at-a-time interpreter.
+//! The tuple-at-a-time interpreter: the differential oracle for
+//! [`mod@crate::compile`].
+//!
+//! It resolves names per row and nested-loops every join — slow and
+//! obviously right, which is its whole job. Nothing serves or evaluates
+//! through it: `tests/differential.rs` and the eval crate's engine-parity
+//! suite call [`interpret`] and hold the compiled engine to identical
+//! `ResultSet`s and identical errors.
 //!
 //! Supported: inner joins (nested loop), WHERE, GROUP BY + aggregates,
 //! HAVING, ORDER BY, LIMIT, DISTINCT, uncorrelated scalar/IN subqueries.
@@ -9,74 +16,20 @@
 use std::collections::HashSet;
 
 use crate::ast::{AggFunc, BinOp, Expr, OrderKey, Projection, Select, SortDir};
+use crate::compile::ResultSet;
 use crate::error::EngineError;
 use crate::parser::parse_select;
 use crate::storage::Database;
 use crate::value::Value;
 
-/// A query result: named columns and rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultSet {
-    pub columns: Vec<String>,
-    pub rows: Vec<Vec<Value>>,
+/// Parse and interpret a SELECT statement: the reference result the
+/// compiled engine must reproduce.
+pub fn interpret(db: &Database, sql: &str) -> Result<ResultSet, EngineError> {
+    interpret_select(db, &parse_select(sql)?)
 }
 
-impl ResultSet {
-    pub fn empty() -> Self {
-        ResultSet { columns: Vec::new(), rows: Vec::new() }
-    }
-}
-
-/// How to execute a SELECT.
-///
-/// Both strategies produce identical `ResultSet`s and identical errors —
-/// the differential suite in `tests/differential.rs` enforces this. The
-/// compiled path ([`mod@crate::compile`]) resolves names once, interns text,
-/// and hash-joins; the interpreter remains as the semantic reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecStrategy {
-    /// The original tuple-at-a-time interpreter (semantic reference).
-    Interpreted,
-    /// Compile to index-resolved form, then run (the default).
-    #[default]
-    Compiled,
-}
-
-/// Parse and execute a SELECT statement against a database.
-pub fn execute(db: &Database, sql: &str) -> Result<ResultSet, EngineError> {
-    execute_with(db, sql, ExecStrategy::default())
-}
-
-/// Parse and execute with an explicit strategy.
-pub fn execute_with(
-    db: &Database,
-    sql: &str,
-    strategy: ExecStrategy,
-) -> Result<ResultSet, EngineError> {
-    let sel = parse_select(sql)?;
-    execute_select_with(db, &sel, strategy)
-}
-
-/// Execute a parsed SELECT against a database.
-pub fn execute_select(db: &Database, sel: &Select) -> Result<ResultSet, EngineError> {
-    execute_select_with(db, sel, ExecStrategy::default())
-}
-
-/// Execute a parsed SELECT with an explicit strategy.
-pub fn execute_select_with(
-    db: &Database,
-    sel: &Select,
-    strategy: ExecStrategy,
-) -> Result<ResultSet, EngineError> {
-    match strategy {
-        ExecStrategy::Interpreted => interpret_select(db, sel),
-        ExecStrategy::Compiled => crate::compile::run_select(db, sel),
-    }
-}
-
-/// The tuple-at-a-time interpreter (kept as the semantic reference for the
-/// compiled engine; subqueries below stay on this path so the strategy is
-/// pure end to end).
+/// Subqueries recurse here, so a reference result never touches the
+/// compiled engine.
 fn interpret_select(db: &Database, sel: &Select) -> Result<ResultSet, EngineError> {
     // Resolve scope: one binding per FROM/JOIN table.
     let mut scope = Scope { bindings: Vec::new() };
@@ -765,6 +718,7 @@ pub(crate) fn canon_row(row: &[Value]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::execute;
     use crate::schema::{DatabaseSchema, TableSchema};
     use crate::value::DataType;
 

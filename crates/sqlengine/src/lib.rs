@@ -52,12 +52,10 @@ pub use compare::{
     results_equal, ExOutcome,
 };
 pub use compile::{
-    compile, execute_prepared, execute_select_prepared, CompiledSelect, PreparedDb, PreparedStore,
+    compile, execute, execute_prepared, execute_select, execute_select_prepared, CompiledSelect,
+    PreparedDb, PreparedStore, ResultSet,
 };
 pub use error::EngineError;
-pub use exec::{
-    execute, execute_select, execute_select_with, execute_with, ExecStrategy, ResultSet,
-};
 pub use intern::{Interner, Symbol};
 pub use parser::parse_select;
 pub use render::{render_expr, render_select};

@@ -7,9 +7,9 @@
 
 use proptest::prelude::*;
 
+use dbcopilot_sqlengine::exec::interpret;
 use dbcopilot_sqlengine::{
-    execute_prepared, execute_with, DataType, Database, DatabaseSchema, ExecStrategy, PreparedDb,
-    TableSchema, Value,
+    execute, execute_prepared, DataType, Database, DatabaseSchema, PreparedDb, TableSchema, Value,
 };
 
 /// A small multi-table database exercising the hazards the compiled path
@@ -93,8 +93,8 @@ fn diff_db() -> Database {
 /// Run one SQL string through the interpreter, the compiled path, and the
 /// prepared-database entry point; all three must agree observably.
 fn check(db: &Database, pdb: &PreparedDb, sql: &str) -> Result<(), TestCaseError> {
-    let interp = execute_with(db, sql, ExecStrategy::Interpreted);
-    let compiled = execute_with(db, sql, ExecStrategy::Compiled);
+    let interp = interpret(db, sql);
+    let compiled = execute(db, sql);
     match (&interp, &compiled) {
         (Ok(a), Ok(b)) => {
             // Debug formatting distinguishes -0.0 from 0.0 and NaN bit

@@ -7,7 +7,7 @@
 //! ```
 
 use dbcopilot::{AskOptions, AttemptOutcome, DbCopilot, PipelineConfig, TraceLevel};
-use dbcopilot_core::{load_router, save_router_as, Format};
+use dbcopilot_core::{load_router, save_router};
 use dbcopilot_synth::{build_spider_like, CorpusSizes};
 
 fn main() {
@@ -27,18 +27,10 @@ fn main() {
     let copilot = DbCopilot::fit(&corpus, cfg);
 
     // Persistence: the router is the product — save it once, serve forever.
-    // DBC1 binary is the default; JSON stays available for inspection.
-    let mut binary = Vec::new();
-    save_router_as(&copilot.router, &mut binary, Format::Binary).unwrap();
-    let mut json = Vec::new();
-    save_router_as(&copilot.router, &mut json, Format::Json).unwrap();
-    println!(
-        "\nPersistence: DBC1 binary {} KiB vs JSON {} KiB ({:.0}% of JSON)",
-        binary.len() / 1024,
-        json.len() / 1024,
-        100.0 * binary.len() as f64 / json.len() as f64
-    );
-    let reloaded = load_router(binary.as_slice()).expect("saved router must load");
+    let mut bundle = Vec::new();
+    save_router(&copilot.router, &mut bundle).unwrap();
+    println!("\nPersistence: DBC1 bundle {} KiB", bundle.len() / 1024);
+    let reloaded = load_router(bundle.as_slice()).expect("saved router must load");
     let probe = &corpus.test[0].question;
     assert_eq!(
         copilot.router.best_schema(probe).map(|s| s.to_string()),
