@@ -6,14 +6,16 @@
 //! (`Content-Length` framing, keep-alive) and exposes the raw socket so
 //! conformance tests can write arbitrary garbage.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use serde::Value;
 
+use crate::proto::{self, Conn, Limits, Transport};
+
 /// One parsed response.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpResponse {
     pub status: u16,
     /// Header `(name, value)` pairs, names lowercased.
@@ -26,7 +28,7 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// First value of a header, by lowercase name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        proto::header(&self.headers, name)
     }
 
     /// The body parsed as JSON.
@@ -37,37 +39,31 @@ impl HttpResponse {
 
 /// A blocking keep-alive connection to the edge.
 pub struct HttpClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    start: usize,
+    conn: Conn<TcpStream>,
 }
 
-impl HttpClient {
-    /// Connect with a 10 s read deadline (see
-    /// [`connect_timeout`](HttpClient::connect_timeout) to pick another).
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::connect_timeout(addr, Duration::from_secs(10))
-    }
+/// How long a response (or a write) may take.
+const TIMEOUT: Duration = Duration::from_secs(10);
 
-    /// Connect with an explicit read deadline for responses.
-    pub fn connect_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Self> {
+impl HttpClient {
+    /// Connect; responses and writes get a 10 s deadline.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(HttpClient { stream, buf: Vec::with_capacity(4096), start: 0 })
+        stream.set_read_timeout(Some(TIMEOUT))?;
+        stream.set_write_timeout(Some(TIMEOUT))?;
+        Ok(HttpClient { conn: Conn::new(stream) })
     }
 
     /// The underlying socket, for tests that need to shutdown/linger/etc.
     pub fn stream(&self) -> &TcpStream {
-        &self.stream
+        self.conn.transport()
     }
 
     /// Write raw bytes on the socket — no framing, no response read. For
     /// protocol-conformance tests (garbage, truncation, slow-loris drips).
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.stream.write_all(bytes)?;
-        self.stream.flush()
+        self.conn.send(bytes)
     }
 
     /// `GET path` and read the response.
@@ -107,97 +103,29 @@ impl HttpClient {
     /// Read one response off the socket (framed by `Content-Length`).
     /// Leftover bytes stay buffered for the next response.
     pub fn read_response(&mut self) -> io::Result<HttpResponse> {
-        let head_end = loop {
-            if let Some(end) = crate::proto::find_head_end(self.buffered()) {
-                break end;
-            }
-            if self.fill()? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-response",
-                ));
-            }
-        };
-        // dbc-lint: allow(panic-free-serving): `head_end` was returned by
-        // find_head_end over this same buffer, so the slice is in bounds.
-        let head = self.buffered()[..head_end].to_vec();
-        self.consume(head_end);
-        let head = std::str::from_utf8(&head).map_err(|_| {
-            io::Error::new(io::ErrorKind::InvalidData, "response head is not UTF-8")
+        read_response(&mut self.conn, TIMEOUT)
+    }
+}
+
+/// Read and parse one response through the shared message reader: no size
+/// limits (the peer is the server under test), `timeout` for both the first
+/// byte and the rest of the message.
+pub(crate) fn read_response<T: Transport>(
+    conn: &mut Conn<T>,
+    timeout: Duration,
+) -> io::Result<HttpResponse> {
+    const UNBOUNDED: Limits =
+        Limits { max_head_bytes: usize::MAX, max_headers: usize::MAX, max_body_bytes: usize::MAX };
+    let head = conn.read_head(&UNBOUNDED, timeout, timeout)?;
+    let status_line = head.start_line();
+    let status: u16 =
+        status_line.split(' ').nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("bad status line {status_line:?}"))
         })?;
-
-        let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
-        let status_line = lines
-            .next()
-            .filter(|l| !l.is_empty())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty response head"))?;
-        let status: u16 =
-            status_line.split(' ').nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad status line {status_line:?}"),
-                )
-            })?;
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-            }
-        }
-        let length: usize = headers
-            .iter()
-            .find(|(n, _)| n == "content-length")
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(0);
-        while self.buffered().len() < length {
-            if self.fill()? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ));
-            }
-        }
-        // dbc-lint: allow(panic-free-serving): the fill loop above only
-        // exits once `buffered()` holds at least `length` bytes.
-        let body = String::from_utf8_lossy(&self.buffered()[..length]).into_owned();
-        self.consume(length);
-        let keep_alive = headers
-            .iter()
-            .find(|(n, _)| n == "connection")
-            .is_some_and(|(_, v)| v.eq_ignore_ascii_case("keep-alive"));
-        Ok(HttpResponse { status, headers, body, keep_alive })
-    }
-
-    fn buffered(&self) -> &[u8] {
-        // dbc-lint: allow(panic-free-serving): `start <= buf.len()` is the
-        // consume() invariant (it resets both to 0 at the boundary).
-        &self.buf[self.start..]
-    }
-
-    fn consume(&mut self, n: usize) {
-        self.start += n;
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        }
-    }
-
-    fn fill(&mut self) -> io::Result<usize> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(n) => {
-                    // dbc-lint: allow(panic-free-serving): `read` returns
-                    // at most the buffer's length.
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    return Ok(n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
+    let headers = head.headers(UNBOUNDED.max_headers)?;
+    let body = conn.read_body(&head, &headers, &UNBOUNDED)?;
+    let keep_alive =
+        proto::header(&headers, "connection").is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"));
+    let body = String::from_utf8_lossy(&body).into_owned();
+    Ok(HttpResponse { status, headers, body, keep_alive })
 }

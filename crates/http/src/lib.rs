@@ -34,9 +34,11 @@
 //! ```no_run
 //! use dbcopilot_http::{HttpClient, HttpConfig, HttpServer, ServiceApp};
 //! use dbcopilot_serve::{AskOptions, AskService, RouterService, ServiceConfig};
-//! # fn main() -> std::io::Result<()> {
-//! # let copilot: std::sync::Arc<dbcopilot_http::doctest_support::NoPipeline> = unimplemented!();
-//! # let router: dbcopilot_http::doctest_support::NoRouter = unimplemented!();
+//! # fn serve<P, R>(copilot: P, router: R) -> std::io::Result<()>
+//! # where
+//! #     P: dbcopilot_serve::QueryPipeline + 'static,
+//! #     R: dbcopilot_retrieval::SchemaRouter + Send + Sync + 'static,
+//! # {
 //! let app = ServiceApp::new(
 //!     AskService::from_pipeline(copilot, AskOptions::new(), ServiceConfig::default()),
 //!     RouterService::from_router(router, ServiceConfig::default()),
@@ -67,38 +69,3 @@ pub use server::{Dispatcher, HttpConfig, HttpServer, ServerStats, ServiceApp};
 
 #[cfg(doc)]
 use dbcopilot_serve::{AskService, RouterService};
-
-/// Placeholder types referenced by the crate-level doc example (which is
-/// `no_run` and never constructs them). Not part of the API.
-#[doc(hidden)]
-pub mod doctest_support {
-    use std::sync::Arc;
-
-    use dbcopilot_retrieval::{RoutingResult, SchemaRouter};
-    use dbcopilot_serve::{AskError, AskOptions, AskReport, QueryPipeline};
-
-    pub struct NoPipeline;
-
-    impl QueryPipeline for NoPipeline {
-        fn ask_with(&self, _question: &str, _opts: &AskOptions) -> Result<AskReport, AskError> {
-            // dbc-lint: allow(panic-free-serving): doctest-only type; never
-            // constructed by a real deployment.
-            unimplemented!("doc example placeholder")
-        }
-    }
-
-    pub struct NoRouter;
-
-    impl SchemaRouter for NoRouter {
-        fn name(&self) -> &str {
-            "doc example placeholder"
-        }
-        fn route(&self, _question: &str, _top_tables: usize) -> RoutingResult {
-            // dbc-lint: allow(panic-free-serving): doctest-only type; never
-            // constructed by a real deployment.
-            unimplemented!("doc example placeholder")
-        }
-    }
-
-    pub fn _assert_api(_: Arc<NoPipeline>) {}
-}

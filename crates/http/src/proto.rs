@@ -99,7 +99,7 @@ impl Default for Limits {
 }
 
 /// One parsed request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     pub method: String,
     pub path: String,
@@ -114,7 +114,7 @@ pub struct Request {
 impl Request {
     /// First value of a header, by lowercase name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 }
 
@@ -148,12 +148,77 @@ pub enum RequestError {
     Io(io::Error),
 }
 
-/// Buffered reader over a [`Transport`], retaining leftover bytes between
-/// requests (keep-alive reuse, pipelined sequential requests).
+/// What a [`RequestError`] means to a caller that speaks `io::Result` (the
+/// client role): the transport failure itself, EOF, a lapsed deadline, or a
+/// malformed message.
+impl From<RequestError> for io::Error {
+    fn from(error: RequestError) -> Self {
+        match error {
+            RequestError::Io(e) => e,
+            RequestError::Closed | RequestError::Disconnected => {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-message")
+            }
+            RequestError::Idle | RequestError::Stalled => {
+                io::Error::new(io::ErrorKind::TimedOut, "no progress before the read deadline")
+            }
+            malformed => io::Error::new(io::ErrorKind::InvalidData, format!("{malformed:?}")),
+        }
+    }
+}
+
+/// Buffered HTTP/1.1 message reader over a [`Transport`] — the one framer
+/// both roles use ([`read_request`] on the server, the client's response
+/// reader). It retains leftover bytes between messages (keep-alive reuse,
+/// pipelined sequential messages) and hands bytes out only through checked
+/// splits, so no caller can index past what was read.
 pub struct Conn<T: Transport> {
     transport: T,
     buf: Vec<u8>,
     start: usize,
+}
+
+/// A framed message head, and the deadline the rest of its message must
+/// meet. Only [`Conn::read_head`] makes one, so a body is never read
+/// without the head that declares it.
+pub(crate) struct Head {
+    text: String,
+    deadline: Instant,
+}
+
+impl Head {
+    fn lines(&self) -> impl Iterator<Item = &str> {
+        let lines = self.text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
+        lines.skip_while(|l| l.is_empty())
+    }
+
+    /// The request or status line.
+    pub(crate) fn start_line(&self) -> &str {
+        self.lines().next().unwrap_or("")
+    }
+
+    /// Header `(name, value)` pairs, names lowercased.
+    pub(crate) fn headers(&self, max: usize) -> Result<Vec<(String, String)>, RequestError> {
+        let mut headers: Vec<(String, String)> = Vec::new();
+        // Skip the start line; the terminating blank line is the other empty one.
+        for line in self.lines().skip(1).filter(|l| !l.is_empty()) {
+            if headers.len() >= max {
+                return Err(RequestError::HeadTooLarge);
+            }
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| RequestError::Bad(format!("bad header {line:?}")))?;
+            if name.is_empty() || name.contains(' ') || name.contains('\t') {
+                return Err(RequestError::Bad(format!("bad header name {name:?}")));
+            }
+            headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+        }
+        Ok(headers)
+    }
+}
+
+/// First value of a header, by lowercase name.
+pub(crate) fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
 }
 
 impl<T: Transport> Conn<T> {
@@ -161,78 +226,165 @@ impl<T: Transport> Conn<T> {
         Conn { transport, buf: Vec::with_capacity(4096), start: 0 }
     }
 
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
+    pub(crate) fn transport(&self) -> &T {
+        &self.transport
     }
 
     /// Bytes buffered but not yet consumed.
     fn buffered(&self) -> &[u8] {
-        // dbc-lint: allow(panic-free-serving): `start <= buf.len()` is the
-        // consume() invariant (debug-asserted there).
-        &self.buf[self.start..]
+        self.buf.get(self.start..).unwrap_or_default()
     }
 
     fn consume(&mut self, n: usize) {
-        self.start += n;
-        debug_assert!(self.start <= self.buf.len());
+        debug_assert!(n <= self.buffered().len());
+        self.start = (self.start + n).min(self.buf.len());
         if self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;
         }
     }
 
-    /// Read more bytes with a deadline. `Ok(0)` is EOF; a lapsed deadline
-    /// surfaces as `WouldBlock`/`TimedOut`.
-    fn fill(&mut self, timeout: Duration) -> io::Result<usize> {
+    /// Read more bytes before `timeout` lapses. What EOF (or a reset) and a
+    /// lapsed deadline mean depends on whether a message is under way:
+    /// between messages they are a clean close and an idle connection.
+    fn fill(&mut self, timeout: Duration, mid_message: bool) -> Result<(), RequestError> {
+        let (gone, lapsed) = if mid_message {
+            (RequestError::Disconnected, RequestError::Stalled)
+        } else {
+            (RequestError::Closed, RequestError::Idle)
+        };
         // A zero timeout would mean "no deadline" to the OS; clamp to the
         // smallest representable one so a lapsed budget still times out.
-        self.transport.set_read_deadline(Some(timeout.max(Duration::from_millis(1))))?;
+        let timeout = timeout.max(Duration::from_millis(1));
+        self.transport.set_read_deadline(Some(timeout)).map_err(RequestError::Io)?;
         if self.start > 0 && self.buf.len() + 4096 > self.buf.capacity() {
             self.buf.drain(..self.start);
             self.start = 0;
         }
         let mut chunk = [0u8; 4096];
         loop {
-            match self.transport.read(&mut chunk) {
+            return match self.transport.read(&mut chunk) {
+                Ok(0) => Err(gone),
                 Ok(n) => {
-                    // dbc-lint: allow(panic-free-serving): `read` returns
-                    // at most the buffer's length.
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    return Ok(n);
+                    self.buf.extend_from_slice(chunk.get(..n).unwrap_or(&chunk));
+                    Ok(())
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    Err(lapsed)
+                }
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => Err(gone),
+                Err(e) => Err(RequestError::Io(e)),
+            };
+        }
+    }
+
+    /// Split the next unit off the buffer once `frame` says how many
+    /// buffered bytes it spans, reading more until `deadline` while it does
+    /// not yet (`Ok(None)`, or a length the buffer has not reached).
+    fn take(
+        &mut self,
+        deadline: Instant,
+        frame: impl Fn(&[u8]) -> Result<Option<usize>, RequestError>,
+    ) -> Result<Vec<u8>, RequestError> {
+        loop {
+            if let Some(n) = frame(self.buffered())? {
+                if let Some(unit) = self.buffered().get(..n) {
+                    let unit = unit.to_vec();
+                    self.consume(n);
+                    return Ok(unit);
+                }
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(RequestError::Stalled);
+            }
+            self.fill(remaining, true)?;
+        }
+    }
+
+    /// Frame one message head; the timeouts are [`read_request`]'s.
+    pub(crate) fn read_head(
+        &mut self,
+        limits: &Limits,
+        idle_timeout: Duration,
+        read_timeout: Duration,
+    ) -> Result<Head, RequestError> {
+        // Phase 1: first byte (or reuse bytes a previous message left over).
+        if self.buffered().is_empty() {
+            self.fill(idle_timeout, false)?;
+        }
+
+        // Leading blank lines before the start line are tolerated (RFC 9112
+        // §2.2): consume them before framing the head, so they never count
+        // toward the head budget or frame an empty head.
+        let blank = self.buffered().iter().take_while(|&&b| b == b'\r' || b == b'\n').count();
+        if blank > 0 {
+            self.consume(blank);
+            if self.buffered().is_empty() {
+                // Only blank bytes so far; let the caller's idle budget decide
+                // how long to keep waiting for a real start line.
+                return Err(RequestError::Idle);
             }
         }
+
+        // Phase 2: the head, under one rolling deadline from here on.
+        let deadline = Instant::now() + read_timeout;
+        let head = self.take(deadline, |buffered| match find_head_end(buffered) {
+            Some(end) if end > limits.max_head_bytes => Err(RequestError::HeadTooLarge),
+            None if buffered.len() > limits.max_head_bytes => Err(RequestError::HeadTooLarge),
+            end => Ok(end),
+        })?;
+        let text =
+            String::from_utf8(head).map_err(|_| RequestError::Bad("head is not UTF-8".into()))?;
+        Ok(Head { text, deadline })
+    }
+
+    /// Phase 3: the `Content-Length` body `headers` declare, under the
+    /// deadline `head` started.
+    pub(crate) fn read_body(
+        &mut self,
+        head: &Head,
+        headers: &[(String, String)],
+        limits: &Limits,
+    ) -> Result<Vec<u8>, RequestError> {
+        let declared: u64 = match header(headers, "content-length") {
+            None => 0,
+            Some(v) => v
+                .parse()
+                .map_err(|_| RequestError::Bad(format!("malformed content-length {v:?}")))?,
+        };
+        if declared > limits.max_body_bytes as u64 {
+            return Err(RequestError::BodyTooLarge { declared });
+        }
+        self.take(head.deadline, |_| Ok(Some(declared as usize)))
+    }
+
+    /// Write bytes to the peer and flush them.
+    pub(crate) fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.transport.write_all(bytes)?;
+        self.transport.flush()
     }
 
     /// Write a full response and flush it.
     pub fn write_response(&mut self, response: &Response, keep_alive: bool) -> io::Result<()> {
-        let bytes = response.to_bytes(keep_alive);
-        self.transport.write_all(&bytes)?;
-        self.transport.flush()
+        self.send(&response.to_bytes(keep_alive))
     }
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
 /// Locate the end of the header block in `bytes`: the byte index just past
 /// the first `\r\n\r\n` (or lenient `\n\n`).
-pub(crate) fn find_head_end(bytes: &[u8]) -> Option<usize> {
-    let mut i = 0;
-    while i < bytes.len() {
-        // dbc-lint: allow(panic-free-serving): `i < bytes.len()` is the
-        // loop condition.
-        match bytes[i] {
-            b'\n' if bytes.get(i + 1) == Some(&b'\n') => return Some(i + 2),
-            b'\n' if bytes.get(i + 1) == Some(&b'\r') && bytes.get(i + 2) == Some(&b'\n') => {
-                return Some(i + 3)
-            }
+fn find_head_end(bytes: &[u8]) -> Option<usize> {
+    let mut rest = bytes;
+    while let Some(at) = rest.iter().position(|&b| b == b'\n') {
+        rest = rest.get(at + 1..)?;
+        match rest {
+            [b'\n', ..] => return Some(bytes.len() - rest.len() + 1),
+            [b'\r', b'\n', ..] => return Some(bytes.len() - rest.len() + 2),
             _ => {}
         }
-        i += 1;
     }
     None
 }
@@ -250,78 +402,8 @@ pub fn read_request<T: Transport>(
     idle_timeout: Duration,
     read_timeout: Duration,
 ) -> Result<Request, RequestError> {
-    // Phase 1: first byte (or reuse bytes a previous request left over).
-    if conn.buffered().is_empty() {
-        match conn.fill(idle_timeout) {
-            Ok(0) => return Err(RequestError::Closed),
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => return Err(RequestError::Idle),
-            // A reset between requests is a close, not a protocol error.
-            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {
-                return Err(RequestError::Closed)
-            }
-            Err(e) => return Err(RequestError::Io(e)),
-        }
-    }
-
-    // Leading blank lines before the request line are tolerated (RFC 9112
-    // §2.2): consume them before framing the head, so they never count
-    // toward the head budget or frame an empty head.
-    let blank = conn.buffered().iter().take_while(|&&b| b == b'\r' || b == b'\n').count();
-    if blank > 0 {
-        conn.consume(blank);
-        if conn.buffered().is_empty() {
-            // Only blank bytes so far; let the caller's idle budget decide
-            // how long to keep waiting for a real request line.
-            return Err(RequestError::Idle);
-        }
-    }
-
-    // Phase 2: the head, under one rolling deadline from here on.
-    let deadline = Instant::now() + read_timeout;
-    let head_end = loop {
-        if let Some(end) = find_head_end(conn.buffered()) {
-            if end > limits.max_head_bytes {
-                return Err(RequestError::HeadTooLarge);
-            }
-            break end;
-        }
-        if conn.buffered().len() > limits.max_head_bytes {
-            return Err(RequestError::HeadTooLarge);
-        }
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(RequestError::Stalled);
-        }
-        match conn.fill(remaining) {
-            Ok(0) => return Err(RequestError::Disconnected),
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => return Err(RequestError::Stalled),
-            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {
-                return Err(RequestError::Disconnected)
-            }
-            Err(e) => return Err(RequestError::Io(e)),
-        }
-    };
-
-    // dbc-lint: allow(panic-free-serving): `head_end` was returned by
-    // find_head_end over this same buffer, so the slice is in bounds.
-    let head = conn.buffered()[..head_end].to_vec();
-    conn.consume(head_end);
-    let head =
-        std::str::from_utf8(&head).map_err(|_| RequestError::Bad("head is not UTF-8".into()))?;
-
-    // Leading blank lines before the request line are tolerated (RFC 9112
-    // §2.2); everything else must be well-formed.
-    let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
-    let request_line = loop {
-        match lines.next() {
-            Some("") => continue,
-            Some(line) => break line,
-            None => return Err(RequestError::Bad("empty request head".into())),
-        }
-    };
-
+    let head = conn.read_head(limits, idle_timeout, read_timeout)?;
+    let request_line = head.start_line();
     let mut parts = request_line.split(' ');
     let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v), None) if !m.is_empty() && !p.is_empty() => (m, p, v),
@@ -340,31 +422,13 @@ pub fn read_request<T: Transport>(
         v => return Err(RequestError::Bad(format!("malformed version {v:?}"))),
     };
 
-    let mut headers: Vec<(String, String)> = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue; // the terminating blank line
-        }
-        if headers.len() >= limits.max_headers {
-            return Err(RequestError::HeadTooLarge);
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| RequestError::Bad(format!("bad header {line:?}")))?;
-        if name.is_empty() || name.contains(' ') || name.contains('\t') {
-            return Err(RequestError::Bad(format!("bad header name {name:?}")));
-        }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let request = Request {
+    let mut request = Request {
         method: method.to_string(),
         path: path.to_string(),
-        headers,
+        headers: head.headers(limits.max_headers)?,
         body: Vec::new(),
         keep_alive: http11,
     };
-    let mut request = request;
     if let Some(connection) = request.header("connection") {
         let token = connection.to_ascii_lowercase();
         if token.contains("close") {
@@ -376,37 +440,7 @@ pub fn read_request<T: Transport>(
     if let Some(te) = request.header("transfer-encoding") {
         return Err(RequestError::Unsupported(format!("transfer-encoding: {te}")));
     }
-
-    // Phase 3: the Content-Length body, under the same deadline.
-    let declared: u64 = match request.header("content-length") {
-        None => 0,
-        Some(v) => {
-            v.parse().map_err(|_| RequestError::Bad(format!("malformed content-length {v:?}")))?
-        }
-    };
-    if declared > limits.max_body_bytes as u64 {
-        return Err(RequestError::BodyTooLarge { declared });
-    }
-    let declared = declared as usize;
-    while conn.buffered().len() < declared {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(RequestError::Stalled);
-        }
-        match conn.fill(remaining) {
-            Ok(0) => return Err(RequestError::Disconnected),
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => return Err(RequestError::Stalled),
-            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {
-                return Err(RequestError::Disconnected)
-            }
-            Err(e) => return Err(RequestError::Io(e)),
-        }
-    }
-    // dbc-lint: allow(panic-free-serving): the read loop above only exits
-    // once the buffer holds at least `declared` bytes.
-    request.body = conn.buffered()[..declared].to_vec();
-    conn.consume(declared);
+    request.body = conn.read_body(&head, &request.headers, limits)?;
     Ok(request)
 }
 
@@ -491,6 +525,9 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{read_response, HttpResponse};
+    use proptest::next_state;
+    use proptest::prelude::*;
 
     fn parse(input: &str) -> Result<Request, RequestError> {
         let mut conn = Conn::new(ByteStream::new(input.as_bytes().to_vec()));
@@ -585,6 +622,93 @@ mod tests {
             matches!(parse("GET /truncat"), Err(RequestError::Disconnected)),
             "mid-request EOF"
         );
+    }
+
+    /// Delivers its input in seeded pseudo-random chunks of 1–40 bytes, to
+    /// exercise every way a message can be split across reads.
+    struct Chunked {
+        input: ByteStream,
+        state: u64,
+    }
+
+    impl Chunked {
+        fn conn(input: &[u8], seed: u64) -> Conn<Chunked> {
+            Conn::new(Chunked { input: ByteStream::new(input), state: seed })
+        }
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = (1 + (next_state(&mut self.state) % 40) as usize).min(buf.len());
+            self.input.read(&mut buf[..n])
+        }
+    }
+
+    impl Write for Chunked {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.input.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Transport for Chunked {
+        fn set_read_deadline(&mut self, _timeout: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const SECOND: Duration = Duration::from_secs(1);
+
+    fn requests<T: Transport>(conn: &mut Conn<T>) -> Vec<Request> {
+        let limits = Limits::default();
+        (0..2).map(|_| read_request(conn, &limits, SECOND, SECOND).expect("request")).collect()
+    }
+
+    fn responses<T: Transport>(conn: &mut Conn<T>) -> Vec<HttpResponse> {
+        (0..2).map(|_| read_response(conn, SECOND).expect("response")).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// However the bytes of two pipelined messages are split across
+        /// reads, both roles parse what they parse from the unsplit input —
+        /// and the first message never eats into the second.
+        #[test]
+        fn any_split_parses_like_the_unsplit_input(seed in 0u64..u64::MAX) {
+            let two_requests = b"POST /ask HTTP/1.1\r\nHost: x\r\nContent-Length: 16\r\n\r\n\
+                {\"question\":\"a\"}GET /healthz HTTP/1.0\nConnection: keep-alive\n\n";
+            let whole = requests(&mut Conn::new(ByteStream::new(two_requests.as_slice())));
+            prop_assert_eq!((whole[1].path.as_str(), whole[1].keep_alive), ("/healthz", true));
+            prop_assert_eq!(&requests(&mut Chunked::conn(two_requests, seed)), &whole);
+
+            let two_responses = [
+                Response::json(200, "{\"ok\":true}".into()).header("retry-after", 2).to_bytes(true),
+                Response::json(429, String::new()).to_bytes(false),
+            ]
+            .concat();
+            let whole = responses(&mut Conn::new(ByteStream::new(two_responses.as_slice())));
+            let seen: Vec<_> =
+                whole.iter().map(|r| (r.status, r.body.as_str(), r.keep_alive)).collect();
+            prop_assert_eq!(seen, vec![(200, "{\"ok\":true}", true), (429, "", false)]);
+            prop_assert_eq!(&responses(&mut Chunked::conn(&two_responses, seed)), &whole);
+        }
+    }
+
+    #[test]
+    fn the_client_role_is_as_strict_as_the_server_role() {
+        for (malformed, kind) in [
+            ("HTTP/1.1 200 OK\r\nno-colon-here\r\n\r\n", io::ErrorKind::InvalidData),
+            ("HTTP/1.1 200 OK\r\ncontent-length: nope\r\n\r\n", io::ErrorKind::InvalidData),
+            ("HTTP/1.1 OK\r\n\r\n", io::ErrorKind::InvalidData),
+            ("HTTP/1.1 200 OK\r\ncontent-length: 9\r\n\r\n{}", io::ErrorKind::UnexpectedEof),
+        ] {
+            let response = read_response(&mut Conn::new(ByteStream::new(malformed)), SECOND);
+            assert_eq!(response.expect_err(malformed).kind(), kind, "{malformed:?}");
+        }
     }
 
     #[test]

@@ -50,12 +50,9 @@ pub struct HttpConfig {
     /// Admitted connections allowed to queue beyond the busy workers
     /// before the accept thread starts shedding 429s.
     pub backlog: usize,
-    /// Request line + headers budget, bytes (breach → 431).
-    pub max_head_bytes: usize,
-    /// Header count budget (breach → 431).
-    pub max_headers: usize,
-    /// Body budget, bytes (breach → 413).
-    pub max_body_bytes: usize,
+    /// Head, header-count and body budgets for one request (breach → 431,
+    /// 431, 413).
+    pub limits: Limits,
     /// Progress deadline for reading one request once its first byte has
     /// arrived — the slow-loris bound (lapse → 408, connection evicted).
     pub read_timeout: Duration,
@@ -70,9 +67,7 @@ impl Default for HttpConfig {
         HttpConfig {
             workers: 8,
             backlog: 32,
-            max_head_bytes: 16 * 1024,
-            max_headers: 64,
-            max_body_bytes: 1024 * 1024,
+            limits: Limits::default(),
             read_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(5),
             retry_after_secs: 1,
@@ -96,17 +91,17 @@ impl HttpConfig {
     }
 
     pub fn max_head_bytes(mut self, n: usize) -> Self {
-        self.max_head_bytes = n;
+        self.limits.max_head_bytes = n;
         self
     }
 
     pub fn max_headers(mut self, n: usize) -> Self {
-        self.max_headers = n;
+        self.limits.max_headers = n;
         self
     }
 
     pub fn max_body_bytes(mut self, n: usize) -> Self {
-        self.max_body_bytes = n;
+        self.limits.max_body_bytes = n;
         self
     }
 
@@ -123,14 +118,6 @@ impl HttpConfig {
     pub fn retry_after_secs(mut self, secs: u32) -> Self {
         self.retry_after_secs = secs;
         self
-    }
-
-    fn limits(&self) -> Limits {
-        Limits {
-            max_head_bytes: self.max_head_bytes,
-            max_headers: self.max_headers,
-            max_body_bytes: self.max_body_bytes,
-        }
     }
 }
 
@@ -438,14 +425,14 @@ fn handle_connection(state: &State, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(state.cfg.read_timeout));
     let mut conn = Conn::new(stream);
-    let limits = state.cfg.limits();
     // Idle waits run in short slices so a drain never blocks on an idle
     // keep-alive connection for the full idle budget.
     let slice = Duration::from_millis(50).min(state.cfg.idle_timeout.max(Duration::from_millis(1)));
     let mut idled = Duration::ZERO;
     loop {
         let draining = state.shutdown.load(Ordering::SeqCst);
-        let request = proto::read_request(&mut conn, &limits, slice, state.cfg.read_timeout);
+        let request =
+            proto::read_request(&mut conn, &state.cfg.limits, slice, state.cfg.read_timeout);
         let request = match request {
             Ok(request) => request,
             Err(RequestError::Idle) => {

@@ -147,6 +147,23 @@ fn malformed_json_answers_400_with_structured_body_and_keeps_the_connection() {
 }
 
 #[test]
+fn deeply_nested_json_answers_400_and_the_server_keeps_serving() {
+    // 20 KB, far under the 1 MiB body cap. An unbounded recursive parser
+    // overflows the worker's stack here, which aborts the whole process —
+    // catch_unwind cannot contain it.
+    let server = serve(HttpConfig::new().workers(1));
+    let hostile = "[".repeat(20_000);
+    for path in ["/ask", "/admin/publish"] {
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let response = client.post(path, &hostile).unwrap();
+        assert_eq!(response.status, 400, "{path}: {}", response.body);
+        assert_eq!(error_field(&response.body, "stage"), Some(Value::String("protocol".into())));
+    }
+    let mut fresh = HttpClient::connect(server.addr()).unwrap();
+    assert_eq!(fresh.get("/healthz").unwrap().status, 200);
+}
+
+#[test]
 fn unsupported_version_transfer_encoding_and_bad_method_map_precisely() {
     let server = serve(HttpConfig::new().workers(1));
     let cases: &[(&str, u16)] = &[

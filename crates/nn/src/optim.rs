@@ -100,11 +100,6 @@ impl ParamStore {
         self.params.is_empty()
     }
 
-    /// Total number of scalar parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.value.len()).sum()
-    }
-
     /// Fold a gradient contribution into the accumulator for `id`.
     pub fn accumulate_grad(&mut self, id: ParamId, grad: Grad) {
         let slot = &mut self.params[id.0].grad;

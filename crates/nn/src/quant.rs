@@ -434,12 +434,6 @@ impl QuantizedMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Dequantized f32 value of row `r`, column `c`.
-    pub fn dequantized_row(&self, r: usize) -> Vec<f32> {
-        let s = self.scales[r];
-        self.row(r).iter().map(|&q| s * q as f32).collect()
-    }
-
     /// Full dequantization back to a tensor (same layout as stored).
     pub fn dequantize(&self) -> Tensor {
         let mut out = Vec::with_capacity(self.rows * self.cols);
@@ -557,14 +551,6 @@ impl QuantizedStore {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Heap bytes of codes + scales (index-size accounting).
-    pub fn num_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.matrix.data.len() + e.matrix.scales.len() * std::mem::size_of::<f32>())
-            .sum()
     }
 }
 

@@ -5,9 +5,6 @@
 //! pattern, including NaN payloads and infinities, survives a save→load
 //! round trip. Anything else fails with a typed [`PersistError`].
 
-use std::io::{Read, Write};
-use std::path::Path;
-
 use crate::codec;
 use crate::optim::ParamStore;
 
@@ -62,35 +59,11 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
-/// Serialize a store to a writer (binary `DBC1`).
-pub fn save_store<W: Write>(store: &ParamStore, mut w: W) -> Result<(), PersistError> {
-    Ok(w.write_all(&codec::encode_store(store))?)
-}
-
 /// Deserialize a store from a byte buffer. Optimizer state and gradients
 /// are not persisted; training can resume but Adam moments restart from
 /// zero.
 pub fn load_store_slice(bytes: &[u8]) -> Result<ParamStore, PersistError> {
     codec::decode_store(bytes)
-}
-
-/// Deserialize a store from a reader.
-pub fn load_store<R: Read>(mut r: R) -> Result<ParamStore, PersistError> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    load_store_slice(&buf)
-}
-
-/// Save to a file path.
-pub fn save_store_file(store: &ParamStore, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    let f = std::fs::File::create(path)?;
-    save_store(store, std::io::BufWriter::new(f))
-}
-
-/// Load from a file path.
-pub fn load_store_file(path: impl AsRef<Path>) -> Result<ParamStore, PersistError> {
-    let f = std::fs::File::open(path)?;
-    load_store(std::io::BufReader::new(f))
 }
 
 #[cfg(test)]
@@ -110,10 +83,9 @@ mod tests {
     #[test]
     fn binary_roundtrip_preserves_values_and_names() {
         let (store, a, b) = sample_store();
-        let mut buf = Vec::new();
-        save_store(&store, &mut buf).unwrap();
+        let buf = codec::encode_store(&store);
         assert!(buf.starts_with(&codec::MAGIC));
-        let loaded = load_store(buf.as_slice()).unwrap();
+        let loaded = load_store_slice(&buf).unwrap();
         assert_eq!(loaded.len(), 2);
         let la = loaded.id_of("alpha").unwrap();
         let lb = loaded.id_of("beta").unwrap();
@@ -124,9 +96,7 @@ mod tests {
     #[test]
     fn serialized_size_matches_actual_output() {
         let (store, _, _) = sample_store();
-        let mut buf = Vec::new();
-        save_store(&store, &mut buf).unwrap();
-        assert_eq!(codec::encoded_store_len(&store), buf.len());
+        assert_eq!(codec::encoded_store_len(&store), codec::encode_store(&store).len());
     }
 
     #[test]

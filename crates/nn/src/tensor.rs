@@ -101,11 +101,6 @@ impl Tensor {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copy row `r` into a new single-row tensor.
-    pub fn row_tensor(&self, r: usize) -> Tensor {
-        Tensor::from_row(self.row(r).to_vec())
-    }
-
     /// Matrix product `self × rhs`.
     ///
     /// # Panics

@@ -14,10 +14,9 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use dbcopilot_nn::quant::{QuantizedMatrix, QuantizedVec};
 use dbcopilot_nn::{AdamW, Embedding, ParamStore, Tape, Tensor};
 
-use crate::targets::{PrecisionSwitch, RoutePrecision, RoutingResult, SchemaRouter, TargetSet};
+use crate::targets::{RoutingResult, SchemaRouter, TargetSet};
 use crate::text::hashed_features;
 
 /// Encoder and training hyper-parameters.
@@ -132,16 +131,6 @@ impl TextEncoder {
     }
 }
 
-/// Frozen i8 state for the dense hot path: the quantized encoder embedding
-/// table and the quantized document matrix.
-struct QuantIndex {
-    /// Encoder embedding rows as stored, `[buckets, dim]`.
-    emb: QuantizedMatrix,
-    /// Normalized document vectors, `[num_targets, dim]` — the reduction
-    /// dimension is already contiguous, so scoring is one i8 dot per target.
-    docs: QuantizedMatrix,
-}
-
 /// A dense retriever: encoder + encoded target matrix.
 pub struct DenseRetriever {
     encoder: TextEncoder,
@@ -149,8 +138,6 @@ pub struct DenseRetriever {
     /// `[num_targets, dim]` normalized document vectors.
     doc_matrix: Tensor,
     label: String,
-    precision: RoutePrecision,
-    quant: Option<QuantIndex>,
 }
 
 impl DenseRetriever {
@@ -164,60 +151,18 @@ impl DenseRetriever {
             data.extend_from_slice(v.as_slice());
         }
         let doc_matrix = Tensor::from_vec(targets.len(), dim, data);
-        DenseRetriever {
-            encoder,
-            targets,
-            doc_matrix,
-            label: label.to_string(),
-            precision: RoutePrecision::F32,
-            quant: None,
-        }
+        DenseRetriever { encoder, targets, doc_matrix, label: label.to_string() }
     }
 
-    /// Cosine-similarity search at the selected precision.
+    /// Cosine-similarity search.
     pub fn search(&self, query: &str, k: usize) -> Vec<(usize, f32)> {
-        let scores = match (self.precision, &self.quant) {
-            (RoutePrecision::I8, Some(q)) => self.scores_i8(q, query),
-            _ => self.scores_f32(query),
-        };
-        let mut ranked: Vec<(usize, f32)> = scores.into_iter().enumerate().collect();
+        let q = self.encoder.embed(query);
+        let scores = self.doc_matrix.matmul(&q.transpose()); // [n,1]
+        let mut ranked: Vec<(usize, f32)> =
+            (0..self.targets.len()).map(|i| (i, scores.get(i, 0))).collect();
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         ranked.truncate(k);
         ranked
-    }
-
-    fn scores_f32(&self, query: &str) -> Vec<f32> {
-        let q = self.encoder.embed(query);
-        let scores = self.doc_matrix.matmul(&q.transpose()); // [n,1]
-        (0..self.targets.len()).map(|i| scores.get(i, 0)).collect()
-    }
-
-    fn scores_i8(&self, qi: &QuantIndex, query: &str) -> Vec<f32> {
-        // Mirror `TextEncoder::embed` against the quantized embedding table:
-        // mean of the hashed-feature rows, then L2 normalization.
-        let dim = self.encoder.cfg.dim;
-        let feats = hashed_features(query, self.encoder.cfg.buckets);
-        let mut bag = vec![0.0f32; dim];
-        for &f in &feats {
-            let s = qi.emb.scale(f);
-            for (acc, &q) in bag.iter_mut().zip(qi.emb.row(f)) {
-                *acc += s * q as f32;
-            }
-        }
-        if !feats.is_empty() {
-            let inv = 1.0 / feats.len() as f32;
-            for v in &mut bag {
-                *v *= inv;
-            }
-        }
-        let norm = bag.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
-        for v in &mut bag {
-            *v /= norm;
-        }
-        let qv = QuantizedVec::quantize(&bag);
-        let mut out = Vec::new();
-        qi.docs.matvec_into(&qv, &mut out);
-        out
     }
 
     pub fn targets(&self) -> &TargetSet {
@@ -228,23 +173,6 @@ impl DenseRetriever {
     /// plus the document matrix at 4 raw bytes per `f32`.
     pub fn size_bytes(&self) -> usize {
         self.encoder.size_bytes() + self.doc_matrix.len() * 4
-    }
-}
-
-impl PrecisionSwitch for DenseRetriever {
-    fn set_precision(&mut self, precision: RoutePrecision) {
-        if precision == RoutePrecision::I8 && self.quant.is_none() {
-            let w = self.encoder.store.value(self.encoder.emb.weight);
-            self.quant = Some(QuantIndex {
-                emb: QuantizedMatrix::from_tensor(w),
-                docs: QuantizedMatrix::from_tensor(&self.doc_matrix),
-            });
-        }
-        self.precision = precision;
-    }
-
-    fn precision(&self) -> RoutePrecision {
-        self.precision
     }
 }
 
@@ -416,25 +344,6 @@ mod tests {
         let r = DenseRetriever::index(enc, tiny_targets(), "test");
         let ranked = r.search("age of singer", 3);
         assert_eq!(r.targets().get(ranked[0].0).table, "singer");
-    }
-
-    #[test]
-    fn i8_search_preserves_top_hit_and_score_accuracy() {
-        let mut r = build_sxfmr(tiny_targets(), fast_cfg());
-        let exact = r.search("recording artist age", 3);
-        r.set_precision(RoutePrecision::I8);
-        assert_eq!(r.precision(), RoutePrecision::I8);
-        let quant = r.search("recording artist age", 3);
-        assert_eq!(exact[0].0, quant[0].0, "top hit must survive quantization");
-        for (&(i, se), &(j, sq)) in exact.iter().zip(&quant) {
-            assert_eq!(i, j, "i8 ranking diverged");
-            // doc vectors and query are unit-norm, so cosine error stays
-            // within the per-dot quantization bound
-            assert!((se - sq).abs() < 0.05, "score drifted: {se} vs {sq}");
-        }
-        // switching back restores exact scoring
-        r.set_precision(RoutePrecision::F32);
-        assert_eq!(r.search("recording artist age", 3), exact);
     }
 
     #[test]

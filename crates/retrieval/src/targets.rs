@@ -144,9 +144,9 @@ pub enum RoutePrecision {
 
 /// Routers whose scoring precision can be switched after construction.
 ///
-/// Implemented by methods with a quantized hot path (the DBCopilot router,
-/// dense retrieval); switching to [`RoutePrecision::I8`] freezes quantized
-/// weights on demand if none are attached yet.
+/// Implemented by the DBCopilot router, the one method with a quantized hot
+/// path; switching to [`RoutePrecision::I8`] freezes quantized weights on
+/// demand if none are attached yet.
 pub trait PrecisionSwitch {
     /// Select the scoring precision for subsequent `route` calls.
     fn set_precision(&mut self, precision: RoutePrecision);

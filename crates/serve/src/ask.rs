@@ -39,7 +39,7 @@ impl<P: QueryPipeline + 'static> Backend for AskBackend<P> {
 /// Every ask is served with the same [`AskOptions`] (fixed at
 /// construction — cache entries must all mean the same computation).
 /// Dropping the service is a graceful shutdown: queued requests are
-/// answered, then the dispatcher (and any dedicated pool) joins.
+/// answered, then the dispatcher joins.
 pub struct AskService<P: QueryPipeline + 'static> {
     engine: Engine<AskBackend<P>>,
 }

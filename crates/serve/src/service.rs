@@ -1,6 +1,6 @@
 //! The shared serving engine and [`RouterService`], its routing front.
 //!
-//! Three mechanisms stack, each configurable through [`ServiceConfig`]:
+//! Three mechanisms stack, the first two tuned through [`ServiceConfig`]:
 //!
 //! 1. **LRU cache** ([`crate::LruCache`]) keyed on
 //!    [`crate::normalize_question`] — repeated and surface-variant
@@ -9,8 +9,8 @@
 //!    misses into batches (flushing at `max_batch` requests or after
 //!    `flush_timeout`), and deduplicates identical in-flight questions so
 //!    one computation serves every waiter;
-//! 3. **worker-pool dispatch** — each batch fans out over the persistent
-//!    [`WorkerPool`] from `dbcopilot-runtime` (no per-request thread
+//! 3. **worker-pool dispatch** — each batch fans out over the process-wide
+//!    [`global_pool`] from `dbcopilot-runtime` (no per-request thread
 //!    spawns).
 //!
 //! The machinery is generic over a crate-internal `Backend` (question in, value out):
@@ -28,10 +28,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dbcopilot_retrieval::{
-    PrecisionSwitch, RoutePrecision, RoutingResult, SchemaRouter, ShardCounters,
-};
-use dbcopilot_runtime::{global_pool, lock_rank, OrderedMutex, WorkerPool};
+use dbcopilot_retrieval::{RoutingResult, SchemaRouter, ShardCounters};
+use dbcopilot_runtime::{global_pool, lock_rank, OrderedMutex};
 
 use crate::cache::{normalize_question, LruCache};
 use crate::handle::RouterHandle;
@@ -57,12 +55,6 @@ pub struct ServiceConfig {
     /// `top_tables` passed to the underlying router on every route
     /// (routing fronts only).
     pub top_tables: usize,
-    /// Dedicated pool workers; `0` uses the process-wide shared pool.
-    pub workers: usize,
-    /// Scoring precision applied to the router by
-    /// [`RouterService::from_router_at`] before it is shared (routing
-    /// fronts only; cache entries are computed at this precision too).
-    pub precision: RoutePrecision,
 }
 
 impl Default for ServiceConfig {
@@ -72,8 +64,6 @@ impl Default for ServiceConfig {
             flush_timeout: Duration::from_millis(1),
             cache_capacity: 4096,
             top_tables: 100,
-            workers: 0,
-            precision: RoutePrecision::F32,
         }
     }
 }
@@ -100,16 +90,6 @@ impl ServiceConfig {
 
     pub fn top_tables(mut self, n: usize) -> Self {
         self.top_tables = n;
-        self
-    }
-
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
-    pub fn precision(mut self, p: RoutePrecision) -> Self {
-        self.precision = p;
         self
     }
 }
@@ -183,8 +163,6 @@ struct Shared<B: Backend> {
     /// Values are tagged with the backend generation that computed them; a
     /// tag that is no longer current is treated as a miss.
     cache: OrderedMutex<LruCache<(u64, Arc<B::Out>)>>,
-    /// `None` → use the process-wide `global_pool()`.
-    pool: Option<WorkerPool>,
     batches: AtomicU64,
     computed: AtomicU64,
     max_batch_observed: AtomicU64,
@@ -193,10 +171,6 @@ struct Shared<B: Backend> {
 }
 
 impl<B: Backend> Shared<B> {
-    fn pool(&self) -> &WorkerPool {
-        self.pool.as_ref().unwrap_or_else(|| global_pool())
-    }
-
     /// Compute a batch of distinct `(key, question)` pairs on the pool and
     /// publish the results to the cache. Returns results in input order.
     fn compute_unique(&self, unique: &[(String, String)]) -> Vec<Arc<B::Out>> {
@@ -209,7 +183,7 @@ impl<B: Backend> Shared<B> {
         // never served from the cache again.
         let generation = self.backend.generation();
         let results: Vec<Arc<B::Out>> =
-            self.pool().map(unique, |_, (_, q)| Arc::new(self.backend.compute(q)));
+            global_pool().map(unique, |_, (_, q)| Arc::new(self.backend.compute(q)));
         let mut cache = self.cache.lock();
         for ((key, _), result) in unique.iter().zip(&results) {
             cache.insert(key.clone(), (generation, Arc::clone(result)));
@@ -232,16 +206,11 @@ pub(crate) struct Engine<B: Backend> {
 }
 
 impl<B: Backend> Engine<B> {
-    pub(crate) fn new(backend: B, cfg: ServiceConfig) -> Self {
-        let cfg = {
-            let mut cfg = cfg;
-            cfg.max_batch = cfg.max_batch.max(1);
-            cfg
-        };
+    pub(crate) fn new(backend: B, mut cfg: ServiceConfig) -> Self {
+        cfg.max_batch = cfg.max_batch.max(1);
         let shared = Arc::new(Shared {
             backend,
             cache: OrderedMutex::new("cache", lock_rank::CACHE, LruCache::new(cfg.cache_capacity)),
-            pool: (cfg.workers > 0).then(|| WorkerPool::new(cfg.workers)),
             cfg,
             batches: AtomicU64::new(0),
             computed: AtomicU64::new(0),
@@ -310,41 +279,25 @@ impl<B: Backend> Engine<B> {
     /// deduplicated and computed on the pool. Results come back in
     /// question order, and the whole call is deterministic.
     pub(crate) fn submit_many(&self, questions: &[String]) -> Vec<Arc<B::Out>> {
-        let mut out: Vec<Arc<B::Out>> = Vec::with_capacity(questions.len());
-        for window in questions.chunks(self.shared.cfg.max_batch.max(1)) {
-            // out[i] for this window: either a cache hit or an index into
-            // the computed `unique` batch.
-            let mut plan: Vec<Result<Arc<B::Out>, usize>> = Vec::with_capacity(window.len());
-            let mut unique: Vec<(String, String)> = Vec::new();
-            let mut seen: HashMap<String, usize> = HashMap::new();
+        let max_batch = self.shared.cfg.max_batch; // clamped to ≥ 1 by `new`
+        let mut out: Vec<Option<Arc<B::Out>>> = vec![None; questions.len()];
+        for (window, slots) in questions.chunks(max_batch).zip(out.chunks_mut(max_batch)) {
+            let mut misses = Vec::new();
             let generation = self.shared.backend.generation();
             {
                 let mut cache = self.shared.cache.lock();
-                for q in window {
+                for (q, slot) in window.iter().zip(slots) {
                     let key = normalize_question(q);
-                    if let Some((_, hit)) = cache.get(&key).filter(|(tag, _)| *tag == generation) {
-                        plan.push(Ok(Arc::clone(hit)));
-                    } else if let Some(&at) = seen.get(&key) {
-                        plan.push(Err(at));
-                    } else {
-                        seen.insert(key.clone(), unique.len());
-                        plan.push(Err(unique.len()));
-                        unique.push((key, q.clone()));
+                    match cache.get(&key).filter(|(tag, _)| *tag == generation) {
+                        Some((_, hit)) => *slot = Some(Arc::clone(hit)),
+                        None => misses.push((key, q, slot)),
                     }
                 }
             }
-            let computed = self.shared.compute_unique(&unique);
-            for step in plan {
-                out.push(match step {
-                    Ok(hit) => hit,
-                    // dbc-lint: allow(panic-free-serving): every Err(at) was
-                    // pushed with at < unique.len(), and compute_unique
-                    // returns exactly one result per unique entry.
-                    Err(at) => Arc::clone(&computed[at]),
-                });
-            }
+            compute_deduped(&self.shared, misses, |slot, result| *slot = Some(result));
         }
-        out
+        // Every slot was filled: by a cache hit, or as a waiter of its miss.
+        out.into_iter().flatten().collect()
     }
 
     pub(crate) fn stats(&self) -> ServiceStats {
@@ -373,8 +326,7 @@ impl<B: Backend> Engine<B> {
 impl<B: Backend> Drop for Engine<B> {
     fn drop(&mut self) {
         // Closing the channel lets the dispatcher answer everything still
-        // queued, then exit; joining (dispatcher first, then any dedicated
-        // pool via Shared's own drop) completes the graceful shutdown.
+        // queued, then exit; joining it completes the graceful shutdown.
         drop(self.sender.take());
         if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
@@ -417,27 +369,38 @@ fn dispatch_loop<B: Backend>(shared: &Shared<B>, receiver: &Receiver<Request<B::
 }
 
 fn run_batch<B: Backend>(shared: &Shared<B>, batch: Vec<Request<B::Out>>) {
-    // Deduplicate by normalized key, preserving first-seen order.
+    let misses = batch.into_iter().map(|req| (req.key, req.question, req.reply));
+    // A send error just means the client went away; nothing to do.
+    compute_deduped(shared, misses, |reply, result| {
+        let _ = reply.send(result);
+    });
+}
+
+/// Serve one batch of cache misses `(key, question, waiter)`: deduplicate by
+/// normalized key in first-seen order, compute each distinct question once,
+/// and hand its result to everyone waiting on it.
+fn compute_deduped<B: Backend, Q: Into<String>, W>(
+    shared: &Shared<B>,
+    misses: impl IntoIterator<Item = (String, Q, W)>,
+    mut deliver: impl FnMut(W, Arc<B::Out>),
+) {
     let mut unique: Vec<(String, String)> = Vec::new();
-    let mut waiters: Vec<Vec<Sender<Arc<B::Out>>>> = Vec::new();
+    let mut waiting: Vec<Vec<W>> = Vec::new();
     let mut seen: HashMap<String, usize> = HashMap::new();
-    for req in batch {
-        match seen.get(&req.key) {
-            // dbc-lint: allow(panic-free-serving): `seen` only stores
-            // indexes of entries already pushed onto `waiters`.
-            Some(&at) => waiters[at].push(req.reply),
+    for (key, question, waiter) in misses {
+        match seen.get(&key).and_then(|&at| waiting.get_mut(at)) {
+            Some(waiters) => waiters.push(waiter),
             None => {
-                seen.insert(req.key.clone(), unique.len());
-                unique.push((req.key, req.question));
-                waiters.push(vec![req.reply]);
+                seen.insert(key.clone(), unique.len());
+                unique.push((key, question.into()));
+                waiting.push(vec![waiter]);
             }
         }
     }
     let results = shared.compute_unique(&unique);
-    for (result, senders) in results.into_iter().zip(waiters) {
-        for sender in senders {
-            // A send error just means the client went away; nothing to do.
-            let _ = sender.send(Arc::clone(&result));
+    for (result, waiters) in results.into_iter().zip(waiting) {
+        for waiter in waiters {
+            deliver(waiter, Arc::clone(&result));
         }
     }
 }
@@ -480,7 +443,7 @@ impl<R: SchemaRouter + Send + Sync + 'static> Backend for RouteBackend<R> {
 /// threads; cache misses are micro-batched by a dispatcher thread and
 /// executed on a persistent worker pool. Dropping the service is a
 /// graceful shutdown: queued requests are still answered, then the
-/// dispatcher (and any dedicated pool) joins.
+/// dispatcher joins.
 pub struct RouterService<R: SchemaRouter + Send + Sync + 'static> {
     engine: Engine<RouteBackend<R>>,
 }
@@ -495,19 +458,6 @@ impl<R: SchemaRouter + Send + Sync + 'static> RouterService<R> {
 
     /// Take ownership of a router and serve it.
     pub fn from_router(router: R, cfg: ServiceConfig) -> Self {
-        Self::new(Arc::new(router), cfg)
-    }
-
-    /// Take ownership of a precision-switchable router, apply
-    /// `cfg.precision`, and serve it. The switch happens here — before the
-    /// router goes behind the `Arc` — so quantized weights are frozen once,
-    /// and every request (including [`warm`](RouterService::warm)-seeded
-    /// cache entries) is scored at the configured precision.
-    pub fn from_router_at(mut router: R, cfg: ServiceConfig) -> Self
-    where
-        R: PrecisionSwitch,
-    {
-        router.set_precision(cfg.precision);
         Self::new(Arc::new(router), cfg)
     }
 

@@ -220,16 +220,7 @@ fn drop_answers_queued_requests_then_shuts_down() {
             assert_eq!(h.join().unwrap().database_names()[0], "world");
         }
     });
-    drop(service); // graceful: joins dispatcher (and any dedicated pool)
-}
-
-#[test]
-fn dedicated_pool_configuration_works() {
-    let cfg = ServiceConfig::new().workers(2);
-    let service = RouterService::from_router(index(), cfg);
-    let out = service.route_many(&questions());
-    assert_eq!(out.len(), 4);
-    assert_eq!(out[1].database_names()[0], "world");
+    drop(service); // graceful: joins the dispatcher
 }
 
 #[test]
@@ -260,7 +251,7 @@ fn serves_a_dbc_router_end_to_end() {
 }
 
 #[test]
-fn from_router_at_applies_precision_before_sharing_and_warm_uses_it() {
+fn a_router_switched_to_i8_before_sharing_is_served_at_i8_and_warm_uses_it() {
     use dbcopilot_core::{DbcRouter, RouterConfig};
     use dbcopilot_graph::SchemaGraph;
     use dbcopilot_retrieval::{PrecisionSwitch, RoutePrecision};
@@ -273,9 +264,9 @@ fn from_router_at_applies_precision_before_sharing_and_warm_uses_it() {
     }
     c.add_database(d);
 
-    let router = DbcRouter::untrained(SchemaGraph::build(&c), RouterConfig::tiny());
-    let cfg = ServiceConfig::new().precision(RoutePrecision::I8);
-    let service = RouterService::from_router_at(router, cfg);
+    let mut router = DbcRouter::untrained(SchemaGraph::build(&c), RouterConfig::tiny());
+    router.set_precision(RoutePrecision::I8);
+    let service = RouterService::from_router(router, ServiceConfig::default());
     assert_eq!(service.router().precision(), RoutePrecision::I8);
     assert!(
         service.router().model.quant.is_some(),

@@ -143,10 +143,6 @@ impl Expr {
         Expr::Column { table: None, column: name.to_string() }
     }
 
-    pub fn qcol(table: &str, name: &str) -> Expr {
-        Expr::Column { table: Some(table.to_string()), column: name.to_string() }
-    }
-
     pub fn lit(v: Value) -> Expr {
         Expr::Literal(v)
     }

@@ -6,7 +6,6 @@
 //! column names are ignored, and floats compare with a small tolerance.
 
 use crate::compile::{execute, execute_prepared, PreparedDb, ResultSet};
-use crate::error::EngineError;
 use crate::storage::Database;
 
 /// Outcome of comparing a predicted query against a gold query.
@@ -81,11 +80,6 @@ pub fn compare_to_gold(db: &Database, gold: &ResultSet, predicted_sql: &str) -> 
         }
         Err(e) => ExOutcome::PredictedError(e.to_string()),
     }
-}
-
-/// Gold execution, reusable across multiple predictions.
-pub fn execute_gold(db: &Database, gold_sql: &str) -> Result<ResultSet, EngineError> {
-    execute(db, gold_sql)
 }
 
 /// [`compare_to_gold`] against an already-prepared database — the hot path

@@ -5,10 +5,16 @@ use crate::error::EngineError;
 use crate::lexer::{lex, Sym, Token};
 use crate::value::Value;
 
+/// Deepest syntax tree [`parse_select`] builds, in levels. The parser, the
+/// compiler, the interpreter, the renderer and `Drop` all recurse once per
+/// level, and the SQL is model-generated: unbounded nesting would overflow
+/// the stack, which aborts the process instead of failing the query.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 /// Parse a single SELECT statement.
 pub fn parse_select(sql: &str) -> Result<Select, EngineError> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0, deepest: 0 };
     let sel = p.select()?;
     p.eat_symbol(Sym::Semicolon); // optional trailing semicolon
     if !p.at_end() {
@@ -20,6 +26,12 @@ pub fn parse_select(sql: &str) -> Result<Select, EngineError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Tree level of the node being parsed.
+    depth: usize,
+    /// Deepest level of any node parsed since the enclosing
+    /// [`left_assoc`](Parser::left_assoc) chain began — at least `depth`,
+    /// more once later operators of a chain pushed earlier operands down.
+    deepest: usize,
 }
 
 impl Parser {
@@ -45,6 +57,47 @@ impl Parser {
 
     fn err(&self, message: &str) -> EngineError {
         EngineError::Parse { message: message.to_string() }
+    }
+
+    /// Record that a node sits at `level`, or refuse past [`MAX_DEPTH`].
+    fn reach(&mut self, level: usize) -> Result<(), EngineError> {
+        self.deepest = self.deepest.max(level);
+        if self.deepest > MAX_DEPTH {
+            return Err(self.err(&format!("query nests deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// Parse `part` one tree level further down.
+    fn nested<T>(
+        &mut self,
+        part: impl FnOnce(&mut Self) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        self.depth += 1;
+        self.reach(self.depth)?;
+        let parsed = part(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// `operand (op operand)*`, folded to the left. Every operator becomes
+    /// the parent of all that the chain has parsed so far, so the tree grows
+    /// a level per operator without the parser recursing — counted here.
+    fn left_assoc(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, EngineError>,
+        operator: fn(&Token) -> Option<BinOp>,
+    ) -> Result<Expr, EngineError> {
+        let outside = std::mem::replace(&mut self.deepest, self.depth);
+        let mut left = operand(self)?;
+        while let Some(op) = self.peek().and_then(operator) {
+            self.pos += 1;
+            self.reach(self.deepest + 1)?;
+            let right = self.nested(operand)?;
+            left = Expr::bin(op, left, right);
+        }
+        self.deepest = self.deepest.max(outside);
+        Ok(left)
     }
 
     /// Is the current token the given keyword (case-insensitive)?
@@ -182,71 +235,50 @@ impl Parser {
             return Ok(Projection::Wildcard);
         }
         let expr = self.expr()?;
-        let alias = if self.eat_keyword("AS") {
-            Some(self.ident()?)
-        } else if let Some(Token::Ident(s)) = self.peek() {
-            // bare alias (not a keyword)
-            if !is_reserved(s) {
+        Ok(Projection::Expr { expr, alias: self.alias()? })
+    }
+
+    /// `AS name`, or a bare name that is not a keyword.
+    fn alias(&mut self) -> Result<Option<String>, EngineError> {
+        if self.eat_keyword("AS") {
+            return self.ident().map(Some);
+        }
+        match self.peek() {
+            Some(Token::Ident(s)) if !is_reserved(s) => {
                 let s = s.clone();
                 self.pos += 1;
-                Some(s)
-            } else {
-                None
+                Ok(Some(s))
             }
-        } else {
-            None
-        };
-        Ok(Projection::Expr { expr, alias })
+            _ => Ok(None),
+        }
     }
 
     fn table_ref(&mut self) -> Result<TableRef, EngineError> {
         let first = self.ident()?;
         let (database, table) =
             if self.eat_symbol(Sym::Dot) { (Some(first), self.ident()?) } else { (None, first) };
-        let alias = if self.eat_keyword("AS") {
-            Some(self.ident()?)
-        } else if let Some(Token::Ident(s)) = self.peek() {
-            if !is_reserved(s) {
-                let s = s.clone();
-                self.pos += 1;
-                Some(s)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        Ok(TableRef { database, table, alias })
+        Ok(TableRef { database, table, alias: self.alias()? })
     }
 
     fn expr(&mut self) -> Result<Expr, EngineError> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr, EngineError> {
-        let mut left = self.and_expr()?;
-        while self.eat_keyword("OR") {
-            let right = self.and_expr()?;
-            left = Expr::bin(BinOp::Or, left, right);
-        }
-        Ok(left)
+        self.left_assoc(Self::and_expr, |t| keyword_op(t, "OR", BinOp::Or))
     }
 
     fn and_expr(&mut self) -> Result<Expr, EngineError> {
-        let mut left = self.not_expr()?;
-        while self.eat_keyword("AND") {
-            let right = self.not_expr()?;
-            left = Expr::bin(BinOp::And, left, right);
-        }
-        Ok(left)
+        self.left_assoc(Self::not_expr, |t| keyword_op(t, "AND", BinOp::And))
     }
 
     fn not_expr(&mut self) -> Result<Expr, EngineError> {
         if self.eat_keyword("NOT") {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             return Ok(Expr::Not(Box::new(inner)));
         }
-        self.comparison()
+        // The comparison node sits at this level, its operands one down.
+        self.nested(Self::comparison)
     }
 
     fn comparison(&mut self) -> Result<Expr, EngineError> {
@@ -291,7 +323,11 @@ impl Parser {
             let high = self.additive()?;
             let between =
                 Expr::Between { expr: Box::new(left), low: Box::new(low), high: Box::new(high) };
-            return Ok(if negated { Expr::Not(Box::new(between)) } else { between });
+            if negated {
+                self.reach(self.deepest + 1)?; // NOT goes above the BETWEEN
+                return Ok(Expr::Not(Box::new(between)));
+            }
+            return Ok(between);
         }
         if negated {
             return Err(self.err("expected LIKE, IN or BETWEEN after NOT"));
@@ -314,40 +350,24 @@ impl Parser {
     }
 
     fn additive(&mut self) -> Result<Expr, EngineError> {
-        let mut left = self.multiplicative()?;
-        loop {
-            if self.eat_symbol(Sym::Plus) {
-                let r = self.multiplicative()?;
-                left = Expr::bin(BinOp::Add, left, r);
-            } else if self.eat_symbol(Sym::Minus) {
-                let r = self.multiplicative()?;
-                left = Expr::bin(BinOp::Sub, left, r);
-            } else {
-                break;
-            }
-        }
-        Ok(left)
+        self.left_assoc(Self::multiplicative, |t| match t {
+            Token::Symbol(Sym::Plus) => Some(BinOp::Add),
+            Token::Symbol(Sym::Minus) => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn multiplicative(&mut self) -> Result<Expr, EngineError> {
-        let mut left = self.unary()?;
-        loop {
-            if self.eat_symbol(Sym::Star) {
-                let r = self.unary()?;
-                left = Expr::bin(BinOp::Mul, left, r);
-            } else if self.eat_symbol(Sym::Slash) {
-                let r = self.unary()?;
-                left = Expr::bin(BinOp::Div, left, r);
-            } else {
-                break;
-            }
-        }
-        Ok(left)
+        self.left_assoc(Self::unary, |t| match t {
+            Token::Symbol(Sym::Star) => Some(BinOp::Mul),
+            Token::Symbol(Sym::Slash) => Some(BinOp::Div),
+            _ => None,
+        })
     }
 
     fn unary(&mut self) -> Result<Expr, EngineError> {
         if self.eat_symbol(Sym::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(Expr::Neg(Box::new(inner)));
         }
         self.primary()
@@ -431,6 +451,10 @@ impl Parser {
             other => Err(self.err(&format!("unexpected token {other:?} in expression"))),
         }
     }
+}
+
+fn keyword_op(token: &Token, keyword: &str, op: BinOp) -> Option<BinOp> {
+    matches!(token, Token::Ident(s) if s.eq_ignore_ascii_case(keyword)).then_some(op)
 }
 
 /// Keywords that cannot serve as bare identifiers/aliases.
@@ -558,6 +582,53 @@ mod tests {
     #[test]
     fn reject_unsupported_union() {
         assert!(parse_select("SELECT a FROM t UNION SELECT b FROM u").is_err());
+    }
+
+    /// Every way the grammar can nest, `n` levels deep.
+    const NESTINGS: [fn(usize) -> String; 6] = [
+        |n| format!("SELECT {}x{} FROM t", "(".repeat(n), ")".repeat(n)),
+        |n| format!("SELECT x{} FROM t", " + x".repeat(n)),
+        |n| format!("SELECT {}x FROM t", "- ".repeat(n)),
+        |n| format!("SELECT x FROM t WHERE {}x = 1", "NOT ".repeat(n)),
+        |n| format!("SELECT x FROM t WHERE x = 1{}", " AND x NOT BETWEEN 0 AND MAX(x)".repeat(n)),
+        |n| format!("SELECT {}x{} FROM t", "(SELECT ".repeat(n), " FROM t)".repeat(n)),
+    ];
+
+    #[test]
+    fn nesting_is_bounded_and_the_limit_survives_every_tree_walker() {
+        use crate::{
+            compile, exec, render_select, DataType, Database, DatabaseSchema, TableSchema,
+        };
+        let mut schema = DatabaseSchema::new("d");
+        schema.add_table(TableSchema::new("t").column("x", DataType::Int));
+        let mut db = Database::from_schema(&schema);
+        db.insert("t", vec![Value::Int(1)]).unwrap();
+        // On a default-stack thread, like every pool worker: unbounded
+        // recursion here aborted the whole process, not just the thread.
+        let default_stack = std::thread::spawn(move || {
+            let prepared = compile::PreparedDb::prepare(&db);
+            for nesting in NESTINGS {
+                for n in [MAX_DEPTH + 1, 5_000] {
+                    match parse_select(&nesting(n)) {
+                        Err(EngineError::Parse { message }) => {
+                            assert!(message.contains("nests deeper than 128"), "{message}")
+                        }
+                        other => panic!("{n} levels: {other:?}"),
+                    }
+                }
+                // The deepest query of this shape the parser still accepts
+                // goes through everything that recurses over its tree.
+                let sql = (1..=MAX_DEPTH).rev().map(nesting).find(|q| parse_select(q).is_ok());
+                let sql = sql.expect("some depth parses");
+                let select = parse_select(&sql).unwrap();
+                let compiled = compile::compile(&prepared, &select)
+                    .and_then(|plan| compile::run(&prepared, &plan));
+                let interpreted = exec::interpret(&db, &sql);
+                assert_eq!(format!("{compiled:?}"), format!("{interpreted:?}"), "{sql}");
+                assert!(render_select(&select).starts_with("SELECT"));
+            }
+        });
+        default_stack.join().expect("typed errors past the limit, no overflow at it");
     }
 
     #[test]

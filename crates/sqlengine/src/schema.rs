@@ -23,11 +23,6 @@ impl ColumnDef {
     pub fn new(name: impl Into<String>, ty: DataType) -> Self {
         ColumnDef { name: name.into(), ty, comment: None }
     }
-
-    pub fn with_comment(mut self, comment: impl Into<String>) -> Self {
-        self.comment = Some(comment.into());
-        self
-    }
 }
 
 /// A foreign-key constraint: `table.column → ref_table.ref_column`.

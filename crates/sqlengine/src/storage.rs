@@ -100,11 +100,6 @@ impl Database {
         }
     }
 
-    /// Total number of rows across tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.values().map(Table::len).sum()
-    }
-
     /// The schema view of this database.
     pub fn schema(&self) -> DatabaseSchema {
         let mut s = DatabaseSchema::new(self.name.clone());
@@ -133,10 +128,6 @@ impl Store {
 
     pub fn database(&self, name: &str) -> Option<&Database> {
         self.databases.get(name)
-    }
-
-    pub fn database_mut(&mut self, name: &str) -> Option<&mut Database> {
-        self.databases.get_mut(name)
     }
 }
 
