@@ -43,7 +43,8 @@ const SEC_VOCAB: [u8; 4] = *b"VOCB";
 /// Schema-graph section (JSON payload).
 const SEC_GRAPH: [u8; 4] = *b"GRPH";
 /// Sharded-bundle manifest section: shard count, per-shard database names
-/// and `(offset, len)` ranges into the `SBDL` payload.
+/// and `(offset, len)` ranges into the `SBDL` payload; then, each optional
+/// and trailing, the calibration probes and the per-shard backgrounds.
 const SEC_SHARDS: [u8; 4] = *b"SHRD";
 /// Concatenated per-shard router bundles (each itself a full `DBC1`
 /// container; empty shards contribute zero bytes).
@@ -143,9 +144,9 @@ pub fn load_router_file(path: impl AsRef<Path>) -> Result<DbcRouter, PersistErro
 // ---------------------------------------------------------------------
 
 /// Encode a sharded router as one `DBC1` container: a `SHRD` manifest
-/// (shard count, per-shard database names, per-shard byte ranges), the
-/// tier's `RCFG` config, and an `SBDL` payload holding each shard's own
-/// complete router bundle back to back.
+/// (shard count, per-shard database names and byte ranges, the calibration
+/// probes, per-shard backgrounds), the tier's `RCFG` config, and an `SBDL`
+/// payload holding each shard's own complete router bundle back to back.
 ///
 /// Shards that were loaded lazily and never decoded are *spliced through as
 /// raw bytes* — re-saving a 64-shard bundle after a one-shard
@@ -185,6 +186,17 @@ pub fn sharded_router_to_vec(router: &ShardedRouter) -> Result<Vec<u8>, PersistE
         manifest.extend_from_slice(&u32::try_from(q.len()).expect("probe length").to_le_bytes());
         manifest.extend_from_slice(q.as_bytes());
     }
+    // Each shard's calibration background where it is known (a flag, then
+    // one `f32` per database name), so a load pre-fills the slot and the
+    // first route after it decodes weights and nothing else. A lazily
+    // loaded slot writes back exactly what it was loaded with.
+    for slot in slots {
+        let background = slot.cached_background();
+        manifest.push(u8::from(background.is_some()));
+        for score in background.unwrap_or_default() {
+            manifest.extend_from_slice(&score.to_le_bytes());
+        }
+    }
     let sections = vec![
         Section::new(SEC_SHARDS, manifest),
         Section::new(SEC_CONFIG, serde_json::to_vec(router.config())?),
@@ -214,6 +226,7 @@ struct ShardManifestEntry {
     names: Vec<String>,
     offset: usize,
     len: usize,
+    background: Option<Vec<f32>>,
 }
 
 /// Load a sharded router from an owned byte buffer.
@@ -242,7 +255,12 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
                 // the blob's position inside the file is the pointer delta.
                 let blob_base = blob.as_ptr() as usize - bytes.as_ptr() as usize;
                 let mut r = codec::Reader::new(&manifest_sec.bytes);
-                let count = r.take_u32("shard count")? as usize;
+                // Every count below is checked against the bytes that are
+                // left before anything is sized by it: a bundle arrives over
+                // `/admin/publish`, and a crafted count must fail as
+                // truncation, not abort the process in `with_capacity`.
+                // (Smallest shard entry: a name count and an 8 + 8 byte range.)
+                let count = r.take_count("shard count", 4 + 8 + 8)?;
                 if count == 0 {
                     return Err(PersistError::Corrupt(
                         "sharded bundle declares zero shards".to_string(),
@@ -250,7 +268,7 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
                 }
                 let mut entries = Vec::with_capacity(count);
                 for shard in 0..count {
-                    let n_names = r.take_u32("shard database count")? as usize;
+                    let n_names = r.take_count("shard database count", 4)?;
                     let mut names = Vec::with_capacity(n_names);
                     for _ in 0..n_names {
                         let len = r.take_u32("database name length")? as usize;
@@ -283,14 +301,14 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
                         // Weight decoding stays deferred.
                         codec::decode_container(&blob[offset..end])?;
                     }
-                    entries.push(ShardManifestEntry { names, offset, len });
+                    entries.push(ShardManifestEntry { names, offset, len, background: None });
                 }
                 // Calibration probes: absent in manifests written before
                 // the field existed, in which case calibration falls back
                 // to uncentred conditional walks.
                 let mut probes = Vec::new();
                 if !r.at_end() {
-                    let n_probes = r.take_u32("probe count")? as usize;
+                    let n_probes = r.take_count("probe count", 4)?;
                     probes.reserve(n_probes);
                     for i in 0..n_probes {
                         let len = r.take_u32("probe length")? as usize;
@@ -299,6 +317,19 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
                             PersistError::Corrupt(format!("probe question {i} is not UTF-8"))
                         })?;
                         probes.push(q.to_string());
+                    }
+                }
+                // Calibration backgrounds: absent in manifests written
+                // before the field existed, in which case each shard
+                // computes its own on its first calibrated route. The
+                // length is the shard's name count — a field of any other
+                // size leaves bytes over or runs out of them below.
+                if !r.at_end() {
+                    for entry in &mut entries {
+                        if r.take_array::<1>("background flag")?[0] != 0 {
+                            entry.background =
+                                Some(r.take_f32s(entry.names.len(), "shard background")?);
+                        }
                     }
                 }
                 r.expect_end()?;
@@ -318,6 +349,7 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
                         Arc::clone(&bundle),
                         blob_base + e.offset,
                         e.len,
+                        e.background,
                     ))
                 })
                 .collect();
@@ -827,6 +859,176 @@ mod tests {
         match load_router_slice(&bundle_with_store(&router, &store)) {
             Err(PersistError::Corrupt(msg)) => assert!(msg.contains("q_proj.w"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // sharded manifests: the persisted calibration background, and counts
+    // nobody may allocate by
+    // -----------------------------------------------------------------
+
+    const QUESTIONS: [&str; 4] =
+        ["how many vocalists", "population of towns", "list the volumes", "who wrote the book"];
+
+    /// Four shards over three databases: calibrated, with an empty shard.
+    fn sharded_tier() -> ShardedRouter {
+        let mut examples = examples();
+        examples.extend((0..12).map(|_| TrainExample {
+            question: "list the volumes".into(),
+            schema: QuerySchema::new("library", vec!["book".into()]),
+        }));
+        let mut cfg = RouterConfig::tiny();
+        cfg.epochs = 5;
+        let (tier, _) =
+            ShardedRouter::fit(&collection(true), &examples, cfg, SerializationMode::Dfs, 4);
+        assert!(tier.slots().iter().filter(|s| !s.db_names().is_empty()).count() > 1);
+        tier
+    }
+
+    type RoutingBits = (Vec<(String, String, u32)>, Vec<(String, u32)>);
+
+    fn routing_bits(tier: &ShardedRouter) -> Vec<RoutingBits> {
+        use dbcopilot_retrieval::SchemaRouter;
+        QUESTIONS
+            .iter()
+            .map(|q| {
+                let r = tier.route(q, 10);
+                (
+                    r.tables.into_iter().map(|(d, t, s)| (d, t, s.to_bits())).collect(),
+                    r.databases.into_iter().map(|(d, s)| (d, s.to_bits())).collect(),
+                )
+            })
+            .collect()
+    }
+
+    fn background_bits(tier: &ShardedRouter) -> Vec<Option<Vec<u32>>> {
+        tier.slots()
+            .iter()
+            .map(|slot| slot.cached_background().map(|b| b.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    /// `bundle` with its `SHRD` manifest rewritten by `edit`.
+    fn with_manifest(bundle: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut sections = codec::decode_container(bundle).unwrap();
+        let manifest = sections.iter_mut().find(|s| s.tag == SEC_SHARDS).expect("SHRD section");
+        edit(manifest.bytes.to_mut());
+        codec::encode_container(&sections)
+    }
+
+    /// Bytes the trailing background field takes in `tier`'s manifest.
+    fn background_field_len(tier: &ShardedRouter) -> usize {
+        tier.slots().iter().map(|s| 1 + 4 * s.cached_background().map_or(0, <[f32]>::len)).sum()
+    }
+
+    #[test]
+    fn fitted_tier_persists_its_background_and_a_reload_walks_nothing() {
+        let fitted = sharded_tier();
+        let want_background = background_bits(&fitted);
+        for (slot, background) in fitted.slots().iter().zip(&want_background) {
+            // Computed by the fit, for exactly the shards that can route.
+            assert_eq!(
+                background.as_ref().map(Vec::len),
+                slot.router().map(|_| slot.db_names().len())
+            );
+        }
+        let want = routing_bits(&fitted);
+
+        let loaded = load_sharded_router_bytes(sharded_router_to_vec(&fitted).unwrap()).unwrap();
+        // Pre-filled from the manifest while nothing is decoded yet: there
+        // is no router that could have walked a name, and the first route
+        // finds the cell full.
+        assert_eq!(loaded.loaded_shards(), 0);
+        assert_eq!(background_bits(&loaded), want_background);
+        assert_eq!(routing_bits(&loaded), want, "scores drifted through the bundle");
+    }
+
+    #[test]
+    fn manifest_without_the_background_field_loads_and_computes_it_lazily() {
+        let fitted = sharded_tier();
+        let strip = background_field_len(&fitted);
+        let old_format = with_manifest(&sharded_router_to_vec(&fitted).unwrap(), |manifest| {
+            manifest.truncate(manifest.len() - strip)
+        });
+        let loaded = load_sharded_router_bytes(old_format).unwrap();
+        assert!(background_bits(&loaded).iter().all(Option::is_none), "nothing to pre-fill from");
+        assert_eq!(routing_bits(&loaded), routing_bits(&fitted), "lazy path scores differently");
+        assert_eq!(background_bits(&loaded), background_bits(&fitted), "same walks, same sums");
+    }
+
+    #[test]
+    fn extend_computes_the_background_of_the_retrained_shard_only() {
+        let fitted = sharded_tier();
+        let mut grown = collection(true);
+        let mut d = DatabaseSchema::new("aquarium");
+        for t in ["tank", "fish"] {
+            d.add_table(TableSchema::new(t).column("id", DataType::Int).primary(0));
+        }
+        grown.add_database(d);
+        let questioner = Questioner::train(
+            &[dbcopilot_synth::TrainPair {
+                entities: vec!["fish".into()],
+                attrs: vec![],
+                question: "how many fish live in the tank".into(),
+            }],
+            &dbcopilot_synth::QuestionerConfig::default(),
+        );
+        let meta = dbcopilot_synth::CorpusMeta::default();
+        let (extended, retrained) = fitted.extend(&grown, &meta, &questioner, 24, 2).unwrap();
+        let owner = fitted.shard_of_db("aquarium");
+        assert_eq!(retrained.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![owner]);
+        for (s, (old, new)) in fitted.slots().iter().zip(extended.slots()).enumerate() {
+            if s == owner {
+                let background = new.cached_background().expect("computed by the extend");
+                assert_eq!(background.len(), new.db_names().len());
+            } else {
+                // The very same slot: its background cell is already full
+                // (or the shard is empty) and cannot be computed again.
+                assert!(Arc::ptr_eq(old, new), "shard {s} was rebuilt");
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_manifest_counts_are_corrupt_not_an_aborting_allocation() {
+        let fitted = sharded_tier();
+        let bundle = sharded_router_to_vec(&fitted).unwrap();
+        let max = u32::MAX.to_le_bytes();
+        // (what the refusal must name, the bundle)
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("shard count of 4294967295", with_manifest(&bundle, |m| *m = max.to_vec())),
+            (
+                // one shard; the range bytes are there, the names are not
+                "shard database count of 4294967295",
+                with_manifest(&bundle, |m| {
+                    *m = [&1u32.to_le_bytes()[..], &max, &[0u8; 16]].concat()
+                }),
+            ),
+            (
+                // one empty shard, then the probe count
+                "probe count of 4294967295",
+                with_manifest(&bundle, |m| {
+                    *m = [&1u32.to_le_bytes()[..], &0u32.to_le_bytes(), &[0u8; 16], &max].concat()
+                }),
+            ),
+            // a background sized for another name count: one float short, one long
+            ("shard background needs", with_manifest(&bundle, |m| m.truncate(m.len() - 4))),
+            ("4 trailing bytes", with_manifest(&bundle, |m| m.extend([0u8; 4]))),
+        ];
+        // On a default-stack thread, as every pool worker is.
+        let verdicts = std::thread::spawn(move || {
+            cases
+                .into_iter()
+                .map(|(what, bytes)| (what, load_sharded_router_bytes(bytes)))
+                .collect::<Vec<_>>()
+        })
+        .join()
+        .expect("a hostile manifest must not take the thread down");
+        for (what, verdict) in verdicts {
+            match verdict {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 

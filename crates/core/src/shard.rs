@@ -21,6 +21,8 @@
 //!   [`crate::persist::load_sharded_router_bytes`]) decodes a shard's
 //!   weights behind a [`OnceLock`] on first touch, so a 64-shard bundle
 //!   serves its first request after loading one shard, not all of them.
+//!   The calibration background is *not* part of that first touch: `fit`
+//!   and `extend` compute it and the bundle manifest carries it.
 //!
 //! The partition depends only on database names — never on thread count,
 //! machine, or load order — so a collection shards identically everywhere.
@@ -77,8 +79,9 @@ pub(crate) struct ShardSlot {
     /// Per-database background scores (aligned with `db_names`): the mean
     /// name-walk log-probability over the tier's shared probe questions —
     /// each model's per-name bias under a common question distribution,
-    /// subtracted out by the cross-shard score calibration. Computed once
-    /// on first calibrated route.
+    /// subtracted out by the cross-shard score calibration. Filled by
+    /// `fit`/`extend` or from the bundle manifest; a slot loaded from a
+    /// manifest without the field computes it on its first calibrated route.
     background: OnceLock<Vec<f32>>,
 }
 
@@ -96,26 +99,35 @@ impl ShardSlot {
         }
     }
 
-    /// A slot that decodes `bundle[offset..offset + len]` on first touch.
+    /// A slot that decodes `bundle[offset..offset + len]` on first touch,
+    /// with the background scores the manifest carried for it (if any).
     pub(crate) fn lazy(
         db_names: Vec<String>,
         bundle: Arc<Vec<u8>>,
         offset: usize,
         len: usize,
+        background: Option<Vec<f32>>,
     ) -> Self {
         ShardSlot {
             db_names,
             lazy: Some(LazyShard { bundle, offset, len }),
             router: OnceLock::new(),
             routes: AtomicU64::new(0),
-            background: OnceLock::new(),
+            background: background.map(OnceLock::from).unwrap_or_default(),
         }
     }
 
-    /// The cached per-database background scores, computing them on first
-    /// use: for each database, the mean full-vocabulary name-walk
-    /// log-probability over `probes`. With no probes every background is
-    /// zero and calibration degrades to the raw conditional walk.
+    /// The background scores if they are already known — what a save
+    /// writes into the manifest.
+    pub(crate) fn cached_background(&self) -> Option<&[f32]> {
+        self.background.get().map(Vec::as_slice)
+    }
+
+    /// The per-database background scores, computing them if neither a fit
+    /// nor the manifest supplied them: for each database, the mean
+    /// full-vocabulary name-walk log-probability over `probes`. With no
+    /// probes every background is zero and calibration degrades to the raw
+    /// conditional walk.
     fn background(&self, router: &DbcRouter, probes: &[String]) -> &[f32] {
         self.background.get_or_init(|| {
             self.db_names
@@ -250,15 +262,30 @@ impl ShardedRouter {
         // caller's, never thread-count dependent).
         let probes: Vec<String> =
             examples.iter().take(CALIBRATION_PROBES).map(|ex| ex.question.clone()).collect();
-        (
-            ShardedRouter {
-                shards,
-                cfg,
-                label: format!("DBCopilot (sharded x{num_shards})"),
-                probes: Arc::new(probes),
-            },
-            all_stats,
-        )
+        let tier = ShardedRouter {
+            shards,
+            cfg,
+            label: format!("DBCopilot (sharded x{num_shards})"),
+            probes: Arc::new(probes),
+        };
+        tier.fill_backgrounds();
+        (tier, all_stats)
+    }
+
+    /// Compute the calibration background of every resident shard that does
+    /// not have one yet, data-parallel over shards — so the first route
+    /// after a fit, an extend or a bundle load never pays for it. Shards
+    /// still undecoded keep whatever their manifest gave them; a 1-shard
+    /// tier never calibrates and needs none.
+    fn fill_backgrounds(&self) {
+        if self.shards.len() == 1 {
+            return;
+        }
+        dbcopilot_runtime::pooled_map(&self.shards, |_, slot| {
+            if let Some(Some(router)) = slot.router.get() {
+                slot.background(router, &self.probes);
+            }
+        });
     }
 
     /// Wrap an existing monolithic router as a 1-shard tier (how
@@ -446,15 +473,14 @@ impl ShardedRouter {
             shards.push(Arc::new(ShardSlot::eager(db_names, router)));
             retrained.push((s, stats));
         }
-        Ok((
-            ShardedRouter {
-                shards,
-                cfg: self.cfg.clone(),
-                label: self.label.clone(),
-                probes: Arc::clone(&self.probes),
-            },
-            retrained,
-        ))
+        let tier = ShardedRouter {
+            shards,
+            cfg: self.cfg.clone(),
+            label: self.label.clone(),
+            probes: Arc::clone(&self.probes),
+        };
+        tier.fill_backgrounds();
+        Ok((tier, retrained))
     }
 }
 

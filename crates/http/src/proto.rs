@@ -24,6 +24,7 @@
 //! stalls mid-request is evicted when the deadline lapses, never held
 //! forever.
 
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -472,11 +473,7 @@ impl Response {
     /// reflecting what the server will actually do.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
         let mut out = String::with_capacity(128 + self.body.len());
-        out.push_str("HTTP/1.1 ");
-        out.push_str(&self.status.to_string());
-        out.push(' ');
-        out.push_str(reason(self.status));
-        out.push_str("\r\n");
+        let _ = write!(out, "HTTP/1.1 {} {}\r\n", self.status, reason(self.status));
         for (name, value) in &self.headers {
             out.push_str(name);
             out.push_str(": ");
@@ -486,9 +483,7 @@ impl Response {
         if !self.body.is_empty() {
             out.push_str("content-type: application/json\r\n");
         }
-        out.push_str("content-length: ");
-        out.push_str(&self.body.len().to_string());
-        out.push_str("\r\n");
+        let _ = write!(out, "content-length: {}\r\n", self.body.len());
         out.push_str(if keep_alive {
             "connection: keep-alive\r\n"
         } else {

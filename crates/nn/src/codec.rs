@@ -209,18 +209,13 @@ pub fn decode_store_section(bytes: &[u8]) -> Result<ParamStore, PersistError> {
             .to_string();
         let rows = r.take_u32("tensor rows")? as usize;
         let cols = r.take_u32("tensor cols")? as usize;
-        let byte_len = rows.checked_mul(cols).and_then(|n| n.checked_mul(4)).ok_or_else(|| {
+        let n = rows.checked_mul(cols).ok_or_else(|| {
             PersistError::Corrupt(format!("param {name:?} shape {rows}x{cols} overflows"))
         })?;
         // bytes are proven present before any shape-sized allocation, so a
         // crafted huge shape fails as truncation, not as an aborting
         // capacity-overflow panic
-        let raw = r.take_bytes(byte_len, "tensor data")?;
-        let n = byte_len / 4;
-        let mut data = Vec::with_capacity(n);
-        for chunk in raw.chunks_exact(4) {
-            data.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-        }
+        let data = r.take_f32s(n, "tensor data")?;
         if store.id_of(&name).is_some() {
             return Err(PersistError::Corrupt(format!("duplicate param name {name:?}")));
         }
@@ -319,17 +314,8 @@ pub fn decode_quant_section(bytes: &[u8]) -> Result<QuantizedStore, PersistError
         })?;
         // as in `decode_store_section`: prove the bytes exist before any
         // shape-sized allocation, so crafted shapes fail as truncation
-        let raw_scales = r.take_bytes(
-            rows.checked_mul(4).ok_or_else(|| {
-                PersistError::Corrupt(format!("quant entry {name:?} scale bytes overflow"))
-            })?,
-            "quant scales",
-        )?;
+        let scales = r.take_f32s(rows, "quant scales")?;
         let raw_codes = r.take_bytes(code_len, "quant codes")?;
-        let mut scales = Vec::with_capacity(rows);
-        for chunk in raw_scales.chunks_exact(4) {
-            scales.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-        }
         let data: Vec<i8> = raw_codes.iter().map(|&b| b as i8).collect();
         if entries.iter().any(|e| e.name == name) {
             return Err(PersistError::Corrupt(format!("duplicate quant entry name {name:?}")));
@@ -394,6 +380,32 @@ impl<'a> Reader<'a> {
 
     pub fn take_u64(&mut self, what: &str) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take_array::<8>(what)?))
+    }
+
+    /// A `u32` element count, refused unless `min_bytes_each` bytes per
+    /// element still remain: prove the bytes exist before any count-sized
+    /// allocation, so a crafted count fails as truncation rather than as an
+    /// aborting multi-gigabyte `Vec::with_capacity`.
+    pub fn take_count(&mut self, what: &str, min_bytes_each: usize) -> Result<usize, PersistError> {
+        let count = self.take_u32(what)? as usize;
+        let remaining = self.bytes.len() - self.pos;
+        match count.checked_mul(min_bytes_each) {
+            Some(need) if need <= remaining => Ok(count),
+            _ => Err(PersistError::Corrupt(format!(
+                "truncated file: {what} of {count} needs at least {min_bytes_each} bytes each \
+                 at offset {} but only {remaining} remain",
+                self.pos
+            ))),
+        }
+    }
+
+    /// `n` little-endian `f32`s.
+    pub fn take_f32s(&mut self, n: usize, what: &str) -> Result<Vec<f32>, PersistError> {
+        let byte_len = n
+            .checked_mul(4)
+            .ok_or_else(|| PersistError::Corrupt(format!("{what} of {n} floats overflows")))?;
+        let raw = self.take_bytes(byte_len, what)?;
+        Ok(raw.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
     }
 
     /// Whether every byte has been consumed — lets readers accept files
