@@ -1,9 +1,11 @@
 //! `dbcopilot-bench` — experiment binaries (`exp_*`) regenerating every
-//! table and figure of the paper, plus Criterion micro-benchmarks.
+//! table and figure of the paper.
 //!
 //! Run with `DBC_SCALE=quick` for a fast smoke pass or leave unset for the
 //! full (paper-shaped) scale. Every binary prints the corresponding paper
-//! table/figure in plain text; EXPERIMENTS.md records paper-vs-measured.
+//! table/figure in plain text (a committed paper-vs-measured artifact is
+//! ROADMAP item 2). System performance is not measured here: that is
+//! `exp_perf/`.
 //!
 //! ```
 //! use dbcopilot_bench::render_routing_rows;

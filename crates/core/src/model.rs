@@ -99,6 +99,34 @@ pub struct RouterModel {
 }
 
 impl RouterModel {
+    /// Name and shape of every parameter [`RouterModel::new`] registers, in
+    /// registration order, without allocating one of them — what a loader
+    /// holds an untrusted config against before it lets `new` run. `None`
+    /// when `dim + hidden` overflows.
+    pub fn param_shapes(
+        cfg: &RouterConfig,
+        vocab_size: usize,
+    ) -> Option<[(&'static str, (usize, usize)); 14]> {
+        let (dim, hidden) = (cfg.dim, cfg.hidden);
+        let gru_in = dim.checked_add(hidden)?;
+        Some([
+            ("q_emb.weight", (cfg.buckets, dim)),
+            ("q_proj.w", (dim, hidden)),
+            ("q_proj.b", (1, hidden)),
+            ("dec_emb.weight", (vocab_size, dim)),
+            ("gru.wz", (gru_in, hidden)),
+            ("gru.uz", (hidden, hidden)),
+            ("gru.wr", (gru_in, hidden)),
+            ("gru.ur", (hidden, hidden)),
+            ("gru.wh", (gru_in, hidden)),
+            ("gru.uh", (hidden, hidden)),
+            ("gru.bz", (1, hidden)),
+            ("gru.br", (1, hidden)),
+            ("gru.bh", (1, hidden)),
+            ("out_emb.weight", (vocab_size, hidden)),
+        ])
+    }
+
     pub fn new(cfg: RouterConfig, vocab_size: usize) -> Self {
         let mut store = ParamStore::new();
         let mut rng = dbcopilot_nn::init::seeded_rng(cfg.seed);
@@ -228,6 +256,16 @@ mod tests {
         assert_eq!(lp.len(), 3);
         let sum: f32 = lp.iter().map(|v| v.exp()).sum();
         assert!((sum - 1.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn param_shapes_is_what_new_registers() {
+        let cfg = RouterConfig::tiny();
+        let m = RouterModel::new(cfg.clone(), 50);
+        let registered: Vec<_> = m.store.iter_values().map(|(n, v)| (n, v.shape())).collect();
+        assert_eq!(registered, RouterModel::param_shapes(&cfg, 50).expect("tiny sizes"));
+        let wide = RouterConfig { dim: usize::MAX, ..cfg };
+        assert!(RouterModel::param_shapes(&wide, 50).is_none(), "dim + hidden overflows");
     }
 
     #[test]

@@ -102,12 +102,14 @@ pub fn load_router_slice(bytes: &[u8]) -> Result<DbcRouter, PersistError> {
         None => None,
     };
 
+    // `cfg` is untrusted JSON and `RouterModel::new` allocates and
+    // random-initialises every tensor it implies, so it is held against the
+    // decoded store — whose size the bytes present have already proven —
+    // *before* anything is built from it. The layer structs hold ParamIds
+    // bound during `new`, so a store that differed in names, order or shapes
+    // would have those ids silently address the wrong tensors.
+    validate_config(&cfg, vocab.len(), &store)?;
     let mut model = RouterModel::new(cfg, vocab.len());
-    // The layer structs hold ParamIds bound during `RouterModel::new`; the
-    // loaded store must present the same parameters, in the same order, with
-    // the same shapes, or those ids would silently address the wrong
-    // tensors. Corrupted or truncated files fail here with a typed error.
-    validate_store_layout(&model.store, &store)?;
     model.store = store;
     if let Some(qs) = quant {
         // The quantized store is addressed by the same ParamIds, so it must
@@ -384,10 +386,27 @@ pub fn router_disk_size(router: &DbcRouter) -> Result<usize, PersistError> {
     Ok(codec::container_len(&lens))
 }
 
-/// Verify that `loaded` matches the freshly-initialized `expected` layout:
-/// same parameter count, names, registration order, shapes, and a
-/// consistent name table.
-fn validate_store_layout(expected: &ParamStore, loaded: &ParamStore) -> Result<(), PersistError> {
+/// Widest beam (and most beam groups) a loaded config may ask for. Both
+/// size a vector on every route; the paper decodes with 10.
+const MAX_DECODE_WIDTH: usize = 4096;
+
+/// Verify that `loaded` is the layout `cfg` and `vocab_size` imply — same
+/// parameter count, names, registration order, shapes, and a consistent
+/// name table — and that the decode widths are ones a route can allocate.
+fn validate_config(
+    cfg: &RouterConfig,
+    vocab_size: usize,
+    loaded: &ParamStore,
+) -> Result<(), PersistError> {
+    if cfg.beams > MAX_DECODE_WIDTH || cfg.beam_groups > MAX_DECODE_WIDTH {
+        return Err(PersistError::Corrupt(format!(
+            "config asks for {} beams in {} groups, at most {MAX_DECODE_WIDTH} are supported",
+            cfg.beams, cfg.beam_groups
+        )));
+    }
+    let expected = RouterModel::param_shapes(cfg, vocab_size).ok_or_else(|| {
+        PersistError::Corrupt(format!("config dim {} + hidden {} overflows", cfg.dim, cfg.hidden))
+    })?;
     if loaded.len() != expected.len() {
         return Err(PersistError::Corrupt(format!(
             "parameter count mismatch: file has {}, config implies {}",
@@ -395,22 +414,21 @@ fn validate_store_layout(expected: &ParamStore, loaded: &ParamStore) -> Result<(
             expected.len()
         )));
     }
-    for (i, ((ename, evalue), (lname, lvalue))) in
-        expected.iter_values().zip(loaded.iter_values()).enumerate()
+    for (i, ((ename, eshape), (lname, lvalue))) in
+        expected.into_iter().zip(loaded.iter_values()).enumerate()
     {
         if ename != lname {
             return Err(PersistError::Corrupt(format!(
                 "parameter {i} is {lname:?}, expected {ename:?}"
             )));
         }
-        if evalue.shape() != lvalue.shape() {
+        if eshape != lvalue.shape() {
             return Err(PersistError::Corrupt(format!(
-                "parameter {lname:?} has shape {:?}, config implies {:?}",
+                "parameter {lname:?} has shape {:?}, config implies {eshape:?}",
                 lvalue.shape(),
-                evalue.shape()
             )));
         }
-        if loaded.id_of(lname) != expected.id_of(ename) {
+        if !loaded.id_of(lname).is_some_and(|id| std::ptr::eq(loaded.value(id), lvalue)) {
             return Err(PersistError::Corrupt(format!(
                 "parameter name table is inconsistent for {lname:?}"
             )));
@@ -859,6 +877,68 @@ mod tests {
         match load_router_slice(&bundle_with_store(&router, &store)) {
             Err(PersistError::Corrupt(msg)) => assert!(msg.contains("q_proj.w"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// `bundle` with its `RCFG` section rewritten by `edit`.
+    fn with_config(bundle: &[u8], edit: impl FnOnce(&mut RouterConfig)) -> Vec<u8> {
+        let mut sections = codec::decode_container(bundle).unwrap();
+        let section = sections.iter_mut().find(|s| s.tag == SEC_CONFIG).expect("RCFG section");
+        let mut cfg: RouterConfig = serde_json::from_slice(&section.bytes).unwrap();
+        edit(&mut cfg);
+        *section.bytes.to_mut() = serde_json::to_vec(&cfg).unwrap();
+        codec::encode_container(&sections)
+    }
+
+    #[test]
+    fn hostile_config_is_corrupt_not_an_aborting_allocation() {
+        let good = router_to_vec(&trained_router()).unwrap();
+        // (what the refusal must name, the edit). `RouterModel::new` would
+        // allocate and initialise whatever these imply — 256 TB for the
+        // first — so none may reach it.
+        type Edit = fn(&mut RouterConfig);
+        let cases: [(&str, Edit); 7] = [
+            ("q_emb.weight", |c| c.buckets = 4_000_000_000_000),
+            ("q_proj.w", |c| c.hidden = 900_000),
+            // dim × buckets wraps `usize`
+            ("q_emb.weight", |c| (c.dim, c.buckets) = (1 << 40, 1 << 40)),
+            ("dim 18446744073709551615 + hidden", |c| c.dim = usize::MAX),
+            // merely inconsistent with the weights
+            ("q_proj.w", |c| c.hidden += 1),
+            // size nothing at load, but a vector on every route
+            ("4000000000000 beams", |c| c.beams = 4_000_000_000_000),
+            ("in 4000000000000 groups", |c| c.beam_groups = 4_000_000_000_000),
+        ];
+        for (what, edit) in cases {
+            let hostile = with_config(&good, edit);
+            match load_router_slice(&hostile) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+
+            // The same bytes as the second shard of a `SHRD` bundle, which
+            // is what `/admin/publish` takes: the manifest and the framing
+            // are sound, so the load succeeds and the refusal surfaces at
+            // that shard's first touch — on a thread that survives it.
+            let blob = Arc::new([&good[..], &hostile[..]].concat());
+            let slot = |name: &str, offset, len| {
+                Arc::new(ShardSlot::lazy(vec![name.into()], Arc::clone(&blob), offset, len, None))
+            };
+            let tier = ShardedRouter::from_parts(
+                vec![
+                    slot("concert_singer", 0, good.len()),
+                    slot("world", good.len(), hostile.len()),
+                ],
+                RouterConfig::tiny(),
+                Vec::new(),
+            );
+            let loaded = load_sharded_router_bytes(sharded_router_to_vec(&tier).unwrap())
+                .expect("manifest and shard framing are intact");
+            assert!(loaded.shard_router(0).is_some(), "the sound shard decodes");
+            let touched = std::thread::scope(|s| s.spawn(|| loaded.shard_router(1)).join());
+            let panic = touched.expect_err("the hostile shard must not decode");
+            let msg = panic.downcast_ref::<String>().expect("a formatted PersistError");
+            assert!(msg.contains("corrupt file") && msg.contains(what), "{what}: {msg}");
         }
     }
 

@@ -1,4 +1,10 @@
 //! Efficiency and resource measurement (Table 5).
+//!
+//! [`measure_concurrent`] is the paper's Table 5 stopwatch and the only
+//! in-process QPS function: it times every routing method (BM25, dense,
+//! CRUSH, DBCopilot) through the same closure. System performance — the
+//! served stack over a socket — is `exp_perf`'s job, which times none of
+//! the baselines.
 
 // dbc-lint: allow(no-wallclock-determinism): this module *measures* wall
 // time (Table 5's QPS column is its deliverable); timings are reported,
@@ -17,7 +23,7 @@ pub struct ResourceReport {
     pub build_secs: f64,
     /// Serialized index/model size.
     pub disk_mb: f64,
-    /// In-memory structure estimate (see EXPERIMENTS.md).
+    /// In-memory structure estimate (the serialized size; see [`report`]).
     pub ram_mb: f64,
 }
 
@@ -34,7 +40,7 @@ pub fn measure_qps(
     })
 }
 
-/// The concurrent-load driver behind every QPS number: `clients` threads
+/// The driver behind every in-process QPS number: `clients` threads
 /// (the caller is the first) issue `total` requests round-robin over
 /// `questions` through `serve_one`, returning requests per second. Pass a
 /// closure over `RouterService::route` or `AskService::ask` and the number
@@ -58,7 +64,7 @@ pub fn measure_concurrent(
     let start = Instant::now();
     std::thread::scope(|s| {
         for client in 1..clients {
-            // dbc-lint: allow(no-raw-spawn): load-generator clients must be
+            // dbc-lint: allow(no-raw-spawn): measurement clients must be
             // independent OS threads — running them on the WorkerPool would
             // serialize the very concurrency being measured.
             s.spawn(move || run_client(client));

@@ -1,8 +1,8 @@
 //! A minimal blocking HTTP/1.1 client: keep-alive connection reuse, JSON
 //! request helpers, raw-byte access for protocol tests.
 //!
-//! This is the counterpart the test battery and the load generator drive
-//! the edge with — it speaks exactly the subset the server speaks
+//! This is the counterpart the test battery, the examples and `exp_perf`
+//! drive the edge with — it speaks exactly the subset the server speaks
 //! (`Content-Length` framing, keep-alive) and exposes the raw socket so
 //! conformance tests can write arbitrary garbage.
 

@@ -56,14 +56,12 @@
 
 pub mod client;
 pub mod histogram;
-pub mod load;
 pub mod proto;
 pub mod server;
 pub mod wire;
 
 pub use client::{HttpClient, HttpResponse};
 pub use histogram::Histogram;
-pub use load::{run_load, Arrival, LoadConfig, LoadReport};
 pub use proto::{Limits, Request, RequestError, Response};
 pub use server::{Dispatcher, HttpConfig, HttpServer, ServerStats, ServiceApp};
 

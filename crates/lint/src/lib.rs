@@ -16,6 +16,7 @@
 //! exception is safe.
 
 pub mod lexer;
+pub mod public_items;
 pub mod rules;
 
 use rules::Scope;
@@ -91,7 +92,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     for top in ["crates", "src"] {
         let dir = root.join(top);
         if dir.is_dir() {
-            collect_rs_files(&dir, &mut files)?;
+            collect_rs_files(&dir, LINT_SKIP_DIRS, &mut files)?;
         }
     }
     files.sort();
@@ -115,20 +116,21 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     Ok(diags)
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Directories the lint walk does not descend into (see [`scope_for`]).
+const LINT_SKIP_DIRS: &[&str] =
+    &["target", "vendor", "tests", "benches", "examples", "fixtures", ".git"];
+
+fn collect_rs_files(dir: &Path, skip: &[&str], out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(
-                name.as_ref(),
-                "target" | "vendor" | "tests" | "benches" | "examples" | "fixtures" | ".git"
-            ) {
+            if skip.contains(&name.as_ref()) {
                 continue;
             }
-            collect_rs_files(&path, out)?;
+            collect_rs_files(&path, skip, out)?;
         } else if name.ends_with(".rs") {
             out.push(path);
         }

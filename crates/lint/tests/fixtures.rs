@@ -113,3 +113,21 @@ fn corpus_names_match_expectations() {
         }
     }
 }
+
+#[test]
+fn public_items_reports_the_orphan_and_not_the_referenced_item() {
+    let file =
+        |name: &str, source: &str, declares| (name.to_string(), source.to_string(), declares);
+    let found = dbcopilot_lint::public_items::unreferenced_in(&[
+        file("crates/x/src/def.rs", include_str!("fixtures/pub_items_def.rs"), true),
+        file("tests/use.rs", include_str!("fixtures/pub_items_use.rs"), false),
+    ]);
+    let found: Vec<String> = found.iter().map(ToString::to_string).collect();
+    assert_eq!(
+        found,
+        [
+            "crates/x/src/def.rs:11: pub fn orphaned_item",
+            "crates/x/src/def.rs:17: pub const ORPHANED_LIMIT",
+        ]
+    );
+}

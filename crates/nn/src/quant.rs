@@ -20,7 +20,7 @@ use crate::tensor::Tensor;
 /// Quantize `src` into `dst`, returning the per-row scale.
 ///
 /// On x86-64 with AVX2 the row runs through a 32-lane kernel that
-/// reproduces [`quantize_row_scalar`] bit for bit (same scale, same codes),
+/// reproduces the portable scalar quantizer bit for bit (same scale, same codes),
 /// so which machine froze a model never shows in its `QNT8` bytes.
 ///
 /// # Panics
@@ -37,11 +37,11 @@ pub fn quantize_row_into(src: &[f32], dst: &mut [i8]) -> f32 {
 }
 
 /// The portable quantizer: the fallback where AVX2 is missing, and the oracle
-/// the AVX2 kernel is tested (and benchmarked) against.
+/// the AVX2 kernel is tested against.
 ///
 /// # Panics
 /// Panics if `dst.len() != src.len()`.
-pub fn quantize_row_scalar(src: &[f32], dst: &mut [i8]) -> f32 {
+pub(crate) fn quantize_row_scalar(src: &[f32], dst: &mut [i8]) -> f32 {
     assert_eq!(src.len(), dst.len(), "quantize_row_scalar length mismatch");
     let max = src.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
     if max == 0.0 {

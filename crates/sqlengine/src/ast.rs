@@ -272,34 +272,6 @@ pub struct Select {
 }
 
 impl Select {
-    /// All table names referenced (FROM, JOINs, and subqueries).
-    pub fn referenced_tables(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_tables(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_tables(&self, out: &mut Vec<String>) {
-        out.push(self.from.table.to_ascii_lowercase());
-        for j in &self.joins {
-            out.push(j.table.table.to_ascii_lowercase());
-        }
-        let mut visit = |e: &Expr| collect_tables_expr(e, out);
-        if let Some(w) = &self.where_clause {
-            visit(w);
-        }
-        if let Some(h) = &self.having {
-            visit(h);
-        }
-        for p in &self.projections {
-            if let Projection::Expr { expr, .. } = p {
-                visit(expr);
-            }
-        }
-    }
-
     fn collect_columns<'a>(&'a self, out: &mut Vec<&'a str>) {
         for p in &self.projections {
             if let Projection::Expr { expr, .. } = p {
@@ -367,34 +339,6 @@ fn find_subqueries<'a>(e: &'a Expr, out: &mut Vec<&'a Select>) {
                 find_subqueries(e, out);
             }
         }
-        _ => {}
-    }
-}
-
-fn collect_tables_expr(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Binary { left, right, .. } => {
-            collect_tables_expr(left, out);
-            collect_tables_expr(right, out);
-        }
-        Expr::Not(x) | Expr::Neg(x) => collect_tables_expr(x, out),
-        Expr::Between { expr, low, high } => {
-            collect_tables_expr(expr, out);
-            collect_tables_expr(low, out);
-            collect_tables_expr(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_tables_expr(expr, out);
-            for e in list {
-                collect_tables_expr(e, out);
-            }
-        }
-        Expr::InSubquery { expr, subquery, .. } => {
-            collect_tables_expr(expr, out);
-            subquery.collect_tables(out);
-        }
-        Expr::ScalarSubquery(s) => s.collect_tables(out),
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => collect_tables_expr(expr, out),
         _ => {}
     }
 }

@@ -399,9 +399,9 @@ impl PreparedStore {
 }
 
 /// Collect every table name a statement references (FROM, JOINs, and all
-/// subqueries, including those in GROUP BY / ORDER BY positions, which
-/// `Select::referenced_tables` skips). Names are kept verbatim so the
-/// prepare filter can reproduce case-insensitive lookup exactly.
+/// subqueries, including those in GROUP BY / ORDER BY positions). Names are
+/// kept verbatim so the prepare filter can reproduce case-insensitive
+/// lookup exactly.
 fn collect_refs(sel: &Select, out: &mut Vec<String>) {
     out.push(sel.from.table.clone());
     for j in &sel.joins {

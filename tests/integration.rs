@@ -143,7 +143,7 @@ fn full_pipeline_answers_questions() {
 
 #[test]
 fn topk_fallback_with_repair_answers_strictly_more_questions() {
-    // The redesign's acceptance criterion: walking the router's top-3
+    // The redesign's acceptance bar: walking the router's top-3
     // candidates with one execution-feedback repair answers strictly more
     // test questions end to end than the old single-candidate path — and
     // never loses one (the fallback loop starts from the same candidate).
