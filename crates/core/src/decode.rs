@@ -47,22 +47,28 @@ impl ConstraintTables {
     /// Panics if a database or table name of `graph` has a piece outside
     /// `vocab` (a vocabulary built from the same graph has them all).
     pub fn build(graph: &SchemaGraph, vocab: &PieceVocab) -> Self {
+        Self::try_build(graph, vocab)
+            .unwrap_or_else(|name| panic!("name pieces of {name:?} must be in vocab"))
+    }
+
+    /// [`Self::build`] for a pair that did not come from one graph (a loaded
+    /// bundle): `Err` is the first database or table name of `graph` with a
+    /// piece outside `vocab`.
+    pub(crate) fn try_build(graph: &SchemaGraph, vocab: &PieceVocab) -> Result<Self, String> {
+        let encode =
+            |node| vocab.encode_name(graph.name(node)).ok_or_else(|| graph.name(node).to_string());
         let mut db_trie = Trie::new();
         let mut tables_of: Vec<Vec<TableName>> = Vec::new();
         tables_of.resize_with(graph.num_nodes(), Vec::new);
         let mut related = vec![Vec::new(); graph.num_nodes()];
         for db in graph.database_nodes() {
-            let seq =
-                vocab.encode_name(graph.name(db)).expect("database name pieces must be in vocab");
-            db_trie.insert(&seq, db);
+            db_trie.insert(&encode(db)?, db);
             for t in graph.tables_of(db) {
-                let seq =
-                    vocab.encode_name(graph.name(t)).expect("table name pieces must be in vocab");
-                tables_of[db.0 as usize].push(TableName { seq, node: t });
+                tables_of[db.0 as usize].push(TableName { seq: encode(t)?, node: t });
                 related[t.0 as usize] = graph.related_tables(t);
             }
         }
-        ConstraintTables { db_trie, tables_of, related }
+        Ok(ConstraintTables { db_trie, tables_of, related })
     }
 }
 

@@ -203,7 +203,7 @@ impl RouterModel {
     pub fn logprobs_infer(&self, h: &Tensor, candidates: &[Sym]) -> Vec<f32> {
         let idx: Vec<usize> = candidates.iter().map(|&c| c as usize).collect();
         let sub = self.out_emb.infer(&self.store, &idx); // [k, hidden]
-        let logits = h.matmul(&sub.transpose()); // [1, k]
+        let logits = h.matmul_nt(&sub); // [1, k]
         dbcopilot_nn::tensor::log_softmax(logits.row(0))
     }
 
@@ -234,9 +234,7 @@ impl RouterModel {
     ) -> ValId {
         let idx: Vec<usize> = candidates.iter().map(|&c| c as usize).collect();
         let w = tape.param(&self.store, self.out_emb.weight);
-        let sub = tape.lookup(w, &idx);
-        let logits = tape.matmul_nt(h, sub);
-        tape.cross_entropy_logits(logits, gold_idx)
+        tape.sampled_softmax_loss(h, w, &idx, gold_idx)
     }
 }
 

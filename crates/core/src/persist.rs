@@ -30,10 +30,11 @@ use dbcopilot_nn::Tensor;
 use dbcopilot_sqlengine::Collection;
 use dbcopilot_synth::Questioner;
 
+use crate::decode::ConstraintTables;
 use crate::model::{RouterConfig, RouterModel};
 use crate::router::DbcRouter;
 use crate::shard::{ShardSlot, ShardedRouter};
-use crate::train::{train_router, SerializationMode, TrainExample, TrainStats};
+use crate::train::{train_with_tables, SerializationMode, TrainExample, TrainStats};
 use crate::vocab::PieceVocab;
 
 /// Router hyper-parameter section (JSON payload).
@@ -119,7 +120,12 @@ pub fn load_router_slice(bytes: &[u8]) -> Result<DbcRouter, PersistError> {
         let attached = crate::qmodel::QuantRouterModel::attach(&model, qs);
         model.quant = Some(attached);
     }
-    Ok(DbcRouter::assemble(model, vocab, graph))
+    // `GRPH` and `VOCB` are separate sections of untrusted bytes: a graph
+    // naming something the vocabulary cannot spell is a broken bundle.
+    let tables = ConstraintTables::try_build(&graph, &vocab).map_err(|name| {
+        PersistError::Corrupt(format!("graph names {name:?}, which the vocabulary cannot spell"))
+    })?;
+    Ok(DbcRouter::assemble(model, vocab, graph, tables))
 }
 
 /// Deserialize a router from a reader.
@@ -556,12 +562,14 @@ pub fn extend_router(
             replayed += 1;
         }
     }
+    let tables = ConstraintTables::build(&new_graph, &new_vocab);
     let stats = if examples.is_empty() {
         TrainStats { epoch_losses: Vec::new(), examples: 0 }
     } else {
-        train_router(&mut model, &new_graph, &new_vocab, &examples, SerializationMode::Dfs)
+        let mode = SerializationMode::Dfs;
+        train_with_tables(&mut model, &new_graph, &new_vocab, &tables, &examples, mode)
     };
-    Ok((DbcRouter::assemble(model, new_vocab, new_graph), stats))
+    Ok((DbcRouter::assemble(model, new_vocab, new_graph, tables), stats))
 }
 
 /// Copy weights from the old model into the new one: encoder verbatim,
@@ -917,29 +925,50 @@ mod tests {
             }
 
             // The same bytes as the second shard of a `SHRD` bundle, which
-            // is what `/admin/publish` takes: the manifest and the framing
-            // are sound, so the load succeeds and the refusal surfaces at
-            // that shard's first touch — on a thread that survives it.
-            let blob = Arc::new([&good[..], &hostile[..]].concat());
-            let slot = |name: &str, offset, len| {
-                Arc::new(ShardSlot::lazy(vec![name.into()], Arc::clone(&blob), offset, len, None))
-            };
-            let tier = ShardedRouter::from_parts(
-                vec![
-                    slot("concert_singer", 0, good.len()),
-                    slot("world", good.len(), hostile.len()),
-                ],
-                RouterConfig::tiny(),
-                Vec::new(),
-            );
-            let loaded = load_sharded_router_bytes(sharded_router_to_vec(&tier).unwrap())
-                .expect("manifest and shard framing are intact");
-            assert!(loaded.shard_router(0).is_some(), "the sound shard decodes");
-            let touched = std::thread::scope(|s| s.spawn(|| loaded.shard_router(1)).join());
-            let panic = touched.expect_err("the hostile shard must not decode");
-            let msg = panic.downcast_ref::<String>().expect("a formatted PersistError");
+            // is what `/admin/publish` takes.
+            let msg = second_shard_refusal(&good, &hostile);
             assert!(msg.contains("corrupt file") && msg.contains(what), "{what}: {msg}");
         }
+    }
+
+    /// Publish `hostile` as the second shard of a `SHRD` bundle whose first
+    /// shard is `good`: the manifest and the framing are sound, so the load
+    /// succeeds and the refusal surfaces at that shard's first touch — on a
+    /// thread that survives it. Returns the refusal's message.
+    fn second_shard_refusal(good: &[u8], hostile: &[u8]) -> String {
+        let blob = Arc::new([good, hostile].concat());
+        let slot = |name: &str, offset, len| {
+            Arc::new(ShardSlot::lazy(vec![name.into()], Arc::clone(&blob), offset, len, None))
+        };
+        let tier = ShardedRouter::from_parts(
+            vec![slot("concert_singer", 0, good.len()), slot("world", good.len(), hostile.len())],
+            RouterConfig::tiny(),
+            Vec::new(),
+        );
+        let loaded = load_sharded_router_bytes(sharded_router_to_vec(&tier).unwrap())
+            .expect("manifest and shard framing are intact");
+        assert!(loaded.shard_router(0).is_some(), "the sound shard decodes");
+        let touched = std::thread::scope(|s| s.spawn(|| loaded.shard_router(1)).join());
+        let panic = touched.expect_err("the hostile shard must not decode");
+        panic.downcast_ref::<String>().expect("a formatted PersistError").clone()
+    }
+
+    #[test]
+    fn graph_naming_what_the_vocabulary_cannot_spell_is_corrupt_not_a_panic() {
+        let good = router_to_vec(&trained_router()).unwrap();
+        let mut sections = codec::decode_container(&good).unwrap();
+        let graph = sections.iter_mut().find(|s| s.tag == SEC_GRAPH).expect("GRPH section");
+        let json = String::from_utf8(graph.bytes.to_vec()).unwrap();
+        assert!(json.contains("\"city\""), "the table to rename is in the graph");
+        *graph.bytes.to_mut() = json.replace("\"city\"", "\"citadel\"").into_bytes();
+        let hostile = codec::encode_container(&sections);
+
+        match load_router_slice(&hostile) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("citadel"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let msg = second_shard_refusal(&good, &hostile);
+        assert!(msg.contains("corrupt file") && msg.contains("citadel"), "{msg}");
     }
 
     // -----------------------------------------------------------------

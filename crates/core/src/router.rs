@@ -11,7 +11,7 @@ use crate::decode::{
 };
 use crate::model::{RouterConfig, RouterModel};
 use crate::qmodel::QuantScorer;
-use crate::train::{train_router, SerializationMode, TrainExample, TrainStats};
+use crate::train::{train_with_tables, SerializationMode, TrainExample, TrainStats};
 use crate::vocab::{PieceVocab, Sym, BOS, SEP};
 
 /// A trained DBCopilot schema router.
@@ -39,12 +39,17 @@ pub struct DbcRouter {
 
 impl DbcRouter {
     /// The one constructor: a model with everything derived from it and its
-    /// catalogue — decode options from the config, the decoding tables, the
-    /// default label, f32 precision.
-    pub(crate) fn assemble(model: RouterModel, vocab: PieceVocab, graph: SchemaGraph) -> Self {
+    /// catalogue — decode options from the config, the default label, f32
+    /// precision — around the decoding `tables` of `graph` × `vocab`.
+    pub(crate) fn assemble(
+        model: RouterModel,
+        vocab: PieceVocab,
+        graph: SchemaGraph,
+        tables: ConstraintTables,
+    ) -> Self {
         DbcRouter {
             decode_opts: DecodeOptions::from_config(&model.cfg),
-            tables: ConstraintTables::build(&graph, &vocab),
+            tables,
             model,
             vocab,
             graph,
@@ -60,17 +65,18 @@ impl DbcRouter {
         cfg: RouterConfig,
         mode: SerializationMode,
     ) -> (Self, TrainStats) {
-        let vocab = PieceVocab::build(&graph);
-        let mut model = RouterModel::new(cfg, vocab.len());
-        let stats = train_router(&mut model, &graph, &vocab, data, mode);
-        (Self::assemble(model, vocab, graph), stats)
+        let mut router = Self::untrained(graph, cfg);
+        let DbcRouter { model, graph, vocab, tables, .. } = &mut router;
+        let stats = train_with_tables(model, graph, vocab, tables, data, mode);
+        (router, stats)
     }
 
     /// Build an untrained router (tests, decoding benchmarks).
     pub fn untrained(graph: SchemaGraph, cfg: RouterConfig) -> Self {
         let vocab = PieceVocab::build(&graph);
         let model = RouterModel::new(cfg, vocab.len());
-        Self::assemble(model, vocab, graph)
+        let tables = ConstraintTables::build(&graph, &vocab);
+        Self::assemble(model, vocab, graph, tables)
     }
 
     pub fn set_label(&mut self, label: &str) {

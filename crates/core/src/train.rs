@@ -188,10 +188,22 @@ pub fn train_router(
     data: &[TrainExample],
     mode: SerializationMode,
 ) -> TrainStats {
+    train_with_tables(model, graph, vocab, &ConstraintTables::build(graph, vocab), data, mode)
+}
+
+/// [`train_router`] over decoding `tables` the caller already built from
+/// `graph` × `vocab` (a router builds them once and keeps them).
+pub(crate) fn train_with_tables(
+    model: &mut RouterModel,
+    graph: &SchemaGraph,
+    vocab: &PieceVocab,
+    tables: &ConstraintTables,
+    data: &[TrainExample],
+    mode: SerializationMode,
+) -> TrainStats {
     assert!(!data.is_empty(), "no training data");
     let cfg = model.cfg.clone();
-    let tables = ConstraintTables::build(graph, vocab);
-    let constrainer = Constrainer::new(graph, &tables, cfg.max_tables.max(8));
+    let constrainer = Constrainer::new(graph, tables, cfg.max_tables.max(8));
     // The shuffle RNG runs serially between parallel sections; per-example
     // randomness is derived per (seed, epoch, index) inside the workers.
     let mut shuffle_rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(101));

@@ -25,13 +25,23 @@ pub const NO_WALLCLOCK: &str = "no-wallclock-determinism";
 /// A lock acquisition that is unranked, or nests against the declared
 /// ranking: inversions deadlock under contention.
 pub const LOCK_ORDER: &str = "lock-order";
+/// `x.matmul(&y.transpose())` / `x.transpose().matmul(..)`: a transpose
+/// built per product. `Tensor::matmul_nt` and the tape's `add_tn` form the
+/// same sums, in the same order, from the untransposed operand.
+pub const TRANSPOSED_OPERAND: &str = "transposed-operand";
 /// Meta-rule for the pragmas themselves: malformed, unknown-rule, or
 /// justification-free pragmas. Not suppressible.
 pub const PRAGMA: &str = "pragma";
 
 /// Every enforceable rule, in diagnostic order.
-pub const ALL_RULES: &[&str] =
-    &[HASHMAP_ITER_ORDER, PANIC_FREE_SERVING, NO_RAW_SPAWN, NO_WALLCLOCK, LOCK_ORDER];
+pub const ALL_RULES: &[&str] = &[
+    HASHMAP_ITER_ORDER,
+    PANIC_FREE_SERVING,
+    NO_RAW_SPAWN,
+    NO_WALLCLOCK,
+    LOCK_ORDER,
+    TRANSPOSED_OPERAND,
+];
 
 /// The declared lock-order ranking. Mirrors
 /// `dbcopilot_runtime::lock_rank` — every first-party `Mutex`/
@@ -90,6 +100,7 @@ pub fn check(lexed: &Lexed, scope: Scope) -> Vec<Finding> {
         raw_spawn(toks, &test_mask, &mut findings);
     }
     lock_order(toks, &test_mask, &mut findings);
+    transposed_operand(toks, &test_mask, &mut findings);
 
     apply_pragmas(lexed, &mut findings);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -505,6 +516,41 @@ fn wallclock(toks: &[Tok], test: &[bool], out: &mut Vec<Finding>) {
                     "`{}` in a deterministic crate: wall-clock reads make results run- and \
                      machine-dependent",
                     t.text
+                ),
+            });
+        }
+    }
+}
+
+// -------------------------------------------------------------------
+// transposed-operand
+// -------------------------------------------------------------------
+
+fn transposed_operand(toks: &[Tok], test: &[bool], out: &mut Vec<Finding>) {
+    // `. name (` starting at `at`, and the same closed at once: `. name ( )`.
+    let method = |at: usize, name: &str| {
+        toks.get(at).is_some_and(|t| t.is_punct('.'))
+            && toks.get(at + 1).is_some_and(|t| t.is_ident(name))
+            && toks.get(at + 2).is_some_and(|t| t.is_punct('('))
+    };
+    let transpose_at =
+        |at: usize| method(at, "transpose") && toks.get(at + 3).is_some_and(|t| t.is_punct(')'));
+    for i in (0..toks.len()).filter(|&i| !test[i] && method(i, "matmul")) {
+        // `.matmul(& … .transpose())`: the argument is one borrowed
+        // expression ending in the transpose call.
+        let by_ref = toks.get(i + 3).is_some_and(|t| t.is_punct('&'));
+        let right = matching(toks, i + 2, '(', ')')
+            .is_some_and(|close| by_ref && close >= 4 && transpose_at(close - 4));
+        // `… .transpose().matmul(`
+        let left = i >= 4 && transpose_at(i - 4);
+        if left || right {
+            out.push(Finding {
+                rule: TRANSPOSED_OPERAND,
+                line: toks[i + 1].line,
+                message: format!(
+                    "matmul with a freshly transposed {} operand: use `matmul_nt` (or the \
+                     tape's `add_tn`), which sums in the same order without the copy",
+                    if left { "left" } else { "right" }
                 ),
             });
         }

@@ -53,6 +53,13 @@ const FIXTURES: &[Fixture] = &[
     fixture!("bad_lock_inversion.rs", DEFAULT, &[rules::LOCK_ORDER]),
     fixture!("bad_lock_unranked.rs", DEFAULT, &[rules::LOCK_ORDER]),
     fixture!("good_lock_ascending.rs", DEFAULT, &[]),
+    // transposed-operand
+    fixture!(
+        "bad_transposed_operand.rs",
+        DEFAULT,
+        &[rules::TRANSPOSED_OPERAND, rules::TRANSPOSED_OPERAND]
+    ),
+    fixture!("good_matmul_nt.rs", DEFAULT, &[]),
     // pragmas
     fixture!("good_pragma_justified.rs", SERVING, &[]),
     fixture!("bad_pragma_unjustified.rs", SERVING, &[rules::PANIC_FREE_SERVING, rules::PRAGMA]),

@@ -142,4 +142,34 @@ mod tests {
             assert!(rep.max_rel_err < 0.05, "emb rel err {} for {pid:?}", rep.max_rel_err);
         }
     }
+
+    #[test]
+    fn sampled_softmax_gradcheck() {
+        let mut rng = seeded_rng(37);
+        let mut store = ParamStore::new();
+        let out_emb = Embedding::new(&mut store, "o", 6, 3, &mut rng);
+        let proj = Linear::new(&mut store, "p", 2, 3, &mut rng);
+        let x = Tensor::from_row(vec![0.4, -0.9]);
+        let run = |store: &mut ParamStore| {
+            let mut tape = Tape::new();
+            let xv = tape.constant(x.clone());
+            let h = proj.forward(&mut tape, store, xv);
+            let table = tape.param(store, out_emb.weight);
+            let first = tape.sampled_softmax_loss(h, table, &[5, 1, 3], 1);
+            let second = tape.sampled_softmax_loss(h, table, &[3, 0], 0); // row 3 twice
+            let loss = tape.add(first, second);
+            tape.backward(loss);
+            let v = tape.value(loss).get(0, 0);
+            tape.collect_grads(store);
+            v
+        };
+        for pid in [out_emb.weight, proj.w, proj.b] {
+            let rep = check_param(&mut store, pid, 1e-2, run);
+            assert!(
+                rep.max_rel_err < 0.05,
+                "sampled softmax rel err {} for {pid:?}",
+                rep.max_rel_err
+            );
+        }
+    }
 }

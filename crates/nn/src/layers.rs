@@ -137,8 +137,19 @@ impl GruCell {
         GruCell { wz, uz, bz, wr, ur, br, wh, uh, bh, in_dim, hidden }
     }
 
-    /// One recurrent step on the tape: `(x[1,in], h[1,hidden]) → h'[1,hidden]`.
+    /// One recurrent step on the tape: `(x[1,in], h[1,hidden]) → h'[1,hidden]`,
+    /// recorded as a single node.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: ValId, h: ValId) -> ValId {
+        let w = [self.wz, self.uz, self.bz, self.wr, self.ur, self.br, self.wh, self.uh, self.bh];
+        let w = w.map(|p| tape.param(store, p));
+        let wt = [self.wz, self.uz, self.wr, self.ur, self.wh, self.uh];
+        tape.gru_step(x, h, w, wt.map(|p| store.transposed(p).clone()))
+    }
+
+    /// The same step from twenty primitive nodes: the bitwise oracle of
+    /// `Tape::gru_step`.
+    #[cfg(test)]
+    fn forward_primitives(&self, tape: &mut Tape, store: &ParamStore, x: ValId, h: ValId) -> ValId {
         let gate = |tape: &mut Tape, w: ParamId, u: ParamId, b: ParamId| {
             let wv = tape.param(store, w);
             let uv = tape.param(store, u);
@@ -256,5 +267,86 @@ mod tests {
         for pid in [gru.wz, gru.uz, gru.bz, gru.wr, gru.wh, gru.uh, gru.bh] {
             assert!(store.dense_grad(pid).is_some(), "missing grad for {pid:?}");
         }
+    }
+
+    /// Unroll `steps` GRU steps with shared parameters from `h0`, one fresh
+    /// `x` per step and a loss reading every hidden state (so each `h`
+    /// collects a gradient from its own head and from the next step, as in
+    /// training), through `step`. Returns the bits of every hidden state and
+    /// of all eleven kinds of gradient: each `x`, `h0`, the nine parameters.
+    fn unroll_bits(
+        gru: &GruCell,
+        store: &ParamStore,
+        xs: &[Tensor],
+        h0: &Tensor,
+        step: impl Fn(&GruCell, &mut Tape, &ParamStore, ValId, ValId) -> ValId,
+    ) -> Vec<Vec<u32>> {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut tape = Tape::new();
+        let h0 = tape.leaf(h0.clone());
+        let xs: Vec<ValId> = xs.iter().map(|x| tape.leaf(x.clone())).collect();
+        let (mut h, mut out, mut losses) = (h0, Vec::new(), Vec::new());
+        for (t, &x) in xs.iter().enumerate() {
+            h = step(gru, &mut tape, store, x, h);
+            out.push(bits(tape.value(h)));
+            let read = (0..gru.hidden).map(|j| ((t * 7 + j * 3) % 5) as f32 - 1.5).collect();
+            let read = tape.constant(Tensor::from_vec(gru.hidden, 1, read));
+            losses.push(tape.matmul(h, read));
+        }
+        let loss = tape.sum_scalars(&losses);
+        tape.backward(loss);
+        out.extend(xs.iter().chain([&h0]).map(|&id| bits(&tape.grad(id).expect("leaf gradient"))));
+        let grads = tape.take_grads();
+        assert_eq!(grads.len(), 9, "every GRU parameter collects a gradient");
+        out.extend(grads.into_iter().map(|(_, g)| bits(&g.into_dense())));
+        out
+    }
+
+    /// Inputs with exact zeros (the kernels' skip path) among ordinary values.
+    fn gru_inputs(seed: u64, steps: usize, in_dim: usize, hidden: usize) -> (Vec<Tensor>, Tensor) {
+        use rand::Rng;
+        let mut rng = seeded_rng(seed);
+        let mut vec = |n: usize| -> Tensor {
+            let v = (0..n).map(|_| {
+                if rng.gen_range(0..4) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(-1.0f32..1.0)
+                }
+            });
+            Tensor::from_row(v.collect())
+        };
+        ((0..steps).map(|_| vec(in_dim)).collect(), vec(hidden))
+    }
+
+    #[test]
+    fn fused_gru_step_is_bitwise_the_primitive_composition() {
+        for seed in 0..24u64 {
+            let (in_dim, hidden) = (1 + seed as usize % 7, 1 + (seed as usize * 5) % 11);
+            let mut store = ParamStore::new();
+            let gru = GruCell::new(&mut store, "g", in_dim, hidden, &mut seeded_rng(seed + 100));
+            // One step from random state, then the six-step unroll.
+            for steps in [1, 6] {
+                let (xs, h0) = gru_inputs(seed, steps, in_dim, hidden);
+                let fused = unroll_bits(&gru, &store, &xs, &h0, GruCell::forward);
+                let oracle = unroll_bits(&gru, &store, &xs, &h0, GruCell::forward_primitives);
+                assert_eq!(fused, oracle, "seed {seed}, {steps} steps");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_gru_step_leaves_constants_without_gradient() {
+        let mut store = ParamStore::new();
+        let gru = GruCell::new(&mut store, "g", 3, 4, &mut seeded_rng(9));
+        let mut tape = Tape::new();
+        let x = tape.constant(Tensor::from_row(vec![0.5, 0.0, -1.0]));
+        let h = tape.leaf(Tensor::from_row(vec![0.1, -0.2, 0.0, 0.3]));
+        let out = gru.forward(&mut tape, &store, x, h);
+        let ones = tape.constant(Tensor::from_vec(4, 1, vec![1.0; 4]));
+        let loss = tape.matmul(out, ones);
+        tape.backward(loss);
+        assert!(tape.grad(x).is_none(), "a constant input collects nothing");
+        assert!(tape.grad(h).is_some());
     }
 }

@@ -8,6 +8,7 @@
 //! proportional to the tokens actually used rather than the vocabulary size.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use crate::tape::Grad;
 use crate::tensor::Tensor;
@@ -24,6 +25,8 @@ pub type GradShard = Vec<(ParamId, Grad)>;
 struct Param {
     name: String,
     value: Tensor,
+    /// `valueᵀ`, built on first use and dropped whenever `value` can change.
+    transposed: OnceLock<Tensor>,
     grad: GradAccum,
     /// First Adam moment.
     m: Option<Tensor>,
@@ -75,7 +78,15 @@ impl ParamStore {
         assert!(!self.by_name.contains_key(&name), "duplicate parameter name {name:?}");
         let id = self.params.len();
         self.by_name.insert(name.clone(), id);
-        self.params.push(Param { name, value, grad: GradAccum::None, m: None, v: None });
+        let transposed = OnceLock::new();
+        self.params.push(Param {
+            name,
+            value,
+            transposed,
+            grad: GradAccum::None,
+            m: None,
+            v: None,
+        });
         ParamId(id)
     }
 
@@ -84,7 +95,17 @@ impl ParamStore {
     }
 
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.params[id.0].value
+        let p = &mut self.params[id.0];
+        p.transposed.take();
+        &mut p.value
+    }
+
+    /// `value(id)ᵀ`, shared by every tape recorded between two updates: a
+    /// weight that is a right matmul operand at every decoder step is
+    /// transposed once per minibatch, not once per backward product.
+    pub(crate) fn transposed(&self, id: ParamId) -> &Tensor {
+        let p = &self.params[id.0];
+        p.transposed.get_or_init(|| p.value.transpose())
     }
 
     /// Look up a parameter id by name.
@@ -102,64 +123,56 @@ impl ParamStore {
 
     /// Fold a gradient contribution into the accumulator for `id`.
     pub fn accumulate_grad(&mut self, id: ParamId, grad: Grad) {
+        self.accumulate_scaled(id, grad, 1.0);
+    }
+
+    /// Fold `grad · s` into the accumulator for `id`: every value is
+    /// rounded once by the product and once by the sum it joins, or stored
+    /// as the rounded product where it is the first to arrive.
+    fn accumulate_scaled(&mut self, id: ParamId, grad: Grad, s: f32) {
         let slot = &mut self.params[id.0].grad;
         match grad {
-            Grad::Dense(t) => match slot {
-                GradAccum::None => *slot = GradAccum::Dense(t),
-                GradAccum::Dense(d) => d.add_scaled_assign(&t, 1.0),
-                GradAccum::Sparse(map) => {
-                    // Mixing dense into sparse: densify.
-                    let mut dense = t;
-                    let cols = dense.cols();
-                    let buf = dense.as_mut_slice();
+            Grad::Dense(mut t) => {
+                if let GradAccum::Dense(d) = slot {
+                    return d.add_scaled_assign(&t, s);
+                }
+                let cols = t.cols();
+                let buf = t.as_mut_slice();
+                if s != 1.0 {
+                    buf.iter_mut().for_each(|v| *v *= s);
+                }
+                // Mixing dense into sparse: densify.
+                if let GradAccum::Sparse(map) = slot {
                     for (r, row) in std::mem::take(map) {
                         for (c, v) in row.into_iter().enumerate() {
                             buf[r * cols + c] += v;
                         }
                     }
-                    *slot = GradAccum::Dense(dense);
                 }
-            },
-            Grad::SparseRows { entries, cols, .. } => match slot {
-                GradAccum::Dense(d) => {
-                    let buf = d.as_mut_slice();
-                    for (r, row) in entries {
-                        for (c, v) in row.into_iter().enumerate() {
-                            buf[r * cols + c] += v;
-                        }
-                    }
+                *slot = GradAccum::Dense(t);
+            }
+            Grad::SparseRows { entries, cols, .. } => {
+                if let GradAccum::None = slot {
+                    *slot = GradAccum::Sparse(BTreeMap::new());
                 }
-                GradAccum::Sparse(map) => {
-                    for (r, row) in entries {
-                        match map.get_mut(&r) {
-                            Some(acc) => {
-                                for (a, v) in acc.iter_mut().zip(row) {
-                                    *a += v;
-                                }
-                            }
+                for (r, mut row) in entries {
+                    let acc = match slot {
+                        GradAccum::Dense(d) => &mut d.as_mut_slice()[r * cols..(r + 1) * cols],
+                        GradAccum::Sparse(map) => match map.get_mut(&r) {
+                            Some(acc) => acc,
                             None => {
+                                row.iter_mut().for_each(|v| *v *= s);
                                 map.insert(r, row);
+                                continue;
                             }
-                        }
+                        },
+                        GradAccum::None => unreachable!("slot was made sparse above"),
+                    };
+                    for (a, v) in acc.iter_mut().zip(row) {
+                        *a += v * s;
                     }
                 }
-                GradAccum::None => {
-                    let mut map: BTreeMap<usize, Vec<f32>> = BTreeMap::new();
-                    for (r, row) in entries {
-                        match map.get_mut(&r) {
-                            Some(acc) => {
-                                for (a, v) in acc.iter_mut().zip(row) {
-                                    *a += v;
-                                }
-                            }
-                            None => {
-                                map.insert(r, row);
-                            }
-                        }
-                    }
-                    *slot = GradAccum::Sparse(map);
-                }
-            },
+            }
         }
     }
 
@@ -173,11 +186,8 @@ impl ParamStore {
     /// shards — the keystone of deterministic data-parallel training.
     pub fn merge_grads(&mut self, shards: impl IntoIterator<Item = GradShard>, scale: f32) {
         for shard in shards {
-            for (pid, mut g) in shard {
-                if scale != 1.0 {
-                    g.scale_in_place(scale);
-                }
-                self.accumulate_grad(pid, g);
+            for (pid, g) in shard {
+                self.accumulate_scaled(pid, g, scale);
             }
         }
     }
@@ -293,6 +303,7 @@ impl AdamW {
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for p in &mut store.params {
             let grad = std::mem::take(&mut p.grad);
+            p.transposed.take();
             let (rows, cols) = p.value.shape();
             if p.m.is_none() {
                 p.m = Some(Tensor::zeros(rows, cols));
@@ -352,6 +363,7 @@ impl Sgd {
     pub fn step(&mut self, store: &mut ParamStore) {
         for p in &mut store.params {
             let grad = std::mem::take(&mut p.grad);
+            p.transposed.take();
             let cols = p.value.cols();
             let w = p.value.as_mut_slice();
             match grad {

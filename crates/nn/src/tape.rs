@@ -1,7 +1,12 @@
 //! Reverse-mode automatic differentiation over [`Tensor`]s.
 //!
-//! A [`Tape`] records a computation graph as operations execute; calling
-//! [`Tape::backward`] walks the graph in reverse, accumulating gradients.
+//! A [`Tape`] records every operation as an `Op` naming its operands;
+//! [`Tape::backward`] walks the record in reverse and each op *adds* its
+//! contributions into its operands' gradient slots (`Slots`): a dense
+//! tensor (`add`), a transposed product accumulated in place (`add_tn`) or
+//! embedding rows (`add_rows`). A slot's first contribution is stored as it
+//! arrives and later ones are added in reverse node order, so every sum
+//! associates the same way at any thread count.
 //! Gradients are dense except for embedding lookups, which produce
 //! [`Grad::SparseRows`] so that large embedding matrices never materialize a
 //! dense gradient (critical for the schema router's output vocabulary).
@@ -13,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use crate::optim::{ParamId, ParamStore};
-use crate::tensor::{log_softmax, Tensor};
+use crate::tensor::{add_tn, log_softmax, Tensor};
 
 /// Identifier of a value recorded on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,9 +78,10 @@ impl Grad {
         }
     }
 
-    /// Multiply every gradient value by `s` in place (used when merging
-    /// per-example shards into a batch-mean gradient).
-    pub fn scale_in_place(&mut self, s: f32) {
+    /// Multiply every gradient value by `s` in place: the two-pass oracle
+    /// `ParamStore::merge_grads` is tested against.
+    #[cfg(test)]
+    pub(crate) fn scale_in_place(&mut self, s: f32) {
         match self {
             Grad::Dense(t) => {
                 for v in t.as_mut_slice() {
@@ -115,21 +121,113 @@ fn coalesce_rows(entries: &mut Vec<(usize, Vec<f32>)>) {
     entries.truncate(write + 1);
 }
 
-/// Backward closures are `Send` so a whole [`Tape`] can live on a worker
-/// thread (the data-parallel training loop builds one tape per shard).
-type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<(ValId, Grad)> + Send>;
-
-struct Node {
-    value: Tensor,
-    grad: Option<Grad>,
-    backward: Option<BackwardFn>,
-    requires_grad: bool,
+/// What produced a node: its operands plus whatever the backward pass
+/// needs beyond their forward values and the node's own.
+enum Op {
+    /// Constants, leaves, and any node no gradient flows through.
+    Leaf,
+    MatMul(ValId, ValId),
+    MatMulNt(ValId, ValId),
+    Add(ValId, ValId),
+    Sub(ValId, ValId),
+    MulElem(ValId, ValId),
+    /// `a·s`; also `1 − a`, whose backward is that of `a·(−1)`.
+    Scale(ValId, f32),
+    Tanh(ValId),
+    Sigmoid(ValId),
+    Relu(ValId),
+    ConcatCols(ValId, ValId),
+    Lookup(ValId, Vec<usize>),
+    MeanRows(ValId),
+    /// Operand and the clamped norm of each of its rows.
+    L2Normalize(ValId, Vec<f32>),
+    StackRows(Vec<ValId>),
+    /// Mean cross-entropy over logits rows: softmax probabilities saved.
+    CrossEntropy {
+        logits: ValId,
+        targets: Vec<usize>,
+        probs: Vec<f32>,
+    },
+    /// One GRU step (boxed: it is ten tensors wide).
+    Gru(Box<GruStep>),
+    /// Sampled-softmax loss of `h` against the gathered rows `sub` of `emb`.
+    SampledSoftmax {
+        h: ValId,
+        emb: ValId,
+        idx: Vec<usize>,
+        sub: Tensor,
+        gold: usize,
+        probs: Vec<f32>,
+    },
 }
 
-/// A recorded computation graph.
+/// Operands of a GRU step: `w` is `[wz, uz, bz, wr, ur, br, wh, uh, bh]`,
+/// `wt` the transposes `[wzᵀ, uzᵀ, wrᵀ, urᵀ, whᵀ, uhᵀ]` and `saved` the
+/// gate values `[z, r, r⊙h, h̃]`.
+struct GruStep {
+    x: ValId,
+    h: ValId,
+    w: [ValId; 9],
+    wt: [Tensor; 6],
+    saved: [Tensor; 4],
+}
+
+/// The gradient slots of the nodes below the one being differentiated.
+struct Slots<'a> {
+    grads: &'a mut [Option<Grad>],
+    requires: &'a [bool],
+}
+
+impl Slots<'_> {
+    /// Add a dense contribution, evaluated only if `id` tracks gradient.
+    fn add(&mut self, id: ValId, contrib: impl FnOnce() -> Tensor) {
+        if self.requires[id.0] {
+            self.merge(id, Grad::Dense(contrib()));
+        }
+    }
+
+    /// Add `aᵀ × g` without materializing it (see [`add_tn`]).
+    fn add_tn(&mut self, id: ValId, a: &Tensor, g: &Tensor) {
+        if self.requires[id.0] {
+            let mut dense = match self.grads[id.0].take() {
+                Some(grad) => grad.into_dense(),
+                None => Tensor::zeros(a.cols(), g.cols()),
+            };
+            add_tn(dense.as_mut_slice(), a, g);
+            self.grads[id.0] = Some(Grad::Dense(dense));
+        }
+    }
+
+    /// Add one gradient row per index into the `shape`d matrix `id`.
+    fn add_rows(
+        &mut self,
+        id: ValId,
+        (rows, cols): (usize, usize),
+        idx: &[usize],
+        grad_rows: impl Iterator<Item = Vec<f32>>,
+    ) {
+        if self.requires[id.0] {
+            let entries = idx.iter().copied().zip(grad_rows).collect();
+            self.merge(id, Grad::SparseRows { rows, cols, entries });
+        }
+    }
+
+    fn merge(&mut self, id: ValId, contrib: Grad) {
+        match &mut self.grads[id.0] {
+            Some(grad) => grad.accumulate(contrib),
+            slot @ None => *slot = Some(contrib),
+        }
+    }
+}
+
+/// A recorded computation graph. Node `i`'s value, op, gradient slot and
+/// requires-gradient flag sit at index `i` of the four vectors.
 #[derive(Default)]
 pub struct Tape {
-    nodes: Vec<Node>,
+    values: Vec<Tensor>,
+    ops: Vec<Op>,
+    grads: Vec<Option<Grad>>,
+    requires: Vec<bool>,
     /// Ordered so gradient collection is deterministic (float addition
     /// order affects training bit-for-bit reproducibility).
     param_leaves: BTreeMap<ParamId, ValId>,
@@ -142,32 +240,41 @@ impl Tape {
 
     /// Number of recorded nodes (useful for tests and diagnostics).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.values.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.values.is_empty()
     }
 
-    fn push(&mut self, value: Tensor, backward: Option<BackwardFn>, requires_grad: bool) -> ValId {
-        self.nodes.push(Node { value, grad: None, backward, requires_grad });
-        ValId(self.nodes.len() - 1)
+    /// Record a node; it tracks gradient iff one of `inputs` does.
+    fn push(&mut self, value: Tensor, op: Op, inputs: &[ValId]) -> ValId {
+        let req = inputs.iter().any(|id| self.requires[id.0]);
+        self.push_node(value, if req { op } else { Op::Leaf }, req)
+    }
+
+    fn push_node(&mut self, value: Tensor, op: Op, requires: bool) -> ValId {
+        self.values.push(value);
+        self.ops.push(op);
+        self.grads.push(None);
+        self.requires.push(requires);
+        ValId(self.values.len() - 1)
     }
 
     /// Forward value of a node.
     pub fn value(&self, id: ValId) -> &Tensor {
-        &self.nodes[id.0].value
+        &self.values[id.0]
     }
 
     /// A constant leaf: gradients are not tracked through it.
     pub fn constant(&mut self, t: Tensor) -> ValId {
-        self.push(t, None, false)
+        self.push_node(t, Op::Leaf, false)
     }
 
     /// A leaf that requires gradient but is not bound to a parameter store
     /// (used by tests and gradient checking).
     pub fn leaf(&mut self, t: Tensor) -> ValId {
-        self.push(t, None, true)
+        self.push_node(t, Op::Leaf, true)
     }
 
     /// Leaf bound to `store[param]`. Repeated calls with the same parameter on
@@ -176,245 +283,101 @@ impl Tape {
         if let Some(&id) = self.param_leaves.get(&param) {
             return id;
         }
-        let id = self.push(store.value(param).clone(), None, true);
+        let id = self.leaf(store.value(param).clone());
         self.param_leaves.insert(param, id);
         id
     }
 
-    fn requires(&self, ids: &[ValId]) -> bool {
-        ids.iter().any(|id| self.nodes[id.0].requires_grad)
-    }
-
     /// Matrix product `a × b`.
     pub fn matmul(&mut self, a: ValId, b: ValId) -> ValId {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let out = av.matmul(&bv);
-        let req = self.requires(&[a, b]);
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                vec![
-                    (a, Grad::Dense(g.matmul(&bv.transpose()))),
-                    (b, Grad::Dense(av.transpose().matmul(g))),
-                ]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        let out = self.value(a).matmul(self.value(b));
+        self.push(out, Op::MatMul(a, b), &[a, b])
     }
 
-    /// `a × bᵀ` without materializing the transpose in the graph.
+    /// `a × bᵀ` without materializing the transpose.
     pub fn matmul_nt(&mut self, a: ValId, b: ValId) -> ValId {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let out = av.matmul(&bv.transpose());
-        let req = self.requires(&[a, b]);
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                vec![(a, Grad::Dense(g.matmul(&bv))), (b, Grad::Dense(g.transpose().matmul(&av)))]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        let out = self.value(a).matmul_nt(self.value(b));
+        self.push(out, Op::MatMulNt(a, b), &[a, b])
     }
 
     /// Element-wise sum; a single-row `b` broadcasts over the rows of `a`.
     pub fn add(&mut self, a: ValId, b: ValId) -> ValId {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let out = av.add(&bv);
-        let req = self.requires(&[a, b]);
-        let broadcast = bv.rows() == 1 && av.rows() > 1;
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                let gb = if broadcast { sum_rows(g) } else { g.clone() };
-                vec![(a, Grad::Dense(g.clone())), (b, Grad::Dense(gb))]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        let out = self.value(a).add(self.value(b));
+        self.push(out, Op::Add(a, b), &[a, b])
     }
 
     /// Element-wise difference.
     pub fn sub(&mut self, a: ValId, b: ValId) -> ValId {
         let out = self.value(a).sub(self.value(b));
-        let req = self.requires(&[a, b]);
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                vec![(a, Grad::Dense(g.clone())), (b, Grad::Dense(g.scale(-1.0)))]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        self.push(out, Op::Sub(a, b), &[a, b])
     }
 
     /// Element-wise (Hadamard) product.
     pub fn mul_elem(&mut self, a: ValId, b: ValId) -> ValId {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let out = av.mul_elem(&bv);
-        let req = self.requires(&[a, b]);
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                vec![(a, Grad::Dense(g.mul_elem(&bv))), (b, Grad::Dense(g.mul_elem(&av)))]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        let out = self.value(a).mul_elem(self.value(b));
+        self.push(out, Op::MulElem(a, b), &[a, b])
     }
 
     /// Multiply by a scalar constant.
     pub fn scale(&mut self, a: ValId, s: f32) -> ValId {
         let out = self.value(a).scale(s);
-        let req = self.requires(&[a]);
-        let back: Option<BackwardFn> = req
-            .then(|| Box::new(move |g: &Tensor| vec![(a, Grad::Dense(g.scale(s)))]) as BackwardFn);
-        self.push(out, back, req)
+        self.push(out, Op::Scale(a, s), &[a])
     }
 
     /// `1 - a`, element-wise (used by GRU gates).
     pub fn one_minus(&mut self, a: ValId) -> ValId {
         let out = self.value(a).map(|v| 1.0 - v);
-        let req = self.requires(&[a]);
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| vec![(a, Grad::Dense(g.scale(-1.0)))]) as BackwardFn
-        });
-        self.push(out, back, req)
+        self.push(out, Op::Scale(a, -1.0), &[a])
     }
 
     pub fn tanh(&mut self, a: ValId) -> ValId {
         let out = self.value(a).tanh();
-        let req = self.requires(&[a]);
-        let y = out.clone();
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                let dy = y.map(|v| 1.0 - v * v);
-                vec![(a, Grad::Dense(g.mul_elem(&dy)))]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        self.push(out, Op::Tanh(a), &[a])
     }
 
     pub fn sigmoid(&mut self, a: ValId) -> ValId {
         let out = self.value(a).sigmoid();
-        let req = self.requires(&[a]);
-        let y = out.clone();
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                let dy = y.map(|v| v * (1.0 - v));
-                vec![(a, Grad::Dense(g.mul_elem(&dy)))]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        self.push(out, Op::Sigmoid(a), &[a])
     }
 
     pub fn relu(&mut self, a: ValId) -> ValId {
-        let av = self.value(a).clone();
-        let out = av.relu();
-        let req = self.requires(&[a]);
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                let mask = av.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                vec![(a, Grad::Dense(g.mul_elem(&mask)))]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        let out = self.value(a).relu();
+        self.push(out, Op::Relu(a), &[a])
     }
 
     /// Horizontal concatenation.
     pub fn concat_cols(&mut self, a: ValId, b: ValId) -> ValId {
-        let av = self.value(a).clone();
-        let bv = self.value(b).clone();
-        let out = av.concat_cols(&bv);
-        let req = self.requires(&[a, b]);
-        let (ac, bc) = (av.cols(), bv.cols());
-        let rows = av.rows();
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                let mut ga = Tensor::zeros(rows, ac);
-                let mut gb = Tensor::zeros(rows, bc);
-                for r in 0..rows {
-                    let grow = g.row(r);
-                    ga.as_mut_slice()[r * ac..(r + 1) * ac].copy_from_slice(&grow[..ac]);
-                    gb.as_mut_slice()[r * bc..(r + 1) * bc].copy_from_slice(&grow[ac..]);
-                }
-                vec![(a, Grad::Dense(ga)), (b, Grad::Dense(gb))]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        let out = self.value(a).concat_cols(self.value(b));
+        self.push(out, Op::ConcatCols(a, b), &[a, b])
     }
 
     /// Embedding lookup: gather `indices` rows of `emb`. The gradient to the
     /// embedding matrix is sparse.
     pub fn lookup(&mut self, emb: ValId, indices: &[usize]) -> ValId {
-        let ev = self.value(emb).clone();
-        let out = ev.lookup_rows(indices);
-        let req = self.requires(&[emb]);
-        let idx: Vec<usize> = indices.to_vec();
-        let (rows, cols) = ev.shape();
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                let entries =
-                    idx.iter().enumerate().map(|(i, &r)| (r, g.row(i).to_vec())).collect();
-                vec![(emb, Grad::SparseRows { rows, cols, entries })]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        let out = self.value(emb).lookup_rows(indices);
+        self.push(out, Op::Lookup(emb, indices.to_vec()), &[emb])
     }
 
     /// Mean over rows `[m,n] → [1,n]`.
     pub fn mean_rows(&mut self, a: ValId) -> ValId {
-        let av = self.value(a).clone();
-        let out = av.mean_rows();
-        let req = self.requires(&[a]);
-        let (m, n) = av.shape();
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                let inv = if m == 0 { 0.0 } else { 1.0 / m as f32 };
-                let mut ga = Tensor::zeros(m, n);
-                let buf = ga.as_mut_slice();
-                for r in 0..m {
-                    for c in 0..n {
-                        buf[r * n + c] = g.get(0, c) * inv;
-                    }
-                }
-                vec![(a, Grad::Dense(ga))]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        let out = self.value(a).mean_rows();
+        self.push(out, Op::MeanRows(a), &[a])
     }
 
     /// L2-normalize each row: `y = x / max(‖x‖, ε)`.
     pub fn l2_normalize(&mut self, a: ValId) -> ValId {
         const EPS: f32 = 1e-8;
-        let av = self.value(a).clone();
-        let (rows, cols) = av.shape();
-        let mut out = av.clone();
-        let mut norms = Vec::with_capacity(rows);
-        {
-            let buf = out.as_mut_slice();
-            for r in 0..rows {
-                let row = &mut buf[r * cols..(r + 1) * cols];
-                let n = row.iter().map(|v| v * v).sum::<f32>().sqrt().max(EPS);
-                for v in row.iter_mut() {
-                    *v /= n;
-                }
-                norms.push(n);
+        let mut out = self.value(a).clone();
+        let cols = out.cols().max(1);
+        let mut norms = Vec::with_capacity(out.rows());
+        for row in out.as_mut_slice().chunks_mut(cols) {
+            let n = row.iter().map(|v| v * v).sum::<f32>().sqrt().max(EPS);
+            for v in row.iter_mut() {
+                *v /= n;
             }
+            norms.push(n);
         }
-        let req = self.requires(&[a]);
-        let y = out.clone();
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                let mut ga = Tensor::zeros(rows, cols);
-                let buf = ga.as_mut_slice();
-                for r in 0..rows {
-                    let yr = y.row(r);
-                    let gr = g.row(r);
-                    let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
-                    for c in 0..cols {
-                        buf[r * cols + c] = (gr[c] - yr[c] * dot) / norms[r];
-                    }
-                }
-                vec![(a, Grad::Dense(ga))]
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        self.push(out, Op::L2Normalize(a, norms), &[a])
     }
 
     /// Stack single-row tensors into a matrix `[n, cols]`.
@@ -428,77 +391,74 @@ impl Tape {
             assert_eq!(v.cols(), cols, "stack_rows width mismatch");
             data.extend_from_slice(v.as_slice());
         }
-        let out = Tensor::from_vec(ids.len(), cols, data);
-        let req = self.requires(ids);
-        let ids_cloned: Vec<ValId> = ids.to_vec();
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                ids_cloned
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &id)| (id, Grad::Dense(Tensor::from_row(g.row(i).to_vec()))))
-                    .collect()
-            }) as BackwardFn
-        });
-        self.push(out, back, req)
+        self.push(Tensor::from_vec(ids.len(), cols, data), Op::StackRows(ids.to_vec()), ids)
     }
 
     /// Mean softmax cross-entropy over the rows of a logits matrix, one
     /// target class per row. Returns the scalar loss node.
     pub fn cross_entropy_rows(&mut self, logits: ValId, targets: &[usize]) -> ValId {
-        let lv = self.value(logits).clone();
+        let lv = self.value(logits);
         assert_eq!(lv.rows(), targets.len(), "one target per logits row");
         let mut loss = 0.0f32;
-        let mut probs = Vec::with_capacity(lv.rows() * lv.cols());
+        let mut probs = Vec::with_capacity(lv.len());
         for (r, &t) in targets.iter().enumerate() {
             assert!(t < lv.cols(), "target class out of range");
             let ls = log_softmax(lv.row(r));
             loss -= ls[t];
             probs.extend(ls.iter().map(|&v| v.exp()));
         }
-        let n = targets.len() as f32;
-        loss /= n;
-        let req = self.requires(&[logits]);
-        let targets_cloned: Vec<usize> = targets.to_vec();
-        let (rows, cols) = lv.shape();
-        let back: Option<BackwardFn> = req.then(|| {
-            Box::new(move |g: &Tensor| {
-                let scale = g.get(0, 0) / n;
-                let mut grad = probs.clone();
-                for (r, &t) in targets_cloned.iter().enumerate() {
-                    grad[r * cols + t] -= 1.0;
-                }
-                for v in &mut grad {
-                    *v *= scale;
-                }
-                vec![(logits, Grad::Dense(Tensor::from_vec(rows, cols, grad)))]
-            }) as BackwardFn
-        });
-        self.push(Tensor::from_vec(1, 1, vec![loss]), back, req)
+        loss /= targets.len() as f32;
+        let op = Op::CrossEntropy { logits, targets: targets.to_vec(), probs };
+        self.push(Tensor::from_vec(1, 1, vec![loss]), op, &[logits])
     }
 
     /// Softmax cross-entropy of a single-row logits tensor against a target
     /// class. Returns the scalar loss node (shape `[1,1]`).
     pub fn cross_entropy_logits(&mut self, logits: ValId, target: usize) -> ValId {
-        let lv = self.value(logits).clone();
+        let lv = self.value(logits);
         assert_eq!(lv.rows(), 1, "cross_entropy_logits expects a single-row logits tensor");
-        assert!(target < lv.cols(), "target class out of range");
-        let ls = log_softmax(lv.row(0));
-        let loss = -ls[target];
-        let req = self.requires(&[logits]);
-        let back: Option<BackwardFn> = req.then(|| {
-            let probs: Vec<f32> = ls.iter().map(|&v| v.exp()).collect();
-            Box::new(move |g: &Tensor| {
-                let scale = g.get(0, 0);
-                let mut grad = probs.clone();
-                grad[target] -= 1.0;
-                for v in &mut grad {
-                    *v *= scale;
-                }
-                vec![(logits, Grad::Dense(Tensor::from_row(grad)))]
-            }) as BackwardFn
-        });
-        self.push(Tensor::from_vec(1, 1, vec![loss]), back, req)
+        let (loss, probs) = nll_and_probs(lv.row(0), target);
+        let op = Op::CrossEntropy { logits, targets: vec![target], probs };
+        self.push(Tensor::from_vec(1, 1, vec![loss]), op, &[logits])
+    }
+
+    /// Sampled-softmax loss in one node: the cross-entropy of candidate
+    /// `gold` under `h × emb[idx]ᵀ` — what `lookup → matmul_nt →
+    /// cross_entropy_logits` computes, value and gradients bit for bit.
+    pub fn sampled_softmax_loss(
+        &mut self,
+        h: ValId,
+        emb: ValId,
+        idx: &[usize],
+        gold: usize,
+    ) -> ValId {
+        let sub = self.value(emb).lookup_rows(idx);
+        let logits = self.value(h).matmul_nt(&sub);
+        assert_eq!(logits.rows(), 1, "sampled_softmax_loss expects a single-row hidden state");
+        let (loss, probs) = nll_and_probs(logits.row(0), gold);
+        let op = Op::SampledSoftmax { h, emb, idx: idx.to_vec(), sub, gold, probs };
+        self.push(Tensor::from_vec(1, 1, vec![loss]), op, &[h, emb])
+    }
+
+    /// One GRU step in one node: `w` is `[wz, uz, bz, wr, ur, br, wh, uh,
+    /// bh]` and `wt` the transposes `[wzᵀ, uzᵀ, wrᵀ, urᵀ, whᵀ, uhᵀ]` the
+    /// backward pass multiplies by. Value and all eleven gradients are bit
+    /// for bit those of the twenty primitive nodes of the textbook
+    /// composition (kept as the test oracle in `layers.rs`).
+    pub(crate) fn gru_step(&mut self, x: ValId, h: ValId, w: [ValId; 9], wt: [Tensor; 6]) -> ValId {
+        let [wz, uz, bz, wr, ur, br, wh, uh, bh] = w.map(|id| self.value(id));
+        let (xv, hv) = (self.value(x), self.value(h));
+        let pre =
+            |w: &Tensor, s: &Tensor, u: &Tensor, b: &Tensor| xv.matmul(w).add(&s.matmul(u)).add(b);
+        let z = pre(wz, hv, uz, bz).sigmoid();
+        let r = pre(wr, hv, ur, br).sigmoid();
+        let rh = r.mul_elem(hv);
+        let cand = pre(wh, &rh, uh, bh).tanh();
+        let out = z.map(|v| 1.0 - v).mul_elem(hv).add(&z.mul_elem(&cand));
+        let mut inputs = vec![x, h];
+        inputs.extend(w);
+        let step = GruStep { x, h, w, wt, saved: [z, r, rh, cand] };
+        self.push(out, Op::Gru(Box::new(step)), &inputs)
     }
 
     /// Sum a list of scalar nodes into one scalar (for batching losses).
@@ -516,45 +476,35 @@ impl Tape {
     /// # Panics
     /// Panics if `loss` is not a `[1,1]` tensor.
     pub fn backward(&mut self, loss: ValId) {
-        assert_eq!(self.nodes[loss.0].value.shape(), (1, 1), "backward expects a scalar loss");
-        self.nodes[loss.0].grad = Some(Grad::Dense(Tensor::from_vec(1, 1, vec![1.0])));
-        for i in (0..self.nodes.len()).rev() {
-            if self.nodes[i].grad.is_none() || self.nodes[i].backward.is_none() {
-                continue;
-            }
-            let grad = match self.nodes[i].grad.as_ref().unwrap() {
-                Grad::Dense(t) => t.clone(),
-                Grad::SparseRows { .. } => {
-                    // Only leaves (embeddings) receive sparse gradients; they
-                    // have no backward function, so this cannot be reached.
+        assert_eq!(self.value(loss).shape(), (1, 1), "backward expects a scalar loss");
+        self.grads[loss.0] = Some(Grad::Dense(Tensor::from_vec(1, 1, vec![1.0])));
+        for i in (0..self.values.len()).rev() {
+            // Operands precede the node, so the node's own gradient and its
+            // operands' slots are disjoint halves.
+            let (below, own) = self.grads.split_at_mut(i);
+            let g = match (&self.ops[i], &own[0]) {
+                (Op::Leaf, _) | (_, None) => continue,
+                (_, Some(Grad::Dense(g))) => g,
+                // Only leaves (embeddings) receive sparse gradients.
+                (_, Some(Grad::SparseRows { .. })) => {
                     unreachable!("non-leaf node received a sparse gradient")
                 }
             };
-            let contribs = (self.nodes[i].backward.as_ref().unwrap())(&grad);
-            for (pid, contrib) in contribs {
-                if !self.nodes[pid.0].requires_grad {
-                    continue;
-                }
-                match &mut self.nodes[pid.0].grad {
-                    Some(g) => g.accumulate(contrib),
-                    slot @ None => *slot = Some(contrib),
-                }
-            }
+            let slots = Slots { grads: below, requires: &self.requires };
+            backward_op(&self.ops[i], g, &self.values, i, slots);
         }
     }
 
     /// Gradient of a node after [`Tape::backward`], densified.
     pub fn grad(&self, id: ValId) -> Option<Tensor> {
-        self.nodes[id.0].grad.clone().map(Grad::into_dense)
+        self.grads[id.0].clone().map(Grad::into_dense)
     }
 
     /// Move all parameter-leaf gradients into the store (accumulating), then
     /// clear them from the tape.
     pub fn collect_grads(&mut self, store: &mut ParamStore) {
-        for (&pid, &vid) in &self.param_leaves {
-            if let Some(g) = self.nodes[vid.0].grad.take() {
-                store.accumulate_grad(pid, g);
-            }
+        for (pid, g) in self.take_grads() {
+            store.accumulate_grad(pid, g);
         }
     }
 
@@ -566,12 +516,144 @@ impl Tape {
     pub fn take_grads(&mut self) -> crate::optim::GradShard {
         let mut out = Vec::with_capacity(self.param_leaves.len());
         for (&pid, &vid) in &self.param_leaves {
-            if let Some(g) = self.nodes[vid.0].grad.take() {
+            if let Some(g) = self.grads[vid.0].take() {
                 out.push((pid, g));
             }
         }
         out
     }
+}
+
+/// Add node `i`'s contributions (it was produced by `op` and its gradient is
+/// `g`) into its operands' slots, in the order the contributions are listed.
+fn backward_op(op: &Op, g: &Tensor, values: &[Tensor], i: usize, mut slots: Slots<'_>) {
+    let val = |id: &ValId| &values[id.0];
+    match op {
+        Op::Leaf => {}
+        Op::MatMul(a, b) => {
+            slots.add(*a, || g.matmul_nt(val(b)));
+            slots.add_tn(*b, val(a), g);
+        }
+        Op::MatMulNt(a, b) => {
+            slots.add(*a, || g.matmul(val(b)));
+            slots.add_tn(*b, g, val(a));
+        }
+        Op::Add(a, b) => {
+            slots.add(*a, || g.clone());
+            let broadcast = val(b).rows() == 1 && val(a).rows() > 1;
+            slots.add(*b, || if broadcast { sum_rows(g) } else { g.clone() });
+        }
+        Op::Sub(a, b) => {
+            slots.add(*a, || g.clone());
+            slots.add(*b, || g.scale(-1.0));
+        }
+        Op::MulElem(a, b) => {
+            slots.add(*a, || g.mul_elem(val(b)));
+            slots.add(*b, || g.mul_elem(val(a)));
+        }
+        Op::Scale(a, s) => slots.add(*a, || g.scale(*s)),
+        Op::Tanh(a) => slots.add(*a, || g.mul_elem(&values[i].map(|y| 1.0 - y * y))),
+        Op::Sigmoid(a) => slots.add(*a, || g.mul_elem(&values[i].map(|y| y * (1.0 - y)))),
+        Op::Relu(a) => {
+            slots.add(*a, || g.mul_elem(&val(a).map(|v| if v > 0.0 { 1.0 } else { 0.0 })))
+        }
+        Op::ConcatCols(a, b) => {
+            let ac = val(a).cols();
+            let cut = |from: usize, to: usize| {
+                let data = (0..g.rows()).flat_map(|r| &g.row(r)[from..to]).copied().collect();
+                Tensor::from_vec(g.rows(), to - from, data)
+            };
+            slots.add(*a, || cut(0, ac));
+            slots.add(*b, || cut(ac, g.cols()));
+        }
+        Op::Lookup(emb, idx) => {
+            slots.add_rows(*emb, val(emb).shape(), idx, (0..idx.len()).map(|r| g.row(r).to_vec()))
+        }
+        Op::MeanRows(a) => slots.add(*a, || {
+            let (m, n) = val(a).shape();
+            let inv = if m == 0 { 0.0 } else { 1.0 / m as f32 };
+            let row: Vec<f32> = g.row(0).iter().map(|&v| v * inv).collect();
+            Tensor::from_vec(m, n, row.repeat(m))
+        }),
+        Op::L2Normalize(a, norms) => slots.add(*a, || {
+            let y = &values[i];
+            let mut data = Vec::with_capacity(y.len());
+            for (r, norm) in norms.iter().enumerate() {
+                let (yr, gr) = (y.row(r), g.row(r));
+                let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
+                data.extend(yr.iter().zip(gr).map(|(yv, gv)| (gv - yv * dot) / norm));
+            }
+            Tensor::from_vec(y.rows(), y.cols(), data)
+        }),
+        Op::StackRows(ids) => {
+            for (r, id) in ids.iter().enumerate() {
+                slots.add(*id, || Tensor::from_row(g.row(r).to_vec()));
+            }
+        }
+        Op::CrossEntropy { logits, targets, probs } => slots.add(*logits, || {
+            let (rows, cols) = val(logits).shape();
+            let scale = g.get(0, 0) / targets.len() as f32;
+            Tensor::from_vec(rows, cols, softmax_grad(probs, cols, targets, scale))
+        }),
+        Op::SampledSoftmax { h, emb, idx, sub, gold, probs } => {
+            let gl = Tensor::from_row(softmax_grad(probs, probs.len(), &[*gold], g.get(0, 0)));
+            slots.add(*h, || gl.matmul(sub));
+            // Row `c` of `glᵀ × h`, as `add_tn` would form it.
+            let hv = val(h).as_slice();
+            let row = |&gc: &f32| {
+                hv.iter().map(|&v| if gc == 0.0 { 0.0 } else { 0.0 + gc * v }).collect()
+            };
+            slots.add_rows(*emb, val(emb).shape(), idx, gl.as_slice().iter().map(row));
+        }
+        Op::Gru(step) => {
+            let GruStep { x, h, w, wt, saved: [z, r, rh, cand] } = &**step;
+            let (xv, hv) = (val(x), val(h));
+            // One gate's pre-activation `x·W + s·U + b` with gradient `d`
+            // feeds `b`, `U`, `x` and `W`; returns the gradient of `s`.
+            let gate = |slots: &mut Slots<'_>, d: &Tensor, s: &Tensor, k: usize| {
+                let ([w, u, b], [wt, ut]) =
+                    ([w[3 * k], w[3 * k + 1], w[3 * k + 2]], [&wt[2 * k], &wt[2 * k + 1]]);
+                slots.add(b, || d.clone());
+                slots.add_tn(u, s, d);
+                slots.add(*x, || d.matmul(wt));
+                slots.add_tn(w, xv, d);
+                d.matmul(ut)
+            };
+            // h' = (1 − z)⊙h + z⊙h̃, in the reverse of the primitives' order.
+            slots.add(*h, || g.mul_elem(&z.map(|v| 1.0 - v)));
+            let mut d_z = g.mul_elem(cand);
+            d_z.add_scaled_assign(&g.mul_elem(hv).scale(-1.0), 1.0);
+            let d_cand = g.mul_elem(z).mul_elem(&cand.map(|y| 1.0 - y * y));
+            let d_rh = gate(&mut slots, &d_cand, rh, 2);
+            slots.add(*h, || d_rh.mul_elem(r));
+            let d_r = d_rh.mul_elem(hv).mul_elem(&r.map(|y| y * (1.0 - y)));
+            let d_h = gate(&mut slots, &d_r, hv, 1);
+            slots.add(*h, || d_h);
+            let d_z = d_z.mul_elem(&z.map(|y| y * (1.0 - y)));
+            let d_h = gate(&mut slots, &d_z, hv, 0);
+            slots.add(*h, || d_h);
+        }
+    }
+}
+
+/// Negative log-likelihood of class `target` under the softmax of `logits`,
+/// and the softmax itself.
+fn nll_and_probs(logits: &[f32], target: usize) -> (f32, Vec<f32>) {
+    assert!(target < logits.len(), "target class out of range");
+    let ls = log_softmax(logits);
+    (-ls[target], ls.iter().map(|&v| v.exp()).collect())
+}
+
+/// `(softmax − onehot(target)) · scale` for every `cols`-wide row.
+fn softmax_grad(probs: &[f32], cols: usize, targets: &[usize], scale: f32) -> Vec<f32> {
+    let mut grad = probs.to_vec();
+    for (r, &t) in targets.iter().enumerate() {
+        grad[r * cols + t] -= 1.0;
+    }
+    for v in &mut grad {
+        *v *= scale;
+    }
+    grad
 }
 
 /// Column-wise sum of rows `[m,n] → [1,n]`.
@@ -806,5 +888,160 @@ mod tests {
         let c = tape.mul_elem(a, b);
         tape.backward(c);
         assert!(tape.grad(a).is_none());
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A deterministic matrix with exact zeros and a `-0.0` among its values.
+    fn matrix(rows: usize, cols: usize, salt: usize) -> Tensor {
+        let value = |i: usize| match (i * 7 + salt * 3) % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            v => (v as f32 - 5.5) * 0.37 + salt as f32 * 0.01,
+        };
+        Tensor::from_vec(rows, cols, (0..rows * cols).map(value).collect())
+    }
+
+    /// What the materialising protocol handed a slot: each contribution a
+    /// fresh [`Grad`], the first stored as it arrives, the rest accumulated.
+    fn fold(contributions: Vec<Grad>) -> Grad {
+        let mut it = contributions.into_iter();
+        let mut slot = it.next().expect("at least one contribution");
+        it.for_each(|c| slot.accumulate(c));
+        slot
+    }
+
+    fn sparse(rows: usize, cols: usize, idx: &[usize], g: &Tensor) -> Grad {
+        let entries = idx.iter().enumerate().map(|(i, &r)| (r, g.row(i).to_vec())).collect();
+        Grad::SparseRows { rows, cols, entries }
+    }
+
+    fn assert_same_grad(actual: &Grad, expected: &Grad) {
+        match (actual, expected) {
+            (Grad::Dense(a), Grad::Dense(e)) => assert_eq!(bits(a), bits(e)),
+            (Grad::SparseRows { entries: a, .. }, Grad::SparseRows { entries: e, .. }) => {
+                let rows = |g: &[(usize, Vec<f32>)]| -> Vec<(usize, Vec<u32>)> {
+                    g.iter().map(|(r, v)| (*r, v.iter().map(|x| x.to_bits()).collect())).collect()
+                };
+                assert_eq!(rows(a), rows(e));
+            }
+            _ => panic!("one gradient is dense, the other sparse"),
+        }
+    }
+
+    /// A use of the parameter under test: the scalar it feeds the loss and
+    /// the contribution the materialising protocol built for it.
+    type Use = (ValId, Box<dyn Fn(&Tape) -> Grad>);
+
+    /// Reduce `out` to a scalar through fixed, non-uniform weights.
+    fn scalar(tape: &mut Tape, out: ValId, salt: usize) -> ValId {
+        let (m, n) = tape.value(out).shape();
+        let read = tape.constant(matrix(n, 1, salt));
+        let col = tape.matmul(out, read);
+        let ones = tape.constant(Tensor::from_vec(1, m, vec![1.0; m]));
+        tape.matmul(ones, col)
+    }
+
+    fn gather_use(tape: &mut Tape, w: ValId, idx: &'static [usize], bag: bool) -> Use {
+        let (rows, cols) = tape.value(w).shape();
+        let looked = tape.lookup(w, idx);
+        let out = if bag { tape.mean_rows(looked) } else { looked };
+        let grad =
+            move |t: &Tape| sparse(rows, cols, idx, &t.grad(looked).expect("rows' gradient"));
+        (scalar(tape, out, idx.len()), Box::new(grad))
+    }
+
+    fn matmul_use(tape: &mut Tape, w: ValId, salt: usize) -> Use {
+        let x = tape.constant(matrix(2, tape.value(w).rows(), salt));
+        let y = tape.matmul(x, w);
+        let grad = move |t: &Tape| {
+            Grad::Dense(t.value(x).transpose().matmul(&t.grad(y).expect("product's gradient")))
+        };
+        (scalar(tape, y, salt), Box::new(grad))
+    }
+
+    fn matmul_nt_use(tape: &mut Tape, w: ValId, salt: usize) -> Use {
+        let q = tape.constant(matrix(1, tape.value(w).cols(), salt));
+        let y = tape.matmul_nt(q, w);
+        let grad = move |t: &Tape| {
+            Grad::Dense(t.grad(y).expect("product's gradient").transpose().matmul(t.value(q)))
+        };
+        (scalar(tape, y, salt), Box::new(grad))
+    }
+
+    /// One parameter used by two matmuls, a `matmul_nt`, a lookup *and* a
+    /// bag in one graph, in three mixes: only products (dense slot), only
+    /// gathers (sparse slot), and both (the sparse slot densified when a
+    /// product meets it). The slot must hold, bit for bit, the separately
+    /// materialised contributions folded in reverse node order.
+    #[test]
+    fn slots_collect_what_materialised_contributions_sum_to() {
+        for (products, gathers) in [(true, false), (false, true), (true, true)] {
+            let mut store = ParamStore::new();
+            let p = store.add("p", matrix(5, 3, 1));
+            let mut tape = Tape::new();
+            let w = tape.param(&store, p);
+            let mut uses: Vec<Use> = Vec::new();
+            if gathers {
+                uses.push(gather_use(&mut tape, w, &[1, 3, 1], false));
+            }
+            if products {
+                uses.push(matmul_use(&mut tape, w, 2));
+                uses.push(matmul_use(&mut tape, w, 3));
+            }
+            if gathers {
+                uses.push(gather_use(&mut tape, w, &[3, 4], true));
+            }
+            if products {
+                uses.push(matmul_nt_use(&mut tape, w, 4));
+            }
+            let heads: Vec<ValId> = uses.iter().map(|(head, _)| *head).collect();
+            let loss = tape.sum_scalars(&heads);
+            tape.backward(loss);
+            let expected = fold(uses.iter().rev().map(|(_, grad)| grad(&tape)).collect());
+            let actual = tape.take_grads().pop().expect("the parameter's gradient").1;
+            assert_eq!(matches!(actual, Grad::Dense(_)), products, "sparse until a product");
+            assert_same_grad(&actual, &expected);
+        }
+    }
+
+    /// The fused sampled-softmax node against `lookup → matmul_nt →
+    /// cross_entropy_logits`: loss, hidden-state gradient and the sparse
+    /// embedding gradient, over two heads sharing `h` and the table (so the
+    /// slots accumulate), candidate lists with a repeated row, and a hidden
+    /// state with exact zeros.
+    #[test]
+    fn fused_sampled_softmax_is_bitwise_the_primitive_composition() {
+        let run = |fused: bool| {
+            let mut store = ParamStore::new();
+            let e = store.add("emb", matrix(9, 6, 2));
+            let mut tape = Tape::new();
+            let emb = tape.param(&store, e);
+            let h = tape.leaf(matrix(1, 6, 3));
+            let heads: [(&[usize], usize); 2] = [(&[4, 0, 7, 4, 2], 2), (&[8, 7, 1], 0)];
+            let losses: Vec<ValId> = heads
+                .iter()
+                .map(|&(idx, gold)| {
+                    if fused {
+                        return tape.sampled_softmax_loss(h, emb, idx, gold);
+                    }
+                    let sub = tape.lookup(emb, idx);
+                    let logits = tape.matmul_nt(h, sub);
+                    tape.cross_entropy_logits(logits, gold)
+                })
+                .collect();
+            let values: Vec<u32> = losses.iter().flat_map(|&l| bits(tape.value(l))).collect();
+            let total = tape.sum_scalars(&losses);
+            let mean = tape.scale(total, 0.5);
+            tape.backward(mean);
+            let dh = bits(&tape.grad(h).expect("hidden-state gradient"));
+            (values, dh, tape.take_grads().pop().expect("embedding gradient").1)
+        };
+        let (fused, oracle) = (run(true), run(false));
+        assert_eq!((&fused.0, &fused.1), (&oracle.0, &oracle.1));
+        assert_same_grad(&fused.2, &oracle.2);
+        assert!(matches!(fused.2, Grad::SparseRows { .. }), "the table's gradient stays sparse");
     }
 }

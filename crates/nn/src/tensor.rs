@@ -2,8 +2,15 @@
 //!
 //! Every value in this crate is a 2-D tensor; vectors are single-row
 //! matrices. Data is shared behind an [`Arc`] so cloning a tensor (e.g. to
-//! capture it in a backward closure) is O(1); mutation goes through
+//! hand a gradient to two operands) is O(1); mutation goes through
 //! copy-on-write ([`Arc::make_mut`]).
+//!
+//! The three product kernels ([`Tensor::matmul`], [`Tensor::matmul_nt`],
+//! `add_tn`) share one numeric contract (ARCHITECTURE.md "f32 numeric
+//! contract"): every output element is one sequential sum over the
+//! reduction index, started from `+0.0`, skipping terms whose left factor
+//! is `== 0.0`, each term a rounded `mul` followed by a rounded `add`.
+//! Loops vectorise across independent outputs, never along the reduction.
 
 use std::fmt;
 use std::sync::Arc;
@@ -113,23 +120,40 @@ impl Tensor {
         );
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let mut out = vec![0.0f32; m * n];
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        // i-k-j loop order: unit-stride access to both `b` and `out`.
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
+        matmul_into(&mut out, self.as_slice(), rhs.as_slice(), k, n);
+        Tensor::from_vec(m, n, out)
+    }
+
+    /// `self × rhsᵀ`, bit-identical to `self.matmul(&rhs.transpose())`
+    /// without building the transpose: eight rows of `rhs` are reduced
+    /// side by side, each in its own sequential chain.
+    ///
+    /// # Panics
+    /// Panics if `self.cols != rhs.cols`.
+    pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
+        assert_eq!(
+            self.cols, rhs.cols,
+            "matmul_nt shape mismatch: {}x{} × ({}x{})ᵀ",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        let (k, n, b) = (self.cols, rhs.rows, rhs.as_slice());
+        let mut out = vec![0.0f32; self.rows * n];
+        for (i, orow) in out.chunks_mut(n.max(1)).enumerate() {
+            let mut c = 0;
+            while c < n {
+                c += match n - c {
+                    8.. => {
+                        orow[c..c + 8].copy_from_slice(&dots::<8>(self.row(i), &b[c * k..]));
+                        8
+                    }
+                    _ => {
+                        orow[c] = dots::<1>(self.row(i), &b[c * k..])[0];
+                        1
+                    }
+                };
             }
         }
-        Tensor::from_vec(m, n, out)
+        Tensor::from_vec(self.rows, n, out)
     }
 
     /// Transposed copy.
@@ -306,6 +330,125 @@ impl Tensor {
     }
 }
 
+/// Dot products of `a` against the first `N` rows (each `a.len()` wide) of
+/// `b`, every one summed in index order from `+0.0`, skipping `a[j] == 0.0`.
+fn dots<const N: usize>(a: &[f32], b: &[f32]) -> [f32; N] {
+    let rows: [&[f32]; N] = std::array::from_fn(|l| &b[l * a.len()..(l + 1) * a.len()]);
+    let mut acc = [0.0f32; N];
+    for (j, &av) in a.iter().enumerate() {
+        if av != 0.0 {
+            for (s, row) in acc.iter_mut().zip(&rows) {
+                *s += av * row[j];
+            }
+        }
+    }
+    acc
+}
+
+/// Defines `$name` as the `#[inline(always)]` loop nest `$body`, run from a
+/// copy compiled with AVX2 where the CPU has it (the runtime detection
+/// `quant` uses). Lanes are independent outputs and the `avx2` feature
+/// cannot fuse `mul` with `add`, so both copies give the same bits;
+/// `wide_kernels_match_portable_ones` holds them to it.
+macro_rules! at_widest {
+    ($name:ident = $body:ident) => {
+        fn $name(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                #[target_feature(enable = "avx2")]
+                unsafe fn wide(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+                    $body(dst, a, b, k, n)
+                }
+                // SAFETY: AVX2 support was just verified at runtime.
+                return unsafe { wide(dst, a, b, k, n) };
+            }
+            $body(dst, a, b, k, n)
+        }
+    };
+}
+at_widest!(matmul_into = matmul_body);
+at_widest!(add_tn_into = add_tn_body);
+
+/// `out[m×n] = a[m×k] × b[k×n]` over zeroed `out`, in blocks of output
+/// columns whose sums over `k` stay in registers (a read-modify-write of
+/// `out` per term would wait on the store before it); `b` is read with unit
+/// stride.
+#[inline(always)]
+fn matmul_body(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+    /// `W` output columns starting at `from`; returns the next column.
+    #[inline(always)]
+    fn cols<const W: usize>(orow: &mut [f32], arow: &[f32], b: &[f32], from: usize) -> usize {
+        let mut acc = [0.0f32; W];
+        for (&av, brow) in arow.iter().zip(b.chunks(orow.len())) {
+            if av != 0.0 {
+                let bcols: &[f32; W] = brow[from..from + W].try_into().expect("W columns");
+                acc.iter_mut().zip(bcols).for_each(|(s, &bv)| *s += av * bv);
+            }
+        }
+        orow[from..from + W].copy_from_slice(&acc);
+        from + W
+    }
+    if k == 0 || n == 0 {
+        return;
+    }
+    for (orow, arow) in out.chunks_mut(n).zip(a.chunks(k)) {
+        let mut from = 0;
+        while from < n {
+            from = match n - from {
+                64.. => cols::<64>(orow, arow, b, from),
+                32.. => cols::<32>(orow, arow, b, from),
+                16.. => cols::<16>(orow, arow, b, from),
+                8.. => cols::<8>(orow, arow, b, from),
+                _ => cols::<1>(orow, arow, b, from),
+            };
+        }
+    }
+}
+
+/// `dst[k×n] += aᵀ × g` in place (`a` is `[m,k]`, `g` is `[m,n]`),
+/// bit-identical to materialising `a.transpose().matmul(g)` and adding it
+/// with `add_scaled_assign(_, 1.0)`: each `dst` element receives *one*
+/// addend, the product element summed from `+0.0` over `a`'s rows in order
+/// with `a == 0.0` terms skipped. For `m == 1` (every backward of a
+/// vector–matrix product) that is the rank-1 update
+/// `dst[i][j] += 0.0 + a[i]·g[j]`.
+pub(crate) fn add_tn(dst: &mut [f32], a: &Tensor, g: &Tensor) {
+    let ((m, k), n) = (a.shape(), g.cols());
+    assert_eq!((m, dst.len()), (g.rows(), k * n), "add_tn shape mismatch");
+    add_tn_into(dst, a.as_slice(), g.as_slice(), k, n);
+}
+
+#[inline(always)]
+fn add_tn_body(dst: &mut [f32], a: &[f32], g: &[f32], k: usize, n: usize) {
+    // `y += 0.0 + a·x`: the `0.0 +` makes the addend what the materialised
+    // product would hold — never `-0.0`, which would leave a `-0.0` in `y`.
+    let axpy = |y: &mut [f32], a: f32, x: &[f32]| {
+        y.iter_mut().zip(x).for_each(|(y, &x)| *y += 0.0 + a * x);
+    };
+    if k == 0 || n == 0 {
+        return;
+    }
+    let mut term = vec![0.0f32; n];
+    for (i, drow) in dst.chunks_mut(n).enumerate() {
+        if a.len() == k {
+            // One row of `a`: no partial sums to hold. A skipped
+            // `a[i] == 0.0` still adds the product's `+0.0`s.
+            match a[i] == 0.0 {
+                true => drow.iter_mut().for_each(|d| *d += 0.0),
+                false => axpy(drow, a[i], g),
+            }
+            continue;
+        }
+        term.fill(0.0);
+        for (arow, grow) in a.chunks(k).zip(g.chunks(n)) {
+            if arow[i] != 0.0 {
+                axpy(&mut term, arow[i], grow);
+            }
+        }
+        axpy(drow, 1.0, &term);
+    }
+}
+
 /// Numerically stable in-place softmax of a slice.
 pub fn softmax_in_place(row: &mut [f32]) {
     if row.is_empty() {
@@ -465,5 +608,98 @@ mod tests {
     fn argmax_first_on_ties() {
         let a = Tensor::from_row(vec![0.5, 1.0, 1.0]);
         assert_eq!(a.argmax_row(0), 1);
+    }
+
+    /// A value from a pool rich in signed zeros and in pairs whose products
+    /// cancel exactly, or (one time in four) an arbitrary small float.
+    fn hostile(state: &mut u64) -> f32 {
+        const POOL: [f32; 10] = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, -3.0, 1.5, -0.75];
+        let bits = proptest::next_state(state);
+        match bits % 4 {
+            0 => ((bits >> 8) % 2001) as f32 / 1000.0 - 1.0,
+            _ => POOL[(bits >> 8) as usize % POOL.len()],
+        }
+    }
+
+    fn hostile_matrix(state: &mut u64, rows: usize, cols: usize) -> Tensor {
+        Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| hostile(state)).collect())
+    }
+
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `matmul_nt` is the transposing form bit for bit: row vectors and
+        /// matrices, widths on neither side of a lane multiple, signed
+        /// zeros and exact cancellations.
+        #[test]
+        fn matmul_nt_is_matmul_of_the_transpose(seed in 0u64..100_000) {
+            let mut state = seed;
+            let m = 1 + (proptest::next_state(&mut state) % 4) as usize * (seed % 2) as usize;
+            let k = 1 + (proptest::next_state(&mut state) % 19) as usize;
+            let n = 1 + (proptest::next_state(&mut state) % 21) as usize;
+            let a = hostile_matrix(&mut state, m, k);
+            let b = hostile_matrix(&mut state, n, k);
+            let expected = a.matmul(&b.transpose());
+            prop_assert_eq!(bits(a.matmul_nt(&b).as_slice()), bits(expected.as_slice()));
+        }
+
+        /// `add_tn` in place is materialise-then-`add_scaled_assign`, onto
+        /// destinations that themselves hold signed zeros.
+        #[test]
+        fn add_tn_is_materialise_then_add(seed in 0u64..100_000) {
+            let mut state = seed;
+            let m = 1 + (proptest::next_state(&mut state) % 4) as usize * (seed % 2) as usize;
+            let k = 1 + (proptest::next_state(&mut state) % 19) as usize;
+            let n = 1 + (proptest::next_state(&mut state) % 21) as usize;
+            let a = hostile_matrix(&mut state, m, k);
+            let g = hostile_matrix(&mut state, m, n);
+            let mut expected = hostile_matrix(&mut state, k, n);
+            let mut dst = expected.clone();
+            expected.add_scaled_assign(&a.transpose().matmul(&g), 1.0);
+            add_tn(dst.as_mut_slice(), &a, &g);
+            prop_assert_eq!(bits(dst.as_slice()), bits(expected.as_slice()));
+        }
+
+        /// The AVX2 copies of the product kernels (where the CPU runs them)
+        /// and the portable loop nests they are compiled from agree bit for
+        /// bit, over every column-block width `matmul_body` has.
+        #[test]
+        fn wide_kernels_match_portable_ones(seed in 0u64..100_000) {
+            let mut state = seed;
+            let m = 1 + (proptest::next_state(&mut state) % 3) as usize;
+            let k = 1 + (proptest::next_state(&mut state) % 40) as usize;
+            let n = 1 + (proptest::next_state(&mut state) % 150) as usize;
+            let a = hostile_matrix(&mut state, m, k);
+            let b = hostile_matrix(&mut state, k, n);
+            let mut portable = vec![0.0f32; m * n];
+            matmul_body(&mut portable, a.as_slice(), b.as_slice(), k, n);
+            prop_assert_eq!(bits(a.matmul(&b).as_slice()), bits(&portable));
+
+            let g = hostile_matrix(&mut state, m, n);
+            let mut wide = hostile_matrix(&mut state, k, n);
+            let mut portable = wide.as_slice().to_vec();
+            add_tn_body(&mut portable, a.as_slice(), g.as_slice(), k, n);
+            add_tn(wide.as_mut_slice(), &a, &g);
+            prop_assert_eq!(bits(wide.as_slice()), bits(&portable));
+        }
+    }
+
+    /// The register-blocked `matmul` sums each output in the reduction's
+    /// index order from `+0.0`, skipping `== 0.0` left factors: a product
+    /// whose terms cancel to `-0.0 + 0.0` comes out `+0.0`, and a skipped
+    /// `0 · ∞` never makes a NaN.
+    #[test]
+    fn matmul_keeps_zero_skips_and_positive_zero() {
+        let a = Tensor::from_row(vec![0.0, -0.0, 1.0, -1.0]);
+        let b =
+            Tensor::from_vec(4, 2, vec![f32::INFINITY, 1.0, f32::NAN, 1.0, -0.0, 2.5, 0.0, 2.5]);
+        let out = a.matmul(&b);
+        assert_eq!(bits(out.as_slice()), bits(&[0.0, 0.0]));
     }
 }

@@ -157,7 +157,7 @@ impl DenseRetriever {
     /// Cosine-similarity search.
     pub fn search(&self, query: &str, k: usize) -> Vec<(usize, f32)> {
         let q = self.encoder.embed(query);
-        let scores = self.doc_matrix.matmul(&q.transpose()); // [n,1]
+        let scores = self.doc_matrix.matmul_nt(&q); // [n,1]
         let mut ranked: Vec<(usize, f32)> =
             (0..self.targets.len()).map(|i| (i, scores.get(i, 0))).collect();
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
