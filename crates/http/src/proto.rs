@@ -18,13 +18,20 @@
 //! | no progress before the read deadline     | [`RequestError::Stalled`] → 408 (slow-loris eviction) |
 //!
 //! Reads go through [`Conn`], which keeps leftover bytes across requests so
-//! keep-alive and pipelined-ish sequential requests on one socket parse
-//! correctly. Every read phase sets an explicit deadline on the transport
-//! ([`Transport::set_read_deadline`]) — a client that connects and then
-//! stalls mid-request is evicted when the deadline lapses, never held
-//! forever.
+//! keep-alive and pipelined requests on one socket parse correctly. Every
+//! read runs under an explicit deadline on the transport
+//! ([`Transport::set_read_deadline`], handed over only when it changes) — a
+//! client that connects and then stalls mid-request is evicted when the
+//! deadline lapses, never held forever.
+//!
+//! Writes go through [`Conn`] too. A message is written at once unless the
+//! peer's next message is already buffered: then it waits in the output
+//! buffer, and the answers to messages that arrived together leave
+//! together, in order. The buffer is also written when it reaches 1 KiB
+//! (`OUT_BOUND`), when a response closes the connection, and always before
+//! the connection sleeps in `read` — so no peer ever waits on bytes this
+//! side is holding.
 
-use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -176,7 +183,19 @@ pub struct Conn<T: Transport> {
     transport: T,
     buf: Vec<u8>,
     start: usize,
+    /// Bytes accepted for the peer and not yet written.
+    out: Vec<u8>,
+    /// The read deadline the transport was last given.
+    read_deadline: Option<Duration>,
 }
+
+/// Pending output is written once it reaches this size, whatever the peer
+/// has pipelined behind it: about two cached answers, so a saturated
+/// pipeline costs half its writes and no answer waits behind more than a
+/// couple of others. It is also what keeps a peer that never reads from
+/// growing this process: it fills the socket and meets the write timeout
+/// instead. (Why not larger: ROADMAP item 1(vi).)
+const OUT_BOUND: usize = 1024;
 
 /// A framed message head, and the deadline the rest of its message must
 /// meet. Only [`Conn::read_head`] makes one, so a body is never read
@@ -224,7 +243,13 @@ pub(crate) fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<
 
 impl<T: Transport> Conn<T> {
     pub fn new(transport: T) -> Self {
-        Conn { transport, buf: Vec::with_capacity(4096), start: 0 }
+        Conn {
+            transport,
+            buf: Vec::with_capacity(4096),
+            start: 0,
+            out: Vec::new(),
+            read_deadline: None,
+        }
     }
 
     pub(crate) fn transport(&self) -> &T {
@@ -257,7 +282,12 @@ impl<T: Transport> Conn<T> {
         // A zero timeout would mean "no deadline" to the OS; clamp to the
         // smallest representable one so a lapsed budget still times out.
         let timeout = timeout.max(Duration::from_millis(1));
-        self.transport.set_read_deadline(Some(timeout)).map_err(RequestError::Io)?;
+        // Never sleep in `read` holding bytes the peer may be waiting for.
+        self.flush().map_err(RequestError::Io)?;
+        if self.read_deadline != Some(timeout) {
+            self.transport.set_read_deadline(Some(timeout)).map_err(RequestError::Io)?;
+            self.read_deadline = Some(timeout);
+        }
         if self.start > 0 && self.buf.len() + 4096 > self.buf.capacity() {
             self.buf.drain(..self.start);
             self.start = 0;
@@ -326,7 +356,9 @@ impl<T: Transport> Conn<T> {
             self.consume(blank);
             if self.buffered().is_empty() {
                 // Only blank bytes so far; let the caller's idle budget decide
-                // how long to keep waiting for a real start line.
+                // how long to keep waiting for a real start line. They were
+                // not a message: whatever waited behind them goes out now.
+                self.flush().map_err(RequestError::Io)?;
                 return Err(RequestError::Idle);
             }
         }
@@ -363,15 +395,42 @@ impl<T: Transport> Conn<T> {
         self.take(head.deadline, |_| Ok(Some(declared as usize)))
     }
 
-    /// Write bytes to the peer and flush them.
+    /// Queue bytes for the peer; they are written now unless the peer's next
+    /// message is already buffered (see the module doc for when they are).
     pub(crate) fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.transport.write_all(bytes)?;
+        self.out.extend_from_slice(bytes);
+        self.flush_unless_pipelined()
+    }
+
+    fn flush_unless_pipelined(&mut self) -> io::Result<()> {
+        if self.buffered().is_empty() || self.out.len() >= OUT_BOUND {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Write everything queued, in one write.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.transport.write_all(&self.out);
+        self.out.clear();
+        written?;
         self.transport.flush()
     }
 
-    /// Write a full response and flush it.
+    /// Queue a full response; it is written when the module doc says queued
+    /// bytes are, and one that closes the connection takes everything queued
+    /// with it.
     pub fn write_response(&mut self, response: &Response, keep_alive: bool) -> io::Result<()> {
-        self.send(&response.to_bytes(keep_alive))
+        response.write_to(&mut self.out, keep_alive);
+        if keep_alive {
+            self.flush_unless_pipelined()
+        } else {
+            self.flush()
+        }
     }
 }
 
@@ -472,26 +531,32 @@ impl Response {
     /// Serialize to wire bytes, with `Connection: keep-alive`/`close`
     /// reflecting what the server will actually do.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
-        let mut out = String::with_capacity(128 + self.body.len());
+        let mut out = Vec::with_capacity(128 + self.body.len());
+        self.write_to(&mut out, keep_alive);
+        out
+    }
+
+    /// Append the wire bytes to `out` — the one serialiser, for a
+    /// connection's output buffer and for [`Response::to_bytes`].
+    fn write_to(&self, out: &mut Vec<u8>, keep_alive: bool) {
+        // Writing to a `Vec` cannot fail.
         let _ = write!(out, "HTTP/1.1 {} {}\r\n", self.status, reason(self.status));
         for (name, value) in &self.headers {
-            out.push_str(name);
-            out.push_str(": ");
-            out.push_str(value);
-            out.push_str("\r\n");
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
         if !self.body.is_empty() {
-            out.push_str("content-type: application/json\r\n");
+            out.extend_from_slice(b"content-type: application/json\r\n");
         }
         let _ = write!(out, "content-length: {}\r\n", self.body.len());
-        out.push_str(if keep_alive {
-            "connection: keep-alive\r\n"
+        out.extend_from_slice(if keep_alive {
+            b"connection: keep-alive\r\n\r\n".as_slice()
         } else {
-            "connection: close\r\n"
+            b"connection: close\r\n\r\n".as_slice()
         });
-        out.push_str("\r\n");
-        out.push_str(&self.body);
-        out.into_bytes()
+        out.extend_from_slice(self.body.as_bytes());
     }
 }
 
@@ -619,28 +684,37 @@ mod tests {
         );
     }
 
-    /// Delivers its input in seeded pseudo-random chunks of 1–40 bytes, to
-    /// exercise every way a message can be split across reads.
+    /// Delivers its input in seeded pseudo-random chunks of 1–`max_chunk`
+    /// bytes, to exercise every way a message can be split across reads, and
+    /// records the size of every write.
     struct Chunked {
         input: ByteStream,
         state: u64,
+        max_chunk: u64,
+        writes: Vec<usize>,
     }
 
     impl Chunked {
         fn conn(input: &[u8], seed: u64) -> Conn<Chunked> {
-            Conn::new(Chunked { input: ByteStream::new(input), state: seed })
+            Self::conn_with(input, seed, 40)
+        }
+
+        fn conn_with(input: &[u8], seed: u64, max_chunk: u64) -> Conn<Chunked> {
+            let input = ByteStream::new(input);
+            Conn::new(Chunked { input, state: seed, max_chunk, writes: Vec::new() })
         }
     }
 
     impl Read for Chunked {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let n = (1 + (next_state(&mut self.state) % 40) as usize).min(buf.len());
-            self.input.read(&mut buf[..n])
+            let n = (1 + next_state(&mut self.state) % self.max_chunk).min(buf.len() as u64);
+            self.input.read(&mut buf[..n as usize])
         }
     }
 
     impl Write for Chunked {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
             self.input.write(buf)
         }
 
@@ -691,6 +765,161 @@ mod tests {
             prop_assert_eq!(seen, vec![(200, "{\"ok\":true}", true), (429, "", false)]);
             prop_assert_eq!(&responses(&mut Chunked::conn(&two_responses, seed)), &whole);
         }
+    }
+
+    /// One write per response: what [`Conn::write_response`] did before
+    /// output was buffered, kept as the reference its bytes are held to.
+    fn write_response_unbuffered<T: Transport>(
+        conn: &mut Conn<T>,
+        response: &Response,
+        keep_alive: bool,
+    ) -> io::Result<()> {
+        conn.transport.write_all(&response.to_bytes(keep_alive))?;
+        conn.transport.flush()
+    }
+
+    /// The server's keep-alive loop in miniature: answer every request with
+    /// what was read of it until the input ends, a request asks to close, or
+    /// one does not parse (400, close).
+    fn answer_all(
+        conn: &mut Conn<Chunked>,
+        write: fn(&mut Conn<Chunked>, &Response, bool) -> io::Result<()>,
+    ) {
+        let limits = Limits::default();
+        loop {
+            match read_request(conn, &limits, SECOND, SECOND) {
+                Ok(request) => {
+                    let body =
+                        format!("{{\"path\":{:?},\"n\":{}}}", request.path, request.body.len());
+                    write(conn, &Response::json(200, body), request.keep_alive).unwrap();
+                    if !request.keep_alive {
+                        break;
+                    }
+                }
+                // The server may stop waiting here (a drain does): nothing
+                // may still be queued behind the blank lines just skipped.
+                Err(RequestError::Idle) => assert!(conn.out.is_empty(), "idle with output queued"),
+                Err(RequestError::Bad(why)) => {
+                    write(conn, &Response::json(400, format!("{why:?}")), false).unwrap();
+                    break;
+                }
+                Err(_) => break,
+            }
+        }
+        assert!(conn.out.is_empty(), "the loop ended with output still queued");
+    }
+
+    /// A seeded sequence of pipelined requests: mostly well-formed keep-alive
+    /// ones of several sizes, now and then stray blank lines, a
+    /// `connection: close`, a malformed head, or a truncated tail.
+    fn request_sequence(seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        let mut bytes = Vec::new();
+        for _ in 0..next_state(&mut state) % 12 {
+            let body = "x".repeat((next_state(&mut state) % 300) as usize);
+            match next_state(&mut state) % 16 {
+                0 => bytes.extend_from_slice(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n"),
+                1 => bytes.extend_from_slice(b"get /healthz HTTP/1.1\r\n\r\n"),
+                2 => bytes.extend_from_slice(b"\r\n\r\n"),
+                3..=8 => bytes.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n"),
+                _ => bytes.extend_from_slice(
+                    format!("POST /ask HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}", body.len())
+                        .as_bytes(),
+                ),
+            }
+        }
+        if next_state(&mut state).is_multiple_of(4) {
+            bytes.extend_from_slice(b"POST /ask HTTP/1.1\r\ncontent-le");
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Buffering output moves write boundaries and nothing else: for any
+        /// request sequence, split across reads anywhere, the peer receives
+        /// byte for byte what one write per response sent it, in no more
+        /// writes.
+        #[test]
+        fn buffered_output_is_the_unbuffered_bytes(seed in 0u64..u64::MAX) {
+            let input = request_sequence(seed);
+            // Reads of a few bytes, of a request or so, or of several requests.
+            let max_chunk = [8, 200, 6000][(seed % 3) as usize];
+            let mut reference = Chunked::conn_with(&input, seed, max_chunk);
+            answer_all(&mut reference, write_response_unbuffered);
+            let mut conn = Chunked::conn_with(&input, seed, max_chunk);
+            answer_all(&mut conn, Conn::write_response);
+            prop_assert_eq!(&conn.transport.input.output, &reference.transport.input.output);
+            prop_assert!(conn.transport.writes.len() <= reference.transport.writes.len());
+        }
+    }
+
+    #[test]
+    fn requests_that_arrive_together_are_answered_in_bounded_writes() {
+        let one = b"GET /healthz HTTP/1.1\r\n\r\n";
+        // Reads as large as `fill` asks for.
+        let whole_reads =
+            |requests: usize| Chunked::conn_with(&one.repeat(requests), 1, u64::MAX >> 1);
+        // Six requests in one read, answers smaller than the bound: one
+        // write, not six.
+        let mut conn = whole_reads(6);
+        answer_all(&mut conn, Conn::write_response);
+        assert_eq!(conn.transport.writes.len(), 1, "{:?}", conn.transport.writes);
+        assert!(conn.transport.writes[0] < OUT_BOUND);
+
+        // Ten thousand requests ahead of a peer that never reads: however
+        // much is pipelined, no write (so no buffer) passes the bound by
+        // more than the response that crossed it, and few fall short of it.
+        let mut reference = Chunked::conn(&one.repeat(10_000), 1);
+        answer_all(&mut reference, write_response_unbuffered);
+        let response = reference.transport.writes[0];
+        let mut conn = whole_reads(10_000);
+        answer_all(&mut conn, Conn::write_response);
+        let (output, writes) = (&conn.transport.input.output, &conn.transport.writes);
+        assert_eq!(output, &reference.transport.input.output);
+        let largest = writes.iter().copied().max().unwrap();
+        assert!(largest < OUT_BOUND + response, "a write of {largest} bytes");
+        assert!(writes.len() < 2 * output.len() / OUT_BOUND, "{} writes", writes.len());
+    }
+
+    #[test]
+    fn the_read_deadline_reaches_the_transport_only_when_it_changes() {
+        struct Deadlines(ByteStream, Vec<Option<Duration>>);
+        impl Read for Deadlines {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.0.read(&mut buf[..1])
+            }
+        }
+        impl Write for Deadlines {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.write(buf)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        impl Transport for Deadlines {
+            fn set_read_deadline(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+                self.1.push(timeout);
+                Ok(())
+            }
+        }
+        // One byte per read: dozens of fills, all under the same idle slice.
+        let mut conn = Conn::new(Deadlines(ByteStream::new("\r\n".repeat(40)), Vec::new()));
+        let limits = Limits::default();
+        for _ in 0..80 {
+            let idle = read_request(&mut conn, &limits, SECOND, SECOND);
+            assert!(matches!(idle, Err(RequestError::Idle)));
+        }
+        assert!(matches!(
+            read_request(&mut conn, &limits, SECOND, SECOND),
+            Err(RequestError::Closed)
+        ));
+        assert_eq!(conn.transport.1, [Some(SECOND)]);
+        // A different deadline is handed over.
+        let _ = read_request(&mut conn, &limits, 2 * SECOND, SECOND);
+        assert_eq!(conn.transport.1, [Some(SECOND), Some(2 * SECOND)]);
     }
 
     #[test]

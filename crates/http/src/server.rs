@@ -31,7 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dbcopilot_retrieval::RoutingResult;
-use dbcopilot_runtime::{lock_rank, OrderedMutex, WorkerPool};
+use dbcopilot_runtime::WorkerPool;
 use dbcopilot_serve::{AskOutcome, AskService, QueryPipeline, RouterService, ServiceStats};
 use serde::Value;
 
@@ -249,13 +249,21 @@ struct State {
     shed: AtomicU64,
     requests: AtomicU64,
     in_flight: AtomicU64,
-    responses: OrderedMutex<std::collections::BTreeMap<u16, u64>>,
+    /// Responses written, one counter per entry of [`STATUSES`].
+    responses: [AtomicU64; STATUSES.len()],
     latency: Histogram,
 }
 
+/// Every status the edge emits, ascending: `route_request`'s and
+/// `wire::ask_status`'s, the protocol errors, the shed 429, the panic 500.
+const STATUSES: [u16; 14] = [200, 400, 404, 405, 408, 409, 410, 413, 422, 429, 431, 500, 501, 505];
+
 impl State {
     fn count_response(&self, status: u16) {
-        *self.responses.lock().entry(status).or_insert(0) += 1;
+        let mut counters = STATUSES.iter().zip(&self.responses);
+        if let Some((_, count)) = counters.find(|(&s, _)| s == status) {
+            count.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn snapshot(&self) -> ServerStats {
@@ -263,7 +271,12 @@ impl State {
             accepted: self.accepted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
-            responses: self.responses.lock().iter().map(|(&s, &n)| (s, n)).collect(),
+            responses: STATUSES
+                .iter()
+                .zip(&self.responses)
+                .map(|(&status, count)| (status, count.load(Ordering::Relaxed)))
+                .filter(|&(_, count)| count > 0)
+                .collect(),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             p50_us: self.latency.p50_us(),
             p95_us: self.latency.p95_us(),
@@ -312,11 +325,7 @@ impl HttpServer {
             shed: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
-            responses: OrderedMutex::new(
-                "responses",
-                lock_rank::RESPONSES,
-                std::collections::BTreeMap::new(),
-            ),
+            responses: Default::default(),
             latency: Histogram::new(),
         });
         let accept = {

@@ -8,7 +8,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{ok_report, EchoBackend};
+use common::{ok_report, raw_ask, EchoBackend, SLOW_QUESTION};
 use dbcopilot_http::{HttpClient, HttpConfig, HttpServer, ServiceApp};
 use dbcopilot_retrieval::{RoutingResult, SchemaRouter};
 use dbcopilot_serve::{
@@ -115,6 +115,90 @@ fn graceful_shutdown_answers_every_admitted_request_and_releases_the_port() {
 
     // The port is actually released, not leaked to a lingering listener.
     TcpListener::bind(addr).expect("port rebindable after shutdown");
+}
+
+#[test]
+fn graceful_shutdown_delivers_the_responses_a_pipelined_connection_had_queued() {
+    let server =
+        HttpServer::bind("127.0.0.1:0", EchoBackend::fast(), HttpConfig::new().workers(1)).unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    // Two quick answers wait in the connection's output buffer for the
+    // slow one pipelined behind them; the drain begins while it runs.
+    let wire: String = ["first", "second", "slow third"].iter().map(|q| raw_ask(q, "")).collect();
+    client.send_raw(wire.as_bytes()).unwrap();
+    let deadline = Instant::now() + SLOW_QUESTION;
+    while server.stats().requests < 3 {
+        assert!(Instant::now() < deadline, "the slow request finished before the drain began");
+        std::thread::yield_now();
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.responses_with(200), stats.in_flight), (3, 0));
+
+    for (question, keep_alive) in [("first", true), ("second", true), ("slow third", false)] {
+        let response = client.read_response().expect("a queued response was lost in the drain");
+        assert_eq!(response.status, 200);
+        assert!(response.body.contains(&format!("SELECT '{question}'")), "{}", response.body);
+        assert_eq!(response.keep_alive, keep_alive, "{question}: only the last one closes");
+    }
+    assert!(client.read_response().is_err(), "drained connections close");
+}
+
+#[test]
+fn a_megabyte_question_is_parsed_in_time_and_pins_no_worker() {
+    let server =
+        HttpServer::bind("127.0.0.1:0", EchoBackend::fast(), HttpConfig::new().workers(2)).unwrap();
+    let read_timeout = HttpConfig::new().read_timeout;
+    // Exactly the default body limit: read and parsed, not refused with 413.
+    let limit = HttpConfig::new().limits.max_body_bytes;
+    let body = ask_body(&"a".repeat(limit - ask_body("").len()));
+    assert_eq!(body.len(), limit);
+
+    let began = Instant::now();
+    std::thread::scope(|scope| {
+        let big = scope.spawn(|| {
+            let mut client = HttpClient::connect(server.addr()).unwrap();
+            let response = client.post("/ask", &body).expect("the 1 MiB ask");
+            assert_eq!(response.status, 200);
+            // The connection is as good as new afterwards.
+            assert_eq!(client.post("/ask", &ask_body("next")).unwrap().status, 200);
+        });
+        let mut other = HttpClient::connect(server.addr()).unwrap();
+        assert_eq!(other.get("/healthz").unwrap().status, 200);
+        big.join().expect("big client");
+    });
+    // A string reader that re-validated the rest of the body for every
+    // character spent ~16 s here.
+    assert!(began.elapsed() < read_timeout, "took {:?}", began.elapsed());
+    assert_eq!(server.stats().responses_with(200), 3);
+}
+
+#[test]
+fn a_pipelining_client_that_never_reads_meets_the_write_deadline() {
+    let write_timeout = Duration::from_millis(300);
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        EchoBackend::fast(),
+        // The write timeout is the read timeout.
+        HttpConfig::new().workers(2).read_timeout(write_timeout),
+    )
+    .unwrap();
+    let mut hostile = HttpClient::connect(server.addr()).unwrap();
+    let batch = "GET /healthz HTTP/1.1\r\n\r\n".repeat(10_000);
+    // Keep pipelining, never read: once the sockets between the two are
+    // full the server's write blocks, times out, and the connection is
+    // closed — which is what ends this loop.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while hostile.send_raw(batch.as_bytes()).is_ok() {
+        assert!(Instant::now() < deadline, "the server kept buffering for a peer that never reads");
+    }
+    // The worker is free again and the process is fine.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().in_flight > 0 {
+        assert!(Instant::now() < deadline, "the connection was never released");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut next = HttpClient::connect(server.addr()).unwrap();
+    assert_eq!(next.get("/healthz").unwrap().status, 200);
 }
 
 #[test]

@@ -9,7 +9,7 @@ use std::net::Shutdown;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use common::serve;
+use common::{raw_ask, serve};
 use dbcopilot_http::{HttpClient, HttpConfig, HttpServer};
 use proptest::next_state;
 use proptest::prelude::*;
@@ -61,6 +61,74 @@ fn pipelined_sequential_requests_answer_in_order() {
     assert_eq!(second.status, 200);
     assert!(second.body.contains("SELECT 'pipelined'"), "{}", second.body);
     assert_eq!(server.stats().accepted, 1);
+}
+
+#[test]
+fn everything_pipelined_is_answered_before_the_server_waits_for_more() {
+    let server = serve(HttpConfig::new().workers(1));
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    // Eight whole requests and the first half of a ninth in one write: the
+    // server holds eight responses when it runs out of input, and must
+    // write them before it sleeps on the rest — the client sends nothing
+    // more until it has read all eight.
+    let ninth = raw_ask("the ninth", "");
+    let (sent_now, sent_later) = ninth.split_at(ninth.len() / 2);
+    let mut wire: String = (0..8).map(|i| raw_ask(&format!("q{i}"), "")).collect();
+    wire.push_str(sent_now);
+    client.send_raw(wire.as_bytes()).unwrap();
+    for i in 0..8 {
+        let response = client.read_response().unwrap();
+        assert_eq!(response.status, 200);
+        assert!(
+            response.body.contains(&format!("SELECT 'q{i}'")),
+            "out of order: {}",
+            response.body
+        );
+    }
+    client.send_raw(sent_later.as_bytes()).unwrap();
+    let response = client.read_response().unwrap();
+    assert!(response.body.contains("SELECT 'the ninth'"), "{}", response.body);
+    assert_eq!((server.stats().accepted, server.stats().requests), (1, 9));
+}
+
+#[test]
+fn connection_close_mid_pipeline_delivers_what_came_before_it_and_stops() {
+    let server = serve(HttpConfig::new().workers(1));
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let wire = [
+        raw_ask("first", ""),
+        raw_ask("second", "connection: close\r\n"),
+        raw_ask("third", ""),
+        raw_ask("fourth", ""),
+    ]
+    .concat();
+    client.send_raw(wire.as_bytes()).unwrap();
+    let first = client.read_response().unwrap();
+    assert!(first.keep_alive && first.body.contains("SELECT 'first'"), "{}", first.body);
+    let second = client.read_response().unwrap();
+    assert!(!second.keep_alive && second.body.contains("SELECT 'second'"), "{}", second.body);
+    assert!(client.read_response().is_err(), "the connection closes after the second response");
+    assert_eq!(server.stats().requests, 2, "requests behind a close are not read");
+}
+
+#[test]
+fn handler_panic_mid_pipeline_delivers_the_responses_queued_before_it() {
+    let server = serve(HttpConfig::new().workers(1));
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let wire =
+        [raw_ask("first", ""), raw_ask("second", ""), raw_ask("panic now", ""), raw_ask("x", "")]
+            .concat();
+    client.send_raw(wire.as_bytes()).unwrap();
+    for question in ["first", "second"] {
+        let response = client.read_response().unwrap();
+        assert_eq!(response.status, 200);
+        assert!(response.body.contains(&format!("SELECT '{question}'")), "{}", response.body);
+    }
+    let panicked = client.read_response().unwrap();
+    assert_eq!(panicked.status, 500);
+    assert_eq!(error_field(&panicked.body, "stage"), Some(Value::String("panic".into())));
+    assert!(!panicked.keep_alive);
+    assert!(client.read_response().is_err(), "a panicked connection is closed");
 }
 
 #[test]
@@ -228,6 +296,41 @@ fn stats_endpoint_reports_edge_counters() {
     let latency = edge.get("latency_us").expect("latency section");
     assert_eq!(latency.get("count"), Some(&Value::Int(3)), "3 handler samples before /stats");
     assert!(v.get("services").is_some(), "services section present (empty for a bare backend)");
+}
+
+#[test]
+fn every_status_a_client_sees_is_counted_once() {
+    let server = serve(HttpConfig::new().workers(1).max_head_bytes(512).max_body_bytes(4096));
+    let mut seen = std::collections::BTreeMap::<u16, u64>::new();
+    {
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let asks = ["fine", "missing db", "gone db", "unprocessable question"];
+        let mut statuses: Vec<u16> =
+            asks.iter().map(|q| client.post("/ask", &ask_body(q)).unwrap().status).collect();
+        statuses.push(client.post("/ask", "{oops").unwrap().status);
+        statuses.push(client.post("/route", &ask_body("no routing front")).unwrap().status);
+        statuses.push(client.post("/admin/publish", "{}").unwrap().status);
+        statuses.push(client.get("/ask").unwrap().status);
+        statuses.push(client.get("/no/such/endpoint").unwrap().status);
+        statuses.push(client.post("/ask", &ask_body("panic now")).unwrap().status);
+        assert_eq!(statuses, [200, 404, 410, 422, 400, 501, 409, 405, 404, 500]);
+        statuses.iter().for_each(|status| *seen.entry(*status).or_default() += 1);
+    }
+    // Protocol errors close the connection: one each.
+    let huge = format!("GET /healthz HTTP/1.1\r\nx-pad: {}\r\n\r\n", "y".repeat(1000));
+    for (request, expected) in [
+        ("GET /healthz HTTP/2.0\r\n\r\n", 505),
+        ("POST /ask HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n", 501),
+        ("POST /ask HTTP/1.1\r\ncontent-length: 5000\r\n\r\n", 413),
+        (huge.as_str(), 431),
+    ] {
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        client.send_raw(request.as_bytes()).unwrap();
+        assert_eq!(client.read_response().unwrap().status, expected, "{request:?}");
+        *seen.entry(expected).or_default() += 1;
+    }
+    // 408 and 429 are counted against what clients saw in overload.rs.
+    assert_eq!(server.stats().responses, seen.into_iter().collect::<Vec<_>>());
 }
 
 /// The shared server the garbage property test hammers.

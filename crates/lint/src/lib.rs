@@ -7,7 +7,8 @@
 //! declared lock-order ranking) are enforced by this crate instead. It is
 //! deliberately dependency-free: a string/comment-aware lexer
 //! ([`lexer`]), a token-stream rule engine ([`rules`]), and a walker over
-//! `crates/` + `src/` that emits `file:line` diagnostics.
+//! `crates/` + `src/` + `vendor/serde_json/src` that emits `file:line`
+//! diagnostics.
 //!
 //! Suppression is per-line: `// dbc-lint: allow(<rule>)` followed by a
 //! justification. Trailing pragmas apply to their own line, standalone
@@ -32,6 +33,10 @@ pub const DETERMINISTIC_CRATES: &[&str] =
 /// Crates on the serving request path (a panic kills a worker).
 pub const SERVING_CRATES: &[&str] = &["http", "serve"];
 
+/// The one vendored tree that is linted, as serving code: every request
+/// body, `/admin/publish` spec and bundle JSON section is parsed by it.
+const VENDORED_SERVING_SRC: &str = "vendor/serde_json/src";
+
 /// One `file:line` diagnostic.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
@@ -48,11 +53,14 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// Classify a workspace-relative path (`/`-separated). `None` means the
-/// file is out of scope: vendored code, build output, tests, benches,
-/// examples, or lint fixtures.
+/// file is out of scope: vendored code other than `vendor/serde_json/src`,
+/// build output, tests, benches, examples, or lint fixtures.
 pub fn scope_for(rel: &str) -> Option<Scope> {
     if !rel.ends_with(".rs") {
         return None;
+    }
+    if rel.strip_prefix(VENDORED_SERVING_SRC).is_some_and(|tail| tail.starts_with('/')) {
+        return Some(Scope { serving: true, ..Scope::default() });
     }
     let skip_dirs = ["vendor/", "target/", "tests/", "benches/", "examples/", "fixtures/", ".git/"];
     for dir in skip_dirs {
@@ -89,7 +97,7 @@ pub fn lint_source(source: &str, scope: Scope) -> Vec<rules::Finding> {
 /// Diagnostics come back sorted by path then line.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut files: Vec<PathBuf> = Vec::new();
-    for top in ["crates", "src"] {
+    for top in ["crates", "src", VENDORED_SERVING_SRC] {
         let dir = root.join(top);
         if dir.is_dir() {
             collect_rs_files(&dir, LINT_SKIP_DIRS, &mut files)?;
@@ -151,6 +159,9 @@ mod tests {
         let rt = scope_for("crates/runtime/src/pool.rs").unwrap();
         assert!(rt.runtime);
         assert!(scope_for("vendor/rand/src/lib.rs").is_none());
+        let json = scope_for("vendor/serde_json/src/lib.rs").unwrap();
+        assert!(json.serving && !json.deterministic && !json.runtime);
+        assert!(scope_for("vendor/serde_json/tests/x.rs").is_none());
         assert!(scope_for("crates/core/tests/determinism.rs").is_none());
         assert!(scope_for("crates/lint/tests/fixtures/bad.rs").is_none());
         assert!(scope_for("crates/eval/benches/routing.rs").is_none());

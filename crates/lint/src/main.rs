@@ -1,7 +1,8 @@
 //! CLI: `cargo run -p dbcopilot-lint -- [--deny-all | --public-items] [ROOT]`
 //!
-//! Walks `crates/` + `src/` under ROOT (default: the workspace root this
-//! binary was built from, falling back to the current directory), prints
+//! Walks `crates/` + `src/` + `vendor/serde_json/src` under ROOT (default:
+//! the workspace root this binary was built from, falling back to the
+//! current directory), prints
 //! `file:line: [rule] message` diagnostics, and exits nonzero when any
 //! are found. `--deny-all` is accepted for CI readability; diagnostics
 //! are always denials — the flag exists so the CI invocation documents

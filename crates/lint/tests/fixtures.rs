@@ -44,6 +44,13 @@ const FIXTURES: &[Fixture] = &[
     fixture!("bad_serving_panic.rs", SERVING, &[rules::PANIC_FREE_SERVING]),
     fixture!("bad_serving_index.rs", SERVING, &[rules::PANIC_FREE_SERVING]),
     fixture!("good_serving_errors.rs", SERVING, &[]),
+    // ...as the vendored JSON reader, linted as serving code, had and has it
+    fixture!(
+        "bad_serving_cursor.rs",
+        SERVING,
+        &[rules::PANIC_FREE_SERVING, rules::PANIC_FREE_SERVING]
+    ),
+    fixture!("good_serving_cursor.rs", SERVING, &[]),
     // no-raw-spawn
     fixture!("bad_raw_spawn.rs", DEFAULT, &[rules::NO_RAW_SPAWN]),
     fixture!("good_spawn_in_tests.rs", DEFAULT, &[]),

@@ -34,8 +34,6 @@ pub mod lock_rank {
     pub const CACHE: u16 = 30;
     /// `RouterHandle`'s current router generation.
     pub const CURRENT: u16 = 31;
-    /// The http server's per-status response registry.
-    pub const RESPONSES: u16 = 40;
 }
 
 #[cfg(debug_assertions)]
