@@ -121,7 +121,10 @@ pub fn load_router_slice(bytes: &[u8]) -> Result<DbcRouter, PersistError> {
         model.quant = Some(attached);
     }
     // `GRPH` and `VOCB` are separate sections of untrusted bytes: a graph
-    // naming something the vocabulary cannot spell is a broken bundle.
+    // whose own indices disagree, or that names something the vocabulary
+    // cannot spell, is a broken bundle — not an index out of range on
+    // every route that touches it.
+    graph.validate().map_err(|why| PersistError::Corrupt(format!("graph: {why}")))?;
     let tables = ConstraintTables::try_build(&graph, &vocab).map_err(|name| {
         PersistError::Corrupt(format!("graph names {name:?}, which the vocabulary cannot spell"))
     })?;
@@ -969,6 +972,45 @@ mod tests {
         }
         let msg = second_shard_refusal(&good, &hostile);
         assert!(msg.contains("corrupt file") && msg.contains("citadel"), "{msg}");
+    }
+
+    #[test]
+    fn graph_with_inconsistent_indices_is_corrupt_not_an_index_out_of_range() {
+        let good = router_to_vec(&trained_router()).unwrap();
+        // (what the refusal must name, `GRPH` text, its hostile replacement)
+        let cases = [
+            // the root, and what hangs off it
+            ("node 0 is not the root", r#""kind":"Root""#, r#""kind":"Database""#),
+            ("root edge to node 5, which is not a database", r#"[4,"#, r#"[5,"#),
+            // an edge to a node that does not exist
+            ("edge 4 -> 60 leaves the 7 nodes", r#"[6,"Inclusion"]"#, r#"[60,"Inclusion"]"#),
+            // one adjacency list short
+            ("6 adjacency lists for 7 nodes", r#",[],[]],"db_by_name""#, r#",[]],"db_by_name""#),
+            // a table owned by a table
+            (
+                "table node 5 belongs to non-database node 3",
+                r#"{"database":4}"#,
+                r#"{"database":3}"#,
+            ),
+            // name maps pointing past the nodes
+            ("database \"world\" is node 40", r#"["world",4]"#, r#"["world",40]"#),
+            ("is node 50, not a table", r#"country",5]"#, r#"country",50]"#),
+        ];
+        for (what, from, to) in cases {
+            let mut sections = codec::decode_container(&good).unwrap();
+            let graph = sections.iter_mut().find(|s| s.tag == SEC_GRAPH).expect("GRPH section");
+            let json = String::from_utf8(graph.bytes.to_vec()).unwrap();
+            assert!(json.contains(from), "{what}: {from} is not in {json}");
+            *graph.bytes.to_mut() = json.replace(from, to).into_bytes();
+            let hostile = codec::encode_container(&sections);
+
+            match load_router_slice(&hostile) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+            let msg = second_shard_refusal(&good, &hostile);
+            assert!(msg.contains("corrupt file") && msg.contains(what), "{what}: {msg}");
+        }
     }
 
     // -----------------------------------------------------------------

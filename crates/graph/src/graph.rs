@@ -164,6 +164,52 @@ impl SchemaGraph {
         self.add_edge_bidi(a, b, EdgeKind::Joinable);
     }
 
+    /// Check the invariants every accessor indexes by, for a graph that did
+    /// not come from [`SchemaGraph::build`] (a deserialized one): node 0 is
+    /// the root, one adjacency list per node, every edge and id in range,
+    /// root edges and database ids lead to databases, table ids to tables,
+    /// and every table belongs to a database node.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.nodes.len();
+        if self.adj.len() != n {
+            return Err(format!("{} adjacency lists for {n} nodes", self.adj.len()));
+        }
+        if !matches!(self.nodes.first(), Some(Node { kind: NodeKind::Root, .. })) {
+            return Err("node 0 is not the root".into());
+        }
+        let is_db = |id: NodeId| {
+            matches!(self.nodes.get(id.0 as usize), Some(Node { kind: NodeKind::Database, .. }))
+        };
+        let is_table = |id: NodeId| {
+            matches!(self.nodes.get(id.0 as usize), Some(Node { kind: NodeKind::Table { .. }, .. }))
+        };
+        for (from, edges) in self.adj.iter().enumerate() {
+            if let Some((to, _)) = edges.iter().find(|(to, _)| to.0 as usize >= n) {
+                return Err(format!("edge {from} -> {} leaves the {n} nodes", to.0));
+            }
+        }
+        if let Some(to) = self.successors(ROOT).find(|&to| !is_db(to)) {
+            return Err(format!("root edge to node {}, which is not a database", to.0));
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            if let NodeKind::Table { database } = node.kind {
+                if !is_db(database) {
+                    return Err(format!(
+                        "table node {i} belongs to non-database node {}",
+                        database.0
+                    ));
+                }
+            }
+        }
+        if let Some((name, id)) = self.db_by_name.iter().find(|(_, &id)| !is_db(id)) {
+            return Err(format!("database {name:?} is node {}, not a database", id.0));
+        }
+        if let Some((key, id)) = self.table_by_name.iter().find(|(_, &id)| !is_table(id)) {
+            return Err(format!("table {key:?} is node {}, not a table", id.0));
+        }
+        Ok(())
+    }
+
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }

@@ -5,10 +5,12 @@
 //! 1. **LRU cache** ([`crate::LruCache`]) keyed on
 //!    [`crate::normalize_question`] — repeated and surface-variant
 //!    questions are answered without touching the model;
-//! 2. **micro-batching** — a dispatcher thread collects concurrent cache
-//!    misses into batches (flushing at `max_batch` requests or after
-//!    `flush_timeout`), and deduplicates identical in-flight questions so
-//!    one computation serves every waiter;
+//! 2. **micro-batching** — a dispatcher thread takes the queued cache
+//!    misses (up to `max_batch`) and waits up to `flush_timeout` for more
+//!    only once company has been seen: two or more now or in the previous
+//!    batch, or one queued when it finished. A lone miss on an idle service
+//!    is computed at once. Identical in-flight questions are deduplicated
+//!    so one computation serves every waiter;
 //! 3. **worker-pool dispatch** — each batch fans out over the process-wide
 //!    [`global_pool`] from `dbcopilot-runtime` (no per-request thread
 //!    spawns).
@@ -48,7 +50,9 @@ use crate::handle::RouterHandle;
 pub struct ServiceConfig {
     /// Flush a batch as soon as it holds this many requests.
     pub max_batch: usize,
-    /// Flush a partial batch after waiting this long for more requests.
+    /// The longest a partial batch waits for company, and it waits only
+    /// once company has been seen (see the module docs); a lone miss on an
+    /// idle service never waits.
     pub flush_timeout: Duration,
     /// Cache entries (`0` disables caching).
     pub cache_capacity: usize,
@@ -334,20 +338,51 @@ impl<B: Backend> Drop for Engine<B> {
     }
 }
 
+/// The dispatcher's batching policy, without a clock or a channel: take
+/// what is already queued, and wait for company only when the traffic has
+/// just shown that company exists.
+struct BatchPolicy {
+    max_batch: usize,
+    /// The previous batch held more than one request, or a request was
+    /// queued when it finished.
+    company_seen: bool,
+}
+
+impl BatchPolicy {
+    /// Append what `queued` yields without blocking, up to `max_batch`.
+    fn drain<T>(&self, batch: &mut Vec<T>, queued: impl FnMut() -> Option<T>) {
+        batch.extend(std::iter::from_fn(queued).take(self.max_batch.saturating_sub(batch.len())));
+    }
+
+    /// Whether a drained batch of `size` waits up to `flush_timeout` for more.
+    fn waits(&self, size: usize) -> bool {
+        size < self.max_batch && (size > 1 || self.company_seen)
+    }
+
+    /// Record a finished batch of `size` and the requests still queued.
+    fn batch_done(&mut self, size: u64, still_queued: u64) {
+        self.company_seen = size > 1 || still_queued > 0;
+    }
+}
+
 /// Dispatcher: collect requests into micro-batches, compute each batch
 /// once per distinct question, fan results back out to every waiter.
 fn dispatch_loop<B: Backend>(shared: &Shared<B>, receiver: &Receiver<Request<B::Out>>) {
+    let mut policy = BatchPolicy { max_batch: shared.cfg.max_batch, company_seen: false };
     while let Ok(first) = receiver.recv() {
         let mut batch = vec![first];
-        let deadline = Instant::now() + shared.cfg.flush_timeout;
-        while batch.len() < shared.cfg.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match receiver.recv_timeout(deadline - now) {
-                Ok(req) => batch.push(req),
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
+        policy.drain(&mut batch, || receiver.try_recv().ok());
+        if policy.waits(batch.len()) {
+            let deadline = Instant::now() + shared.cfg.flush_timeout;
+            while batch.len() < shared.cfg.max_batch {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
+                }
+                match receiver.recv_timeout(deadline - now) {
+                    Ok(req) => batch.push(req),
+                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
+                }
             }
         }
         // Contain a panicking backend: dropping the batch drops its reply
@@ -359,7 +394,8 @@ fn dispatch_loop<B: Backend>(shared: &Shared<B>, receiver: &Receiver<Request<B::
         }));
         // Answered or failed, these requests have left the queue — decrement
         // even when the batch panicked so the depth gauge can't drift up.
-        shared.queue_depth.fetch_sub(depth, Ordering::Relaxed);
+        let before = shared.queue_depth.fetch_sub(depth, Ordering::Relaxed);
+        policy.batch_done(depth, before.saturating_sub(depth));
         if contained.is_err() {
             eprintln!("dbcopilot-serve: backend panicked on a batch; service continues");
         }
@@ -510,5 +546,64 @@ impl<R: SchemaRouter + Send + Sync + 'static> RouterService<R> {
     /// Current serving counters.
     pub fn stats(&self) -> ServiceStats {
         self.engine.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A queue of `n` requests, numbered from 0, as the drain sees it.
+    fn queued(n: usize) -> impl FnMut() -> Option<usize> {
+        let mut queue = 0..n;
+        move || queue.next()
+    }
+
+    #[test]
+    fn a_lone_arrival_into_an_idle_empty_queue_flushes_at_once() {
+        let policy = BatchPolicy { max_batch: 16, company_seen: false };
+        let mut batch = vec![0];
+        policy.drain(&mut batch, queued(0));
+        assert_eq!(batch, [0]);
+        assert!(!policy.waits(batch.len()));
+    }
+
+    #[test]
+    fn a_batch_of_two_rearms_the_wait() {
+        let mut policy = BatchPolicy { max_batch: 16, company_seen: false };
+        let mut batch = vec![0];
+        policy.drain(&mut batch, queued(1));
+        assert!(policy.waits(batch.len()), "two already queued together wait for a third");
+        policy.batch_done(batch.len() as u64, 0);
+        assert!(policy.waits(1), "the next lone arrival waits for its partner");
+    }
+
+    #[test]
+    fn a_request_queued_when_a_batch_finishes_rearms_the_wait() {
+        let mut policy = BatchPolicy { max_batch: 16, company_seen: false };
+        assert!(!policy.waits(1));
+        policy.batch_done(1, 1);
+        assert!(policy.waits(1));
+    }
+
+    #[test]
+    fn one_lone_batch_with_an_empty_queue_disarms_the_wait() {
+        let mut policy = BatchPolicy { max_batch: 16, company_seen: false };
+        policy.batch_done(2, 0);
+        assert!(policy.waits(1));
+        policy.batch_done(1, 0);
+        assert!(!policy.waits(1));
+    }
+
+    #[test]
+    fn max_batch_caps_the_drain_and_a_full_batch_never_waits() {
+        let mut policy = BatchPolicy { max_batch: 4, company_seen: false };
+        policy.batch_done(4, 9);
+        let mut queue = queued(10);
+        let mut batch = vec![];
+        policy.drain(&mut batch, &mut queue);
+        assert_eq!(batch, [0, 1, 2, 3]);
+        assert!(!policy.waits(batch.len()), "a full batch flushes whatever was seen before");
+        assert_eq!(queue(), Some(4), "the rest stays queued for the next batch");
     }
 }

@@ -115,6 +115,65 @@ fn in_flight_duplicates_are_deduplicated_within_a_batch() {
 }
 
 #[test]
+fn a_lone_miss_does_not_wait_out_the_flush_timeout() {
+    // Nothing else is queued and nothing came before: the dispatcher has
+    // seen no company, so it computes at once instead of waiting 5 s.
+    let cfg = ServiceConfig::new().flush_timeout(Duration::from_secs(5));
+    let service = RouterService::from_router(index(), cfg);
+    let start = std::time::Instant::now();
+    let r = service.route("population of each city");
+    assert_eq!(r.database_names()[0], "world");
+    assert!(start.elapsed() < Duration::from_secs(1), "waited {:?}", start.elapsed());
+}
+
+#[test]
+fn misses_queued_behind_a_running_batch_form_the_next_batch() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    /// Holds its first route between two meetings with the test thread.
+    struct Gate {
+        entered: AtomicBool,
+        barrier: Barrier,
+    }
+    impl SchemaRouter for Gate {
+        fn name(&self) -> &str {
+            "gate"
+        }
+        fn route(&self, _q: &str, _t: usize) -> dbcopilot_retrieval::RoutingResult {
+            if !self.entered.swap(true, Ordering::AcqRel) {
+                self.barrier.wait(); // the test sees the route start...
+                self.barrier.wait(); // ...and lets it finish
+            }
+            dbcopilot_retrieval::RoutingResult::default()
+        }
+    }
+
+    let gate = Arc::new(Gate { entered: AtomicBool::new(false), barrier: Barrier::new(2) });
+    let cfg = ServiceConfig::new().max_batch(5).flush_timeout(Duration::from_secs(5));
+    let service = RouterService::new(Arc::clone(&gate), cfg);
+    std::thread::scope(|s| {
+        let service = &service;
+        // A lone miss runs at once and holds the router...
+        s.spawn(move || service.route("question 0"));
+        gate.barrier.wait();
+        // ...while five more queue behind it.
+        for i in 1..6 {
+            s.spawn(move || service.route(&format!("question {i}")));
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while service.stats().queue_depth != 6 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        gate.barrier.wait();
+    });
+    // The queued five re-armed the wait and fill the next batch together.
+    let stats = service.stats();
+    assert_eq!(stats.batches, 2, "{stats:?}");
+    assert_eq!(stats.max_batch_observed, 5, "{stats:?}");
+}
+
+#[test]
 fn route_many_is_deterministic_and_orders_results() {
     let service = RouterService::from_router(index(), ServiceConfig::default());
     let mut qs = questions();
