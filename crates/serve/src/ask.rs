@@ -74,7 +74,7 @@ impl<P: QueryPipeline + 'static> AskService<P> {
     }
 
     /// Answer a slice of questions synchronously (no dispatcher, no flush
-    /// timer), deduplicated and computed on the pool per `max_batch`
+    /// wait), deduplicated and computed on the pool per 16-question
     /// window. Outcomes come back in question order; the whole call is
     /// deterministic — ideal for evaluation loops.
     pub fn ask_many(&self, questions: &[String]) -> Vec<Arc<AskOutcome>> {

@@ -188,17 +188,6 @@ impl<V> LruCache<V> {
         self.tail = NIL;
     }
 
-    /// Keys from most- to least-recently-used (tests, introspection).
-    pub fn keys_by_recency(&self) -> Vec<&str> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut idx = self.head;
-        while idx != NIL {
-            out.push(self.entry(idx).key.as_str());
-            idx = self.entry(idx).next;
-        }
-        out
-    }
-
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = {
             let e = self.entry(idx);
@@ -239,6 +228,19 @@ impl<V> LruCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<V> LruCache<V> {
+        /// Keys from most- to least-recently-used.
+        fn keys_by_recency(&self) -> Vec<&str> {
+            let mut out = Vec::with_capacity(self.map.len());
+            let mut idx = self.head;
+            while idx != NIL {
+                out.push(self.entry(idx).key.as_str());
+                idx = self.entry(idx).next;
+            }
+            out
+        }
+    }
 
     #[test]
     fn eviction_follows_lru_order() {

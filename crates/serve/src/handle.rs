@@ -23,26 +23,21 @@ struct Generation<R> {
 }
 
 /// A shared, swappable slot holding the currently-published router.
-pub struct RouterHandle<R> {
+pub(crate) struct RouterHandle<R> {
     current: OrderedMutex<Arc<Generation<R>>>,
 }
 
 /// A leased reference to one router generation. The lease counts toward the
 /// generation's in-flight total until dropped, which is what lets
 /// [`RouterHandle::publish`] know when the old generation has drained.
-pub struct RouterLease<R> {
+pub(crate) struct RouterLease<R> {
     generation: Arc<Generation<R>>,
 }
 
 impl<R> RouterLease<R> {
     /// The leased router.
-    pub fn router(&self) -> &R {
+    pub(crate) fn router(&self) -> &R {
         &self.generation.router
-    }
-
-    /// The generation number this lease pinned.
-    pub fn generation(&self) -> u64 {
-        self.generation.number
     }
 }
 
@@ -54,7 +49,7 @@ impl<R> Drop for RouterLease<R> {
 
 impl<R> RouterHandle<R> {
     /// A handle starting at generation 1.
-    pub fn new(router: Arc<R>) -> Self {
+    pub(crate) fn new(router: Arc<R>) -> Self {
         RouterHandle {
             current: OrderedMutex::new(
                 "current",
@@ -70,19 +65,19 @@ impl<R> RouterHandle<R> {
     /// in between.
     ///
     /// [`publish`]: RouterHandle::publish
-    pub fn lease(&self) -> RouterLease<R> {
+    pub(crate) fn lease(&self) -> RouterLease<R> {
         let generation = Arc::clone(&self.current.lock());
         generation.in_flight.fetch_add(1, Ordering::Acquire);
         RouterLease { generation }
     }
 
     /// The currently-published router.
-    pub fn current(&self) -> Arc<R> {
+    pub(crate) fn current(&self) -> Arc<R> {
         Arc::clone(&self.current.lock().router)
     }
 
     /// The current generation number (starts at 1, +1 per publish).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.current.lock().number
     }
 
@@ -93,7 +88,7 @@ impl<R> RouterHandle<R> {
     /// Zero requests are dropped: old-generation requests complete on the
     /// router they leased, and every lease taken after the swap is on the
     /// new generation (so the drain terminates regardless of new traffic).
-    pub fn publish(&self, router: Arc<R>) -> u64 {
+    pub(crate) fn publish(&self, router: Arc<R>) -> u64 {
         let old = {
             let mut current = self.current.lock();
             let next = Arc::new(Generation {
@@ -114,6 +109,13 @@ impl<R> RouterHandle<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<R> RouterLease<R> {
+        /// The generation number this lease pinned.
+        fn generation(&self) -> u64 {
+            self.generation.number
+        }
+    }
 
     #[test]
     fn lease_pins_a_generation_and_publish_advances_it() {

@@ -21,8 +21,8 @@
 //!   typed failures), not just routes;
 //! * [`LruCache`] — the deterministic, capacity-bounded cache keyed on
 //!   [`normalize_question`], with hit/miss counters;
-//! * [`ServiceConfig`] / [`ServiceStats`] — tuning knobs (builder-style)
-//!   and observable serving counters.
+//! * [`ServiceConfig`] / [`ServiceStats`] — cache size and routing depth
+//!   (builder-style; batching has no knobs) and serving counters.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -50,13 +50,12 @@
 
 pub mod ask;
 pub mod cache;
-pub mod handle;
+mod handle;
 pub mod pipeline;
 pub mod service;
 
 pub use ask::AskService;
 pub use cache::{normalize_question, LruCache};
-pub use handle::{RouterHandle, RouterLease};
 pub use pipeline::{
     Answer, AskError, AskOptions, AskOutcome, AskReport, AttemptOutcome, ExecutionError,
     GenerationError, PromptError, QueryPipeline, RoutingError, ScoredCandidate, SqlAttempt,

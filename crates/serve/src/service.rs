@@ -1,16 +1,16 @@
 //! The shared serving engine and [`RouterService`], its routing front.
 //!
-//! Three mechanisms stack, the first two tuned through [`ServiceConfig`]:
+//! Three mechanisms stack, the first tuned through [`ServiceConfig`]:
 //!
 //! 1. **LRU cache** ([`crate::LruCache`]) keyed on
 //!    [`crate::normalize_question`] — repeated and surface-variant
 //!    questions are answered without touching the model;
 //! 2. **micro-batching** — a dispatcher thread takes the queued cache
-//!    misses (up to `max_batch`) and waits up to `flush_timeout` for more
-//!    only once company has been seen: two or more now or in the previous
-//!    batch, or one queued when it finished. A lone miss on an idle service
-//!    is computed at once. Identical in-flight questions are deduplicated
-//!    so one computation serves every waiter;
+//!    misses (up to 16) and waits up to 1 ms for more only once company
+//!    has been seen: two or more now or in the previous batch, or one
+//!    queued when it finished (a clock-free `BatchPlanner` decides). A lone
+//!    miss on an idle service is computed at once. Identical in-flight
+//!    questions are deduplicated so one computation serves every waiter;
 //! 3. **worker-pool dispatch** — each batch fans out over the process-wide
 //!    [`global_pool`] from `dbcopilot-runtime` (no per-request thread
 //!    spawns).
@@ -24,8 +24,10 @@
 //! no matter how requests interleave.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::RecvTimeoutError::{self, Disconnected, Timeout};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -36,24 +38,23 @@ use dbcopilot_runtime::{global_pool, lock_rank, OrderedMutex};
 use crate::cache::{normalize_question, LruCache};
 use crate::handle::RouterHandle;
 
-/// Tuning knobs for a serving front ([`RouterService`] /
-/// [`crate::AskService`]). Builder-style so adding a knob is not a
-/// breaking change:
+/// The largest batch the dispatcher runs, and `submit_many`'s window.
+const MAX_BATCH: usize = 16;
+
+/// How long a batch that has seen company waits for more after its drain.
+const FLUSH_WAIT: Duration = Duration::from_millis(1);
+
+/// The settings of a serving front ([`RouterService`] /
+/// [`crate::AskService`]), builder-style; batching has none (module docs):
 ///
 /// ```
 /// use dbcopilot_serve::ServiceConfig;
-/// let cfg = ServiceConfig::new().max_batch(32).cache_capacity(1024);
-/// assert_eq!(cfg.max_batch, 32);
+/// let cfg = ServiceConfig::new().cache_capacity(1024).top_tables(10);
+/// assert_eq!((cfg.cache_capacity, cfg.top_tables), (1024, 10));
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServiceConfig {
-    /// Flush a batch as soon as it holds this many requests.
-    pub max_batch: usize,
-    /// The longest a partial batch waits for company, and it waits only
-    /// once company has been seen (see the module docs); a lone miss on an
-    /// idle service never waits.
-    pub flush_timeout: Duration,
     /// Cache entries (`0` disables caching).
     pub cache_capacity: usize,
     /// `top_tables` passed to the underlying router on every route
@@ -63,28 +64,13 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            max_batch: 16,
-            flush_timeout: Duration::from_millis(1),
-            cache_capacity: 4096,
-            top_tables: 100,
-        }
+        ServiceConfig { cache_capacity: 4096, top_tables: 100 }
     }
 }
 
 impl ServiceConfig {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n;
-        self
-    }
-
-    pub fn flush_timeout(mut self, d: Duration) -> Self {
-        self.flush_timeout = d;
-        self
     }
 
     pub fn cache_capacity(mut self, n: usize) -> Self {
@@ -113,7 +99,7 @@ pub struct ServiceStats {
     pub computed: u64,
     /// Largest micro-batch observed (distinct questions).
     pub max_batch_observed: u64,
-    /// Requests accepted by the dispatcher queue and not yet answered
+    /// Requests accepted by the dispatcher queue and not yet computed
     /// (admission-control signal; `route_many`'s synchronous path bypasses
     /// the queue and never shows up here).
     pub queue_depth: u64,
@@ -153,24 +139,18 @@ pub(crate) trait Backend: Send + Sync + 'static {
     }
 }
 
-/// One queued cache miss: the normalized key, the original question text,
-/// and where to send the result.
-struct Request<T> {
-    key: String,
-    question: String,
-    reply: Sender<Arc<T>>,
-}
+/// A queued cache miss: normalized key, question text, where to reply.
+type Request<T> = (String, String, Sender<Arc<T>>);
 
 struct Shared<B: Backend> {
     backend: B,
-    cfg: ServiceConfig,
     /// Values are tagged with the backend generation that computed them; a
     /// tag that is no longer current is treated as a miss.
     cache: OrderedMutex<LruCache<(u64, Arc<B::Out>)>>,
     batches: AtomicU64,
     computed: AtomicU64,
     max_batch_observed: AtomicU64,
-    /// Requests accepted into the dispatcher queue and not yet answered.
+    /// Requests accepted into the dispatcher queue and not yet computed.
     queue_depth: AtomicU64,
 }
 
@@ -210,12 +190,10 @@ pub(crate) struct Engine<B: Backend> {
 }
 
 impl<B: Backend> Engine<B> {
-    pub(crate) fn new(backend: B, mut cfg: ServiceConfig) -> Self {
-        cfg.max_batch = cfg.max_batch.max(1);
+    pub(crate) fn new(backend: B, cfg: ServiceConfig) -> Self {
         let shared = Arc::new(Shared {
             backend,
             cache: OrderedMutex::new("cache", lock_rank::CACHE, LruCache::new(cfg.cache_capacity)),
-            cfg,
             batches: AtomicU64::new(0),
             computed: AtomicU64::new(0),
             max_batch_observed: AtomicU64::new(0),
@@ -230,11 +208,10 @@ impl<B: Backend> Engine<B> {
                 // dedicated thread owning the micro-batch queue, joined by
                 // Engine::drop — pool jobs must not block on each other.
                 .spawn(move || dispatch_loop(&shared, &receiver))
-                // dbc-lint: allow(panic-free-serving): runs once at engine
-                // construction, never on the request path.
-                .expect("failed to spawn service dispatcher")
+                .ok()
         };
-        Engine { shared, sender: Some(sender), dispatcher: Some(dispatcher) }
+        // No dispatcher, no sender: `submit` then computes inline.
+        Engine { shared, sender: dispatcher.is_some().then_some(sender), dispatcher }
     }
 
     pub(crate) fn backend(&self) -> &B {
@@ -255,13 +232,9 @@ impl<B: Backend> Engine<B> {
             }
         }
         let (reply, result) = channel();
+        let request = (key, question.to_string(), reply);
         self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let sent = self
-            .sender
-            .as_ref()
-            .map(|s| s.send(Request { key, question: question.to_string(), reply }).is_ok())
-            .unwrap_or(false);
-        if !sent {
+        if self.sender.as_ref().is_none_or(|s| s.send(request).is_err()) {
             // The engine is mid-drop (or the dispatcher is gone): serve the
             // request inline instead of panicking the caller. Slower, never
             // wrong — the backend itself is still alive via `shared`.
@@ -279,13 +252,12 @@ impl<B: Backend> Engine<B> {
     }
 
     /// Serve a slice of questions synchronously (no dispatcher, no flush
-    /// timer): each `max_batch`-sized window is cache-checked,
-    /// deduplicated and computed on the pool. Results come back in
-    /// question order, and the whole call is deterministic.
+    /// wait): each 16-question window is cache-checked, deduplicated and
+    /// computed on the pool. Results come back in question order, and the
+    /// whole call is deterministic.
     pub(crate) fn submit_many(&self, questions: &[String]) -> Vec<Arc<B::Out>> {
-        let max_batch = self.shared.cfg.max_batch; // clamped to ≥ 1 by `new`
         let mut out: Vec<Option<Arc<B::Out>>> = vec![None; questions.len()];
-        for (window, slots) in questions.chunks(max_batch).zip(out.chunks_mut(max_batch)) {
+        for (window, slots) in questions.chunks(MAX_BATCH).zip(out.chunks_mut(MAX_BATCH)) {
             let mut misses = Vec::new();
             let generation = self.shared.backend.generation();
             {
@@ -298,7 +270,8 @@ impl<B: Backend> Engine<B> {
                     }
                 }
             }
-            compute_deduped(&self.shared, misses, |slot, result| *slot = Some(result));
+            let compute = |unique: &[(String, String)]| Some(self.shared.compute_unique(unique));
+            compute_deduped(misses, compute, |slot, result| *slot = Some(result));
         }
         // Every slot was filled: by a cache hit, or as a waiter of its miss.
         out.into_iter().flatten().collect()
@@ -338,87 +311,116 @@ impl<B: Backend> Drop for Engine<B> {
     }
 }
 
-/// The dispatcher's batching policy, without a clock or a channel: take
-/// what is already queued, and wait for company only when the traffic has
-/// just shown that company exists.
-struct BatchPolicy {
-    max_batch: usize,
-    /// The previous batch held more than one request, or a request was
-    /// queued when it finished.
+/// The dispatcher's next step: one of three receives, or a batch to run.
+#[derive(Debug, PartialEq, Eq)]
+enum Step<T> {
+    /// Block until a request arrives or the channel closes.
+    Block,
+    /// Take a request only if one is already queued.
+    Drain,
+    /// Wait for a request until the deadline.
+    Until(Instant),
+    /// Run this batch, then report [`BatchPlanner::batch_done`].
+    Run(Vec<T>),
+    /// The channel closed and every request it carried has been run.
+    Exit,
+}
+
+/// The dispatcher's batching rule with no clock and no channel: told what
+/// each receive got and when, it answers with the next [`Step`].
+struct BatchPlanner<T> {
+    batch: Vec<T>,
+    /// The last batch held two or more, or one was queued when it finished.
     company_seen: bool,
 }
 
-impl BatchPolicy {
-    /// Append what `queued` yields without blocking, up to `max_batch`.
-    fn drain<T>(&self, batch: &mut Vec<T>, queued: impl FnMut() -> Option<T>) {
-        batch.extend(std::iter::from_fn(queued).take(self.max_batch.saturating_sub(batch.len())));
-    }
-
-    /// Whether a drained batch of `size` waits up to `flush_timeout` for more.
-    fn waits(&self, size: usize) -> bool {
-        size < self.max_batch && (size > 1 || self.company_seen)
-    }
-
-    /// Record a finished batch of `size` and the requests still queued.
-    fn batch_done(&mut self, size: u64, still_queued: u64) {
-        self.company_seen = size > 1 || still_queued > 0;
-    }
-}
-
-/// Dispatcher: collect requests into micro-batches, compute each batch
-/// once per distinct question, fan results back out to every waiter.
-fn dispatch_loop<B: Backend>(shared: &Shared<B>, receiver: &Receiver<Request<B::Out>>) {
-    let mut policy = BatchPolicy { max_batch: shared.cfg.max_batch, company_seen: false };
-    while let Ok(first) = receiver.recv() {
-        let mut batch = vec![first];
-        policy.drain(&mut batch, || receiver.try_recv().ok());
-        if policy.waits(batch.len()) {
-            let deadline = Instant::now() + shared.cfg.flush_timeout;
-            while batch.len() < shared.cfg.max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match receiver.recv_timeout(deadline - now) {
-                    Ok(req) => batch.push(req),
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
+impl<T> BatchPlanner<T> {
+    /// The step after the receive `step` got `got` (`Timeout`: nothing came) at `now`.
+    fn next(&mut self, step: Step<T>, got: Result<T, RecvTimeoutError>, now: Instant) -> Step<T> {
+        match (got, step) {
+            (Ok(request), step) => {
+                self.batch.push(request);
+                match step {
+                    _ if self.batch.len() >= MAX_BATCH => self.flush(),
+                    Step::Until(deadline) if now >= deadline => self.flush(),
+                    Step::Block => Step::Drain,
+                    step => step,
                 }
             }
-        }
-        // Contain a panicking backend: dropping the batch drops its reply
-        // senders, so only the affected waiters fail (their blocking call
-        // re-raises) while the dispatcher survives to serve the next batch.
-        let depth = batch.len() as u64;
-        let contained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_batch(shared, batch);
-        }));
-        // Answered or failed, these requests have left the queue — decrement
-        // even when the batch panicked so the depth gauge can't drift up.
-        let before = shared.queue_depth.fetch_sub(depth, Ordering::Relaxed);
-        policy.batch_done(depth, before.saturating_sub(depth));
-        if contained.is_err() {
-            eprintln!("dbcopilot-serve: backend panicked on a batch; service continues");
+            (Err(Timeout), Step::Drain) if self.batch.len() > 1 || self.company_seen => {
+                Step::Until(now + FLUSH_WAIT)
+            }
+            (Err(_), _) if self.batch.is_empty() => Step::Exit,
+            (Err(_), _) => self.flush(),
         }
     }
-    // Channel closed: `recv` already drained every queued request, so
-    // nothing is left unanswered.
+
+    /// Hand the batch over; two or more are company for the next one.
+    fn flush(&mut self) -> Step<T> {
+        self.company_seen = self.batch.len() > 1;
+        Step::Run(std::mem::take(&mut self.batch))
+    }
+
+    /// The last batch is computed, with `still_queued` requests accepted
+    /// behind it: any of them is company for the next batch.
+    fn batch_done(&mut self, still_queued: u64) -> Step<T> {
+        self.company_seen |= still_queued > 0;
+        Step::Block
+    }
 }
 
-fn run_batch<B: Backend>(shared: &Shared<B>, batch: Vec<Request<B::Out>>) {
-    let misses = batch.into_iter().map(|req| (req.key, req.question, req.reply));
+/// Dispatcher: the planner decides; this loop receives and runs batches.
+fn dispatch_loop<B: Backend>(shared: &Shared<B>, receiver: &Receiver<Request<B::Out>>) {
+    let mut planner = BatchPlanner { batch: Vec::new(), company_seen: false };
+    let mut step = Step::Block;
+    loop {
+        step = match step {
+            Step::Run(batch) => planner.batch_done(run_batch(shared, batch)),
+            Step::Exit => return,
+            receive_step => {
+                let (got, now) = receive(receiver, &receive_step);
+                planner.next(receive_step, got, now)
+            }
+        };
+    }
+}
+
+/// One receive as the planner asked for it, and when it returned. A drain
+/// reports a closed channel as `Timeout`; the next receive sees the close.
+fn receive<T>(receiver: &Receiver<T>, step: &Step<T>) -> (Result<T, RecvTimeoutError>, Instant) {
+    let got = match step {
+        Step::Block => receiver.recv().map_err(|_| Disconnected),
+        Step::Until(d) => receiver.recv_timeout(d.saturating_duration_since(Instant::now())),
+        _ => receiver.try_recv().map_err(|_| Timeout),
+    };
+    (got, Instant::now())
+}
+
+/// Compute one batch and answer its waiters; returns how many requests are
+/// still queued behind it. The batch leaves `queue_depth` once computed and
+/// before any answer; a contained backend panic fails only its own waiters.
+fn run_batch<B: Backend>(shared: &Shared<B>, batch: Vec<Request<B::Out>>) -> u64 {
+    let (size, mut still_queued) = (batch.len() as u64, 0);
+    let compute = |unique: &[(String, String)]| {
+        let results = catch_unwind(AssertUnwindSafe(|| shared.compute_unique(unique)));
+        still_queued = shared.queue_depth.fetch_sub(size, Ordering::Relaxed).saturating_sub(size);
+        if results.is_err() {
+            eprintln!("dbcopilot-serve: backend panicked on a batch; service continues");
+        }
+        results.ok()
+    };
     // A send error just means the client went away; nothing to do.
-    compute_deduped(shared, misses, |reply, result| {
-        let _ = reply.send(result);
-    });
+    compute_deduped(batch, compute, |reply, result| drop(reply.send(result)));
+    still_queued
 }
 
-/// Serve one batch of cache misses `(key, question, waiter)`: deduplicate by
-/// normalized key in first-seen order, compute each distinct question once,
-/// and hand its result to everyone waiting on it.
-fn compute_deduped<B: Backend, Q: Into<String>, W>(
-    shared: &Shared<B>,
+/// Serve cache misses `(key, question, waiter)`: deduplicate by normalized
+/// key in first-seen order, `compute` each distinct question once, and hand
+/// its result to everyone waiting on it (to no one, if `compute` yields none).
+fn compute_deduped<T, Q: Into<String>, W>(
     misses: impl IntoIterator<Item = (String, Q, W)>,
-    mut deliver: impl FnMut(W, Arc<B::Out>),
+    compute: impl FnOnce(&[(String, String)]) -> Option<Vec<Arc<T>>>,
+    mut deliver: impl FnMut(W, Arc<T>),
 ) {
     let mut unique: Vec<(String, String)> = Vec::new();
     let mut waiting: Vec<Vec<W>> = Vec::new();
@@ -433,17 +435,12 @@ fn compute_deduped<B: Backend, Q: Into<String>, W>(
             }
         }
     }
-    let results = shared.compute_unique(&unique);
-    for (result, waiters) in results.into_iter().zip(waiting) {
+    for (result, waiters) in compute(&unique).unwrap_or_default().into_iter().zip(waiting) {
         for waiter in waiters {
             deliver(waiter, Arc::clone(&result));
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// the routing front
-// ---------------------------------------------------------------------
 
 pub(crate) struct RouteBackend<R> {
     handle: RouterHandle<R>,
@@ -530,8 +527,8 @@ impl<R: SchemaRouter + Send + Sync + 'static> RouterService<R> {
     }
 
     /// Route a slice of questions synchronously (no dispatcher, no flush
-    /// timer): each `max_batch`-sized window is cache-checked, deduplicated
-    /// and routed on the pool. Results come back in question order, and the
+    /// wait): each 16-question window is cache-checked, deduplicated and
+    /// routed on the pool. Results come back in question order, and the
     /// whole call is deterministic — ideal for evaluation loops.
     pub fn route_many(&self, questions: &[String]) -> Vec<Arc<RoutingResult>> {
         self.engine.submit_many(questions)
@@ -552,58 +549,362 @@ impl<R: SchemaRouter + Send + Sync + 'static> RouterService<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use std::ops::Range;
 
-    /// A queue of `n` requests, numbered from 0, as the drain sees it.
-    fn queued(n: usize) -> impl FnMut() -> Option<usize> {
-        let mut queue = 0..n;
-        move || queue.next()
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
+    fn planner() -> BatchPlanner<usize> {
+        BatchPlanner { batch: Vec::new(), company_seen: false }
+    }
+
+    /// Take `step` and the steps after it as the shell would, against a
+    /// queue holding `queued`, until the planner asks for something that
+    /// queue cannot answer at once. Returns that step: a flush, a wait for
+    /// company, or a block once `queued` is empty.
+    fn drain(
+        planner: &mut BatchPlanner<usize>,
+        mut step: Step<usize>,
+        queued: &mut Range<usize>,
+        now: Instant,
+    ) -> Step<usize> {
+        loop {
+            step = match step {
+                Step::Block | Step::Drain if queued.start < queued.end => {
+                    let got = queued.next().ok_or(Timeout);
+                    planner.next(step, got, now)
+                }
+                Step::Drain => planner.next(step, Err(Timeout), now),
+                step => return step,
+            };
+        }
     }
 
     #[test]
     fn a_lone_arrival_into_an_idle_empty_queue_flushes_at_once() {
-        let policy = BatchPolicy { max_batch: 16, company_seen: false };
-        let mut batch = vec![0];
-        policy.drain(&mut batch, queued(0));
-        assert_eq!(batch, [0]);
-        assert!(!policy.waits(batch.len()));
+        let step = drain(&mut planner(), Step::Block, &mut (0..1), Instant::now());
+        assert_eq!(step, Step::Run(vec![0]));
     }
 
     #[test]
     fn a_batch_of_two_rearms_the_wait() {
-        let mut policy = BatchPolicy { max_batch: 16, company_seen: false };
-        let mut batch = vec![0];
-        policy.drain(&mut batch, queued(1));
-        assert!(policy.waits(batch.len()), "two already queued together wait for a third");
-        policy.batch_done(batch.len() as u64, 0);
-        assert!(policy.waits(1), "the next lone arrival waits for its partner");
+        let (mut planner, t0) = (planner(), Instant::now());
+        let deadline = t0 + FLUSH_WAIT;
+        let step = drain(&mut planner, Step::Block, &mut (0..2), t0);
+        assert_eq!(step, Step::Until(deadline), "two queued together wait for a third");
+        assert_eq!(planner.next(step, Err(Timeout), deadline), Step::Run(vec![0, 1]));
+        let (step, t1) = (planner.batch_done(0), deadline + us(500));
+        let step = drain(&mut planner, step, &mut (2..3), t1);
+        assert_eq!(step, Step::Until(t1 + FLUSH_WAIT), "a lone arrival waits for its partner");
     }
 
     #[test]
     fn a_request_queued_when_a_batch_finishes_rearms_the_wait() {
-        let mut policy = BatchPolicy { max_batch: 16, company_seen: false };
-        assert!(!policy.waits(1));
-        policy.batch_done(1, 1);
-        assert!(policy.waits(1));
+        let (mut planner, t0) = (planner(), Instant::now());
+        assert_eq!(drain(&mut planner, Step::Block, &mut (0..1), t0), Step::Run(vec![0]));
+        let step = planner.batch_done(1);
+        assert_eq!(drain(&mut planner, step, &mut (1..2), t0), Step::Until(t0 + FLUSH_WAIT));
     }
 
     #[test]
     fn one_lone_batch_with_an_empty_queue_disarms_the_wait() {
-        let mut policy = BatchPolicy { max_batch: 16, company_seen: false };
-        policy.batch_done(2, 0);
-        assert!(policy.waits(1));
-        policy.batch_done(1, 0);
-        assert!(!policy.waits(1));
+        let (mut planner, t0) = (planner(), Instant::now());
+        let deadline = t0 + FLUSH_WAIT;
+        let step = drain(&mut planner, Step::Block, &mut (0..2), t0);
+        assert_eq!(planner.next(step, Err(Timeout), deadline), Step::Run(vec![0, 1]));
+        // The pair's company carries over to one lone batch...
+        let step = planner.batch_done(0);
+        let step = drain(&mut planner, step, &mut (2..3), t0);
+        assert_eq!(step, Step::Until(deadline));
+        assert_eq!(planner.next(step, Err(Timeout), deadline), Step::Run(vec![2]));
+        // ...and not past it.
+        let step = planner.batch_done(0);
+        assert_eq!(drain(&mut planner, step, &mut (3..4), t0), Step::Run(vec![3]));
     }
 
     #[test]
     fn max_batch_caps_the_drain_and_a_full_batch_never_waits() {
-        let mut policy = BatchPolicy { max_batch: 4, company_seen: false };
-        policy.batch_done(4, 9);
-        let mut queue = queued(10);
-        let mut batch = vec![];
-        policy.drain(&mut batch, &mut queue);
-        assert_eq!(batch, [0, 1, 2, 3]);
-        assert!(!policy.waits(batch.len()), "a full batch flushes whatever was seen before");
-        assert_eq!(queue(), Some(4), "the rest stays queued for the next batch");
+        let (mut planner, t0) = (planner(), Instant::now());
+        assert_eq!(drain(&mut planner, Step::Block, &mut (0..1), t0), Step::Run(vec![0]));
+        let (step, mut queued) = (planner.batch_done(17), 1..18);
+        let step = drain(&mut planner, step, &mut queued, t0);
+        let full = Step::Run((1..17).collect());
+        assert_eq!(step, full, "a full batch flushes whatever was seen before");
+        assert_eq!(queued, 17..18, "the rest stays queued for the next batch");
+    }
+
+    #[test]
+    fn an_arrival_at_the_deadline_joins_the_batch_and_flushes_it() {
+        let (mut planner, t0) = (planner(), Instant::now());
+        let step = drain(&mut planner, Step::Block, &mut (0..2), t0);
+        assert_eq!(planner.next(step, Ok(2), t0 + FLUSH_WAIT), Step::Run(vec![0, 1, 2]));
+    }
+
+    /// SplitMix64 draws for schedules.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            proptest::next_state(&mut self.0) % n
+        }
+    }
+
+    /// `dispatch_loop` in virtual time: the planner under test behind a
+    /// scripted channel, and an oracle that checks every step it takes
+    /// against the batching rules.
+    struct Sim {
+        seed: u64,
+        planner: BatchPlanner<usize>,
+        step: Step<usize>,
+        t0: Instant,
+        now: Duration,
+        /// Sent and not yet received, earliest first: (send time, id).
+        channel: BTreeSet<(Duration, usize)>,
+        /// The last sender drops here; nothing is sent after it.
+        closes_at: Duration,
+        sent: Vec<(Duration, usize)>,
+        /// The oracle's own copy of the company rule.
+        company: bool,
+        /// Received since the last flush, and when the first of them was.
+        held: Vec<usize>,
+        first_at: Duration,
+        /// The drain came up empty.
+        drained: bool,
+        /// The end of the wait the rule allows the held batch, if any.
+        deadline: Option<Duration>,
+        closed: bool,
+        /// Every flush: when, and what.
+        flushed: Vec<(Duration, Vec<usize>)>,
+    }
+
+    impl Sim {
+        fn new(seed: u64, closes_at: Duration) -> Self {
+            Sim {
+                seed,
+                planner: planner(),
+                step: Step::Block,
+                t0: Instant::now(),
+                now: Duration::ZERO,
+                channel: BTreeSet::new(),
+                closes_at,
+                sent: Vec::new(),
+                company: false,
+                held: Vec::new(),
+                first_at: Duration::ZERO,
+                drained: false,
+                deadline: None,
+                closed: false,
+                flushed: Vec::new(),
+            }
+        }
+
+        fn send(&mut self, at: Duration, id: usize) {
+            if at <= self.closes_at {
+                self.channel.insert((at, id));
+                self.sent.push((at, id));
+            }
+        }
+
+        fn check(&self, ok: bool, rule: &str) {
+            let (seed, now, held) = (self.seed, self.now, &self.held);
+            assert!(ok, "{rule} (schedule {seed:#x}, t = {now:?}, holding {held:?})");
+        }
+
+        /// Take the planner's steps until it flushes a batch, or exits (`None`).
+        fn next_batch(&mut self) -> Option<Vec<usize>> {
+            for _ in 0..4 * MAX_BATCH {
+                self.step = match std::mem::replace(&mut self.step, Step::Exit) {
+                    Step::Run(batch) => {
+                        self.flush(&batch);
+                        return Some(batch);
+                    }
+                    Step::Exit => {
+                        let done = self.closed && self.held.is_empty() && self.channel.is_empty();
+                        self.check(done, "exited before the channel closed empty");
+                        return None;
+                    }
+                    step => self.receive(step),
+                };
+            }
+            panic!("the planner spins without flushing (schedule {:#x})", self.seed)
+        }
+
+        /// The receive `step` as `receive` performs it, in virtual time.
+        fn receive(&mut self, step: Step<usize>) -> Step<usize> {
+            let until = match step {
+                Step::Block => {
+                    self.check(self.held.is_empty(), "blocked while holding a batch");
+                    None
+                }
+                Step::Drain => {
+                    let draining = !self.held.is_empty() && !self.drained;
+                    self.check(draining && self.held.len() < MAX_BATCH, "drained out of turn");
+                    Some(self.now)
+                }
+                Step::Until(deadline) => {
+                    let deadline = deadline - self.t0;
+                    let allowed = self.drained && self.deadline == Some(deadline);
+                    self.check(
+                        allowed,
+                        "waited without company, or not until 1 ms after the drain",
+                    );
+                    Some(deadline)
+                }
+                Step::Run(_) | Step::Exit => unreachable!("not a receive"),
+            };
+            let reaches = |at: Duration| until.is_none_or(|until| at <= until);
+            let got = match self.channel.first().copied() {
+                Some((at, id)) if reaches(at) => {
+                    self.channel.remove(&(at, id));
+                    self.now = self.now.max(at);
+                    Ok(id)
+                }
+                None if step != Step::Drain && reaches(self.closes_at) => {
+                    self.now = self.now.max(self.closes_at);
+                    Err(Disconnected)
+                }
+                _ => {
+                    self.now = until.unwrap_or(self.now);
+                    Err(Timeout)
+                }
+            };
+            match (got, &step) {
+                (Ok(id), _) => {
+                    if self.held.is_empty() {
+                        self.first_at = self.now;
+                    }
+                    self.held.push(id);
+                }
+                (Err(Timeout), Step::Drain) => {
+                    self.drained = true;
+                    let n = self.held.len();
+                    if n < MAX_BATCH && (n > 1 || self.company) {
+                        self.deadline = Some(self.now + FLUSH_WAIT);
+                    }
+                }
+                (Err(Disconnected), _) => self.closed = true,
+                (Err(_), _) => {}
+            }
+            self.planner.next(step, got, self.t0 + self.now)
+        }
+
+        fn flush(&mut self, batch: &[usize]) {
+            self.check(batch == self.held, "flushed other than what it received, in order");
+            self.check((1..=MAX_BATCH).contains(&batch.len()), "a batch outside 1..=16");
+            let (full, closed) = (batch.len() == MAX_BATCH, self.closed);
+            match self.deadline {
+                Some(deadline) => {
+                    self.check(self.now <= deadline, "waited past its deadline");
+                    self.check(full || closed || self.now == deadline, "stopped waiting early");
+                }
+                None => {
+                    let at_drain_end = self.drained && self.now == self.first_at;
+                    self.check(full || closed || at_drain_end, "flushed before its drain ended");
+                }
+            }
+            if batch.len() == 1 && !self.company {
+                self.check(self.now == self.first_at, "a lone arrival on an idle planner waited");
+            }
+            self.flushed.push((self.now, batch.to_vec()));
+            self.held.clear();
+            (self.drained, self.deadline) = (false, None);
+        }
+
+        /// The last flushed batch, of `size`, computed for `compute`.
+        fn finish(&mut self, size: usize, compute: Duration) {
+            self.now += compute;
+            let still_queued = self.channel.iter().take_while(|(at, _)| *at <= self.now).count();
+            self.company = size > 1 || still_queued > 0;
+            self.step = self.planner.batch_done(still_queued as u64);
+        }
+
+        /// Every request sent was flushed exactly once, in send order.
+        fn check_all_flushed(&mut self) {
+            self.sent.sort();
+            let sent: Vec<usize> = self.sent.iter().map(|&(_, id)| id).collect();
+            let flushed: Vec<usize> = self.flushed.iter().flat_map(|(_, b)| b.clone()).collect();
+            self.check(flushed == sent, "not every request was flushed exactly once");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Seeded schedules — bursts, gaps around the flush wait, idle
+        /// stretches, seeded compute times, and a close at a random point —
+        /// hold every batching rule after every step the planner takes.
+        #[test]
+        fn simulated_schedules_keep_every_batching_rule(seed in 0u64..u64::MAX) {
+            let mut g = Gen(seed);
+            // The schedule's widest ordinary gap (µs): dense enough to fill
+            // batches of 16, or sparse enough that most misses arrive alone.
+            let tempo = [50, 400, 2_000, 6_000][g.below(4) as usize];
+            let (mut at, mut arrivals) = (Duration::ZERO, Vec::new());
+            for id in 0..1 + g.below(96) as usize {
+                at += us(match g.below(16) {
+                    0..=4 => 0,
+                    5 => 700 + g.below(600),
+                    _ => g.below(tempo),
+                });
+                arrivals.push((at, id));
+            }
+            let mut sim = Sim::new(seed, us(g.below(at.as_micros() as u64 + 2_000)));
+            for (at, id) in arrivals {
+                sim.send(at, id);
+            }
+            while let Some(batch) = sim.next_batch() {
+                sim.finish(batch.len(), us(g.below(2_000)));
+            }
+            sim.check_all_flushed();
+        }
+    }
+
+    /// `ask_cold`'s two closed-loop connections: both ask at once, and each
+    /// asks again 20–200 µs after its answer. Every batch is a pair — the
+    /// planner-level reason the workload's connections stay in lockstep.
+    #[test]
+    fn ask_cold_lockstep_pairs_batch_in_twos() {
+        let (mut g, mut sim) = (Gen(1), Sim::new(1, Duration::from_secs(3600)));
+        sim.send(Duration::ZERO, 0);
+        sim.send(Duration::ZERO, 1);
+        let mut next = 2;
+        while let Some(batch) = sim.next_batch() {
+            assert_eq!(batch.len(), 2, "batch {} split the pair", sim.flushed.len());
+            sim.finish(2, us(380 + g.below(100)));
+            if next < 2_000 {
+                for _ in &batch {
+                    let at = sim.now + us(20 + g.below(180));
+                    sim.send(at, next);
+                    next += 1;
+                }
+            }
+        }
+        sim.check_all_flushed();
+        assert_eq!(sim.flushed.len(), 1_000);
+    }
+
+    /// `ask_mixed_open`'s arrivals: 400 asks/s on schedule, one in four a
+    /// cache hit that never reaches the dispatcher, each miss computed in
+    /// ~0.4 ms. The misses never meet, so each is flushed at its own
+    /// arrival time: a lone miss waits 0, not the 1 ms flush wait.
+    #[test]
+    fn ask_mixed_open_lone_misses_wait_zero() {
+        let (mut g, mut sim) = (Gen(2026), Sim::new(2026, Duration::from_secs(3600)));
+        for slot in 0..4_000 {
+            if g.below(4) != 0 {
+                sim.send(us(slot * 2_500), slot as usize);
+            }
+        }
+        while let Some(batch) = sim.next_batch() {
+            sim.finish(batch.len(), us(350 + g.below(100)));
+        }
+        sim.check_all_flushed();
+        for (at, batch) in &sim.flushed {
+            assert_eq!(batch.len(), 1);
+            assert_eq!(*at, us(batch[0] as u64 * 2_500), "miss {} waited", batch[0]);
+        }
     }
 }

@@ -2,11 +2,11 @@
 //! deduplication, cache behavior under load, graceful shutdown, and
 //! service-vs-direct result equivalence.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
-use dbcopilot_retrieval::{Bm25Index, Bm25Params, SchemaRouter, Target, TargetSet};
-use dbcopilot_serve::{RouterService, ServiceConfig};
+use dbcopilot_retrieval::{Bm25Index, Bm25Params, RoutingResult, SchemaRouter, Target, TargetSet};
+use dbcopilot_serve::{RouterService, ServiceConfig, ServiceStats};
 
 fn index() -> Bm25Index {
     let targets = TargetSet {
@@ -43,6 +43,53 @@ fn questions() -> Vec<String> {
         "which concert happened last year".into(),
         "country with the largest population".into(),
     ]
+}
+
+/// Routes with [`index`], but holds its first route between two meetings
+/// with the test thread.
+struct Gate {
+    index: Bm25Index,
+    entered: AtomicBool,
+    barrier: Barrier,
+}
+
+impl SchemaRouter for Gate {
+    fn name(&self) -> &str {
+        "gate"
+    }
+    fn route(&self, question: &str, top_tables: usize) -> RoutingResult {
+        if !self.entered.swap(true, Ordering::AcqRel) {
+            self.barrier.wait(); // the test sees the route start...
+            self.barrier.wait(); // ...and lets it finish
+        }
+        self.index.route(question, top_tables)
+    }
+}
+
+fn gate() -> Arc<Gate> {
+    Arc::new(Gate { index: index(), entered: AtomicBool::new(false), barrier: Barrier::new(2) })
+}
+
+/// Serve `first` through a [`Gate`], queue `rest` behind it while it is
+/// held, then let everything finish. Returns the service's counters.
+fn hold_first_then_queue(cfg: ServiceConfig, first: &str, rest: &[&str]) -> ServiceStats {
+    let gate = gate();
+    let service = RouterService::new(Arc::clone(&gate), cfg);
+    std::thread::scope(|s| {
+        let service = &service;
+        s.spawn(move || service.route(first));
+        gate.barrier.wait();
+        for q in rest {
+            s.spawn(move || service.route(q));
+        }
+        // The held request stays counted until its batch is computed, so
+        // the gauge reaches 1 + rest.len() once all of `rest` is queued.
+        while service.stats().queue_depth != 1 + rest.len() as u64 {
+            std::thread::yield_now();
+        }
+        gate.barrier.wait();
+    });
+    service.stats()
 }
 
 #[test]
@@ -94,81 +141,20 @@ fn concurrent_clients_get_correct_answers_and_share_the_cache() {
 
 #[test]
 fn in_flight_duplicates_are_deduplicated_within_a_batch() {
-    // A wide flush window lets all clients land in one micro-batch.
-    // no cache: dedup must come from batching alone
-    let cfg = ServiceConfig::new()
-        .max_batch(64)
-        .flush_timeout(Duration::from_millis(50))
-        .cache_capacity(0);
-    let service = RouterService::from_router(index(), cfg);
-    std::thread::scope(|s| {
-        for _ in 0..6 {
-            let service = &service;
-            s.spawn(move || {
-                let r = service.route("how many singers are there?");
-                assert_eq!(r.database_names()[0], "concert_singer");
-            });
-        }
-    });
-    let stats = service.stats();
-    assert!(stats.computed < 6, "identical in-flight questions should share a route: {stats:?}");
-}
-
-#[test]
-fn a_lone_miss_does_not_wait_out_the_flush_timeout() {
-    // Nothing else is queued and nothing came before: the dispatcher has
-    // seen no company, so it computes at once instead of waiting 5 s.
-    let cfg = ServiceConfig::new().flush_timeout(Duration::from_secs(5));
-    let service = RouterService::from_router(index(), cfg);
-    let start = std::time::Instant::now();
-    let r = service.route("population of each city");
-    assert_eq!(r.database_names()[0], "world");
-    assert!(start.elapsed() < Duration::from_secs(1), "waited {:?}", start.elapsed());
+    // No cache: dedup must come from batching alone. Five identical
+    // questions queue behind a held route and form one batch.
+    let cfg = ServiceConfig::new().cache_capacity(0);
+    let stats =
+        hold_first_then_queue(cfg, "population of each city", &["how many singers are there?"; 5]);
+    assert_eq!((stats.computed, stats.batches), (2, 2), "{stats:?}");
 }
 
 #[test]
 fn misses_queued_behind_a_running_batch_form_the_next_batch() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Barrier;
-
-    /// Holds its first route between two meetings with the test thread.
-    struct Gate {
-        entered: AtomicBool,
-        barrier: Barrier,
-    }
-    impl SchemaRouter for Gate {
-        fn name(&self) -> &str {
-            "gate"
-        }
-        fn route(&self, _q: &str, _t: usize) -> dbcopilot_retrieval::RoutingResult {
-            if !self.entered.swap(true, Ordering::AcqRel) {
-                self.barrier.wait(); // the test sees the route start...
-                self.barrier.wait(); // ...and lets it finish
-            }
-            dbcopilot_retrieval::RoutingResult::default()
-        }
-    }
-
-    let gate = Arc::new(Gate { entered: AtomicBool::new(false), barrier: Barrier::new(2) });
-    let cfg = ServiceConfig::new().max_batch(5).flush_timeout(Duration::from_secs(5));
-    let service = RouterService::new(Arc::clone(&gate), cfg);
-    std::thread::scope(|s| {
-        let service = &service;
-        // A lone miss runs at once and holds the router...
-        s.spawn(move || service.route("question 0"));
-        gate.barrier.wait();
-        // ...while five more queue behind it.
-        for i in 1..6 {
-            s.spawn(move || service.route(&format!("question {i}")));
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while service.stats().queue_depth != 6 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        gate.barrier.wait();
-    });
+    let rest: Vec<String> = (1..6).map(|i| format!("question {i}")).collect();
+    let rest: Vec<&str> = rest.iter().map(String::as_str).collect();
+    let stats = hold_first_then_queue(ServiceConfig::default(), "question 0", &rest);
     // The queued five re-armed the wait and fill the next batch together.
-    let stats = service.stats();
     assert_eq!(stats.batches, 2, "{stats:?}");
     assert_eq!(stats.max_batch_observed, 5, "{stats:?}");
 }
@@ -234,7 +220,7 @@ fn router_panic_hits_only_the_affected_caller_and_service_survives() {
         fn name(&self) -> &str {
             "flaky"
         }
-        fn route(&self, question: &str, top_tables: usize) -> dbcopilot_retrieval::RoutingResult {
+        fn route(&self, question: &str, top_tables: usize) -> RoutingResult {
             assert!(!question.contains("poison"), "poison question");
             self.0.route(question, top_tables)
         }
@@ -267,8 +253,7 @@ fn eviction_under_tiny_capacity_keeps_serving_correctly() {
 fn drop_answers_queued_requests_then_shuts_down() {
     // Requests enqueued immediately before drop must still be answered:
     // the dispatcher drains its channel before exiting.
-    let cfg = ServiceConfig::new().max_batch(4).flush_timeout(Duration::from_millis(20));
-    let service = RouterService::from_router(index(), cfg);
+    let service = RouterService::from_router(index(), ServiceConfig::default());
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -360,8 +345,8 @@ impl SchemaRouter for Tagged {
     fn name(&self) -> &str {
         self.0
     }
-    fn route(&self, _question: &str, _top_tables: usize) -> dbcopilot_retrieval::RoutingResult {
-        dbcopilot_retrieval::RoutingResult {
+    fn route(&self, _question: &str, _top_tables: usize) -> RoutingResult {
+        RoutingResult {
             tables: vec![(self.0.to_string(), "t".to_string(), 1.0)],
             databases: vec![(self.0.to_string(), 1.0)],
         }
@@ -421,47 +406,24 @@ fn publish_invalidates_cached_results() {
 
 #[test]
 fn queue_depth_rises_under_a_blocked_backend_and_drains_to_zero() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// Blocks every route until the test opens the gate.
-    struct Gated(Arc<AtomicBool>);
-    impl SchemaRouter for Gated {
-        fn name(&self) -> &str {
-            "gated"
-        }
-        fn route(&self, _q: &str, _t: usize) -> dbcopilot_retrieval::RoutingResult {
-            while !self.0.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            dbcopilot_retrieval::RoutingResult::default()
-        }
-    }
-
-    let gate = Arc::new(AtomicBool::new(false));
-    let cfg = ServiceConfig::new().cache_capacity(0).max_batch(1);
-    let service = RouterService::from_router(Gated(Arc::clone(&gate)), cfg);
+    let gate = gate();
+    let service = RouterService::new(Arc::clone(&gate), ServiceConfig::new().cache_capacity(0));
     assert_eq!(service.stats().queue_depth, 0);
-
     std::thread::scope(|s| {
-        for i in 0..3 {
-            let service = &service;
-            s.spawn(move || service.route(&format!("question {i}")));
+        let service = &service;
+        let mut callers = vec![s.spawn(move || service.route("question 0"))];
+        gate.barrier.wait();
+        // The backend holds an accepted request, and the stats snapshot
+        // sees it (the admission-control signal).
+        assert_eq!(service.stats().queue_depth, 1);
+        callers.extend((1..3).map(|i| s.spawn(move || service.route(&format!("question {i}")))));
+        gate.barrier.wait();
+        for caller in callers {
+            caller.join().unwrap();
         }
-        // The backend is blocked, so accepted requests pile up in the queue
-        // and the stats snapshot sees them (the admission-control signal).
-        while service.stats().queue_depth == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        gate.store(true, Ordering::Release);
+        // A request leaves the gauge before its caller is answered.
+        assert_eq!(service.stats().queue_depth, 0, "answered requests must leave the queue");
     });
-    // The gauge is a relaxed counter the dispatcher decrements just after
-    // replying, so a caller can return a beat before its request is
-    // uncounted — poll briefly instead of asserting the instant snapshot.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while service.stats().queue_depth != 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(service.stats().queue_depth, 0, "answered requests must leave the queue");
 }
 
 #[test]

@@ -73,7 +73,7 @@ fn main() {
     println!("  {:.1} req/s", total_requests as f64 / base_secs);
 
     // Served: shared Arc'd router behind cache + micro-batching + pool.
-    let service = RouterService::new(Arc::clone(&router), ServiceConfig::new().max_batch(16));
+    let service = RouterService::new(Arc::clone(&router), ServiceConfig::new());
     println!("\nServing the same workload to {clients} concurrent clients …");
     let start = Instant::now();
     std::thread::scope(|s| {

@@ -175,11 +175,7 @@ fn ask_batch_is_bit_identical_across_thread_counts() {
 fn ask_service_answers_identical_to_direct_ask() {
     let copilot = fixture();
     let opts = AskOptions::new().top_k(3).repair_attempts(1);
-    let service = AskService::new(
-        std::sync::Arc::new(copilot),
-        opts.clone(),
-        ServiceConfig::new().max_batch(8),
-    );
+    let service = AskService::new(std::sync::Arc::new(copilot), opts.clone(), ServiceConfig::new());
     let questions: Vec<String> = corpus().test.iter().map(|i| i.question.clone()).collect();
     let served = service.ask_many(&questions);
     let mut answered = 0;
