@@ -18,9 +18,10 @@
 //! * [`train_router`] shards every minibatch across workers — each example
 //!   gets a private tape, a private RNG derived from `(seed, epoch,
 //!   example index)`, and its own backward pass; shard gradients are merged
-//!   in fixed example order before the single `AdamW` step
-//!   (`ParamStore::merge_grads`), so the updated weights never depend on
-//!   the thread count.
+//!   in fixed example order, clipped and applied by one `AdamW` step whose
+//!   jobs over fixed parameter ranges also run on the pool
+//!   ([`AdamW::step_shards`]), so the updated weights never depend on the
+//!   thread count.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -29,7 +30,8 @@ use rand::{Rng, SeedableRng};
 use dbcopilot_graph::{
     basic_serialize, dfs_serialize, IterOrder, QuerySchema, SchemaGraph, WalkConfig,
 };
-use dbcopilot_nn::{AdamW, GradShard, Tape};
+use dbcopilot_nn::{AdamW, GradShard, Jobs, Tape};
+use dbcopilot_runtime::{lock_rank, OrderedMutex};
 use dbcopilot_synth::{CorpusMeta, Questioner};
 
 use crate::decode::{Constrainer, ConstraintTables};
@@ -174,13 +176,27 @@ fn example_shard(
     Some((loss, tape.take_grads()))
 }
 
+/// Run each optimizer-epilogue job once on the worker pool, one job per
+/// claim. A job is a `FnOnce`, so whichever thread claims it takes it out.
+fn run_on_pool(jobs: Jobs<'_>) {
+    let jobs: Vec<_> =
+        jobs.into_iter().map(|job| OrderedMutex::new("job", lock_rank::JOB, Some(job))).collect();
+    dbcopilot_runtime::pooled_map_chunks(&jobs, 1, |_, claimed| {
+        for job in claimed {
+            let taken = job.lock().take();
+            taken.into_iter().for_each(|run| run());
+        }
+    });
+}
+
 /// Train the router with teacher forcing.
 ///
 /// Data-parallel and deterministic: every minibatch is sharded one example
 /// per worker, shard gradients merge in fixed example
 /// order, and a single `AdamW` step applies the batch-mean gradient — so
 /// epoch losses and final weights are bit-identical at any `DBC_THREADS`
-/// value (covered by the crate's determinism test suite).
+/// value (covered by the crate's determinism test suite). No examples, no
+/// training: the model comes back as it went in.
 pub fn train_router(
     model: &mut RouterModel,
     graph: &SchemaGraph,
@@ -201,7 +217,9 @@ pub(crate) fn train_with_tables(
     data: &[TrainExample],
     mode: SerializationMode,
 ) -> TrainStats {
-    assert!(!data.is_empty(), "no training data");
+    if data.is_empty() {
+        return TrainStats { epoch_losses: Vec::new(), examples: 0 };
+    }
     let cfg = model.cfg.clone();
     let constrainer = Constrainer::new(graph, tables, cfg.max_tables.max(8));
     // The shuffle RNG runs serially between parallel sections; per-example
@@ -243,9 +261,7 @@ pub(crate) fn train_with_tables(
                 epoch_loss += loss;
                 grads.push(shard);
             }
-            model.store.merge_grads(grads, inv);
-            model.store.clip_grad_norm(5.0);
-            opt.step(&mut model.store);
+            opt.step_shards(&mut model.store, &grads, inv, 5.0, &run_on_pool);
         }
         epoch_losses.push(epoch_loss / counted.max(1) as f32);
     }

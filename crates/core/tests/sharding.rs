@@ -295,3 +295,63 @@ fn shard_counters_track_databases_loading_and_traffic() {
     assert!(mono.shard_counters().is_empty());
     assert_eq!(Arc::new(mono).shard_counters().len(), 0, "Arc forwarding");
 }
+
+#[test]
+fn shards_owning_databases_but_no_examples_fit_untrained_and_stay_routable() {
+    // Eight one-table databases and every example on `alpha`: the other
+    // shards own databases but no examples. Their fit used to panic ("no
+    // training data") inside a pool worker.
+    let names = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"];
+    let mut coll = Collection::new();
+    for db in names {
+        let mut d = DatabaseSchema::new(db);
+        d.add_table(TableSchema::new(format!("{db}_item")).column("id", DataType::Int).primary(0));
+        coll.add_database(d);
+    }
+    let examples: Vec<TrainExample> = (0..8)
+        .map(|i| TrainExample {
+            question: format!("how many alpha items are there {i}"),
+            schema: QuerySchema::new("alpha", vec!["alpha_item".into()]),
+        })
+        .collect();
+    let cfg = RouterConfig::tiny();
+    let (tier, stats) =
+        ShardedRouter::fit(&coll, &examples, cfg.clone(), SerializationMode::Dfs, 4);
+    let owner = tier.shard_of_db("alpha");
+    let counters = tier.shard_counters();
+    assert!(
+        (0..4).any(|s| s != owner && counters[s].databases > 0),
+        "want a shard with databases but no examples"
+    );
+    for (s, st) in stats.iter().enumerate() {
+        if s != owner {
+            assert!(st.epoch_losses.is_empty() && st.examples == 0, "shard {s}: {st:?}");
+        }
+    }
+    // Every shard answers from its own databases; an untrained one lists
+    // each of them.
+    for db in names {
+        let s = tier.shard_of_db(db);
+        let r = tier.route_shard(s, &format!("how many {db} items"), 10);
+        assert!(!r.databases.is_empty(), "shard {s} answers nothing");
+        assert!(r.databases.iter().all(|(d, _)| tier.shard_of_db(d) == s), "{r:?}");
+        assert!(s == owner || r.database_names().contains(&db), "{db} is not routable: {r:?}");
+    }
+    // The trained shard is a direct fit on its sub-collection, bit for bit.
+    let mut sub = Collection::new();
+    for (name, db) in &coll.databases {
+        if tier.shard_of_db(name) == owner {
+            sub.add_database(db.clone());
+        }
+    }
+    let (direct, _) =
+        DbcRouter::fit(SchemaGraph::build(&sub), &examples, cfg, SerializationMode::Dfs);
+    let shard = tier.shard_router(owner).expect("alpha's shard is fitted");
+    for ((an, av), (bn, bv)) in
+        direct.model.store.iter_values().zip(shard.model.store.iter_values())
+    {
+        let bits = |t: &dbcopilot_nn::Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect();
+        let (ab, bb): (Vec<u32>, Vec<u32>) = (bits(av), bits(bv));
+        assert_eq!((an, ab), (bn, bb), "{an} differs from a direct fit");
+    }
+}

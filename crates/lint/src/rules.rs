@@ -55,6 +55,7 @@ pub const LOCK_RANKS: &[(&str, u16)] = &[
     ("pending", 22),
     ("cache", 30),
     ("current", 31),
+    ("job", 40),
 ];
 
 fn rank_of(name: &str) -> Option<u16> {

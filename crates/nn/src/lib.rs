@@ -29,13 +29,15 @@ pub mod gradcheck;
 pub mod init;
 pub mod layers;
 pub mod optim;
+#[cfg(test)]
+mod oracle;
 pub mod quant;
 pub mod serialize;
 pub mod tape;
 pub mod tensor;
 
 pub use layers::{Embedding, GruCell, Linear};
-pub use optim::{AdamW, GradShard, ParamId, ParamStore, Sgd};
+pub use optim::{AdamW, GradShard, Jobs, ParamId, ParamStore, Sgd};
 pub use quant::{QuantEntry, QuantizedMatrix, QuantizedStore, QuantizedVec};
 pub use tape::{Grad, Tape, ValId};
 pub use tensor::Tensor;

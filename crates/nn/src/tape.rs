@@ -4,9 +4,10 @@
 //! [`Tape::backward`] walks the record in reverse and each op *adds* its
 //! contributions into its operands' gradient slots (`Slots`): a dense
 //! tensor (`add`), a transposed product accumulated in place (`add_tn`) or
-//! embedding rows (`add_rows`). A slot's first contribution is stored as it
-//! arrives and later ones are added in reverse node order, so every sum
-//! associates the same way at any thread count.
+//! embedding rows (`add_rows`, written into one flat buffer per slot, with
+//! no allocation per row and no sort). A slot's first contribution is
+//! stored as it arrives and later ones are added in reverse node order, so
+//! every sum associates the same way at any thread count.
 //! Gradients are dense except for embedding lookups, which produce
 //! [`Grad::SparseRows`] so that large embedding matrices never materialize a
 //! dense gradient (critical for the schema router's output vocabulary).
@@ -24,14 +25,16 @@ use crate::tensor::{add_tn, log_softmax, Tensor};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ValId(usize);
 
-/// A gradient contribution flowing backward through the graph.
+/// A parameter's gradient, as [`Tape::take_grads`] hands it over.
 #[derive(Debug, Clone)]
 pub enum Grad {
     /// Dense gradient with the same shape as the forward value.
     Dense(Tensor),
-    /// Sparse row-wise gradient into a `[rows, cols]` matrix: only the listed
-    /// rows carry gradient. Produced by embedding lookups.
-    SparseRows { rows: usize, cols: usize, entries: Vec<(usize, Vec<f32>)> },
+    /// Sparse row-wise gradient into a `[rows, cols]` matrix, flat: entry `k`
+    /// is row `idx[k]` with values `vals[k·cols..(k+1)·cols]`, and unlisted
+    /// rows carry none. A row listed twice is two contributions, added in
+    /// order. Produced by embedding lookups.
+    SparseRows { rows: usize, cols: usize, idx: Vec<usize>, vals: Vec<f32> },
 }
 
 impl Grad {
@@ -39,42 +42,7 @@ impl Grad {
     pub fn into_dense(self) -> Tensor {
         match self {
             Grad::Dense(t) => t,
-            Grad::SparseRows { rows, cols, entries } => {
-                let mut out = Tensor::zeros(rows, cols);
-                let buf = out.as_mut_slice();
-                for (r, row) in entries {
-                    for (c, v) in row.iter().enumerate() {
-                        buf[r * cols + c] += v;
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Merge another contribution into this one.
-    pub fn accumulate(&mut self, other: Grad) {
-        match (&mut *self, other) {
-            (Grad::Dense(a), Grad::Dense(b)) => a.add_scaled_assign(&b, 1.0),
-            (Grad::SparseRows { entries, .. }, Grad::SparseRows { entries: more, .. }) => {
-                // Coalesce by row index: an embedding row hit many times in
-                // one graph (e.g. the output table at every decode step) must
-                // not grow the entry list unboundedly.
-                entries.extend(more);
-                coalesce_rows(entries);
-            }
-            (dense @ Grad::Dense(_), sparse @ Grad::SparseRows { .. }) => {
-                let s = sparse.into_dense();
-                if let Grad::Dense(a) = dense {
-                    a.add_scaled_assign(&s, 1.0);
-                }
-            }
-            (sparse @ Grad::SparseRows { .. }, Grad::Dense(b)) => {
-                let mut d =
-                    std::mem::replace(sparse, Grad::Dense(Tensor::zeros(0, 0))).into_dense();
-                d.add_scaled_assign(&b, 1.0);
-                *sparse = Grad::Dense(d);
-            }
+            Grad::SparseRows { rows, cols, idx, vals } => rows_to_dense((rows, cols), &idx, &vals),
         }
     }
 
@@ -82,43 +50,97 @@ impl Grad {
     /// `ParamStore::merge_grads` is tested against.
     #[cfg(test)]
     pub(crate) fn scale_in_place(&mut self, s: f32) {
+        let vals = match self {
+            Grad::Dense(t) => t.as_mut_slice(),
+            Grad::SparseRows { vals, .. } => vals.as_mut_slice(),
+        };
+        vals.iter_mut().for_each(|v| *v *= s);
+    }
+}
+
+/// Flat rows added into zeros of `shape`, entry by entry.
+pub(crate) fn rows_to_dense(shape: (usize, usize), idx: &[usize], vals: &[f32]) -> Tensor {
+    let (rows, cols) = shape;
+    let mut out = Tensor::zeros(rows, cols);
+    let buf = out.as_mut_slice();
+    for (&r, row) in idx.iter().zip(vals.chunks(cols.max(1))) {
+        for (b, v) in buf[r * cols..(r + 1) * cols].iter_mut().zip(row) {
+            *b += v;
+        }
+    }
+    out
+}
+
+/// `at[r]` of a row no entry holds.
+const ABSENT: u32 = u32::MAX;
+
+/// A node's gradient while [`Tape::backward`] accumulates it.
+enum Slot {
+    Dense(Tensor),
+    /// Embedding rows, laid out as in [`Grad::SparseRows`]. The first
+    /// contribution stays as it arrived, repeated rows and all, and `at` is
+    /// `None`. The second coalesces it in place; from then on every row has
+    /// one entry, at position `at[r]` (or `ABSENT`), in first-arrival order.
+    Rows {
+        shape: (usize, usize),
+        idx: Vec<usize>,
+        vals: Vec<f32>,
+        at: Option<Vec<u32>>,
+    },
+}
+
+impl Slot {
+    fn to_dense(&self) -> Tensor {
         match self {
-            Grad::Dense(t) => {
-                for v in t.as_mut_slice() {
-                    *v *= s;
-                }
-            }
-            Grad::SparseRows { entries, .. } => {
-                for (_, row) in entries {
-                    for v in row {
-                        *v *= s;
-                    }
-                }
+            Slot::Dense(t) => t.clone(),
+            Slot::Rows { shape, idx, vals, .. } => rows_to_dense(*shape, idx, vals),
+        }
+    }
+
+    fn into_dense(self) -> Tensor {
+        match self {
+            Slot::Dense(t) => t,
+            rows => rows.to_dense(),
+        }
+    }
+
+    fn into_grad(self) -> Grad {
+        match self {
+            Slot::Dense(t) => Grad::Dense(t),
+            Slot::Rows { shape: (rows, cols), idx, vals, .. } => {
+                Grad::SparseRows { rows, cols, idx, vals }
             }
         }
     }
 }
 
-/// Sort entries by row index (stable, so same-row contributions keep their
-/// arrival order) and sum duplicates into one entry per row.
-fn coalesce_rows(entries: &mut Vec<(usize, Vec<f32>)>) {
-    if entries.len() < 2 {
-        return;
-    }
-    entries.sort_by_key(|(r, _)| *r);
-    let mut write = 0;
-    for read in 1..entries.len() {
-        if entries[read].0 == entries[write].0 {
-            let (head, tail) = entries.split_at_mut(read);
-            for (a, v) in head[write].1.iter_mut().zip(&tail[0].1) {
-                *a += v;
+/// Sum each row's repeated entries into its first one (later entries added
+/// in order) and drop the repeats, keeping first-arrival order; returns the
+/// position of every row held.
+fn coalesce(rows: usize, cols: usize, idx: &mut Vec<usize>, vals: &mut Vec<f32>) -> Vec<u32> {
+    let mut at = vec![ABSENT; rows];
+    let mut kept = 0;
+    for k in 0..idx.len() {
+        let r = idx[k];
+        match at[r] {
+            ABSENT => {
+                at[r] = kept as u32;
+                idx[kept] = r;
+                vals.copy_within(k * cols..(k + 1) * cols, kept * cols);
+                kept += 1;
             }
-        } else {
-            write += 1;
-            entries.swap(write, read);
+            p => {
+                let (head, tail) = vals.split_at_mut(k * cols);
+                let p = p as usize;
+                for (a, v) in head[p * cols..(p + 1) * cols].iter_mut().zip(&tail[..cols]) {
+                    *a += v;
+                }
+            }
         }
     }
-    entries.truncate(write + 1);
+    idx.truncate(kept);
+    vals.truncate(kept * cols);
+    at
 }
 
 /// What produced a node: its operands plus whatever the backward pass
@@ -174,48 +196,81 @@ struct GruStep {
 
 /// The gradient slots of the nodes below the one being differentiated.
 struct Slots<'a> {
-    grads: &'a mut [Option<Grad>],
+    grads: &'a mut [Option<Slot>],
     requires: &'a [bool],
 }
 
 impl Slots<'_> {
     /// Add a dense contribution, evaluated only if `id` tracks gradient.
     fn add(&mut self, id: ValId, contrib: impl FnOnce() -> Tensor) {
-        if self.requires[id.0] {
-            self.merge(id, Grad::Dense(contrib()));
+        if !self.requires[id.0] {
+            return;
         }
+        let t = contrib();
+        let slot = &mut self.grads[id.0];
+        *slot = Some(Slot::Dense(match slot.take() {
+            Some(held) => {
+                let mut d = held.into_dense();
+                d.add_scaled_assign(&t, 1.0);
+                d
+            }
+            None => t,
+        }));
     }
 
     /// Add `aᵀ × g` without materializing it (see [`add_tn`]).
     fn add_tn(&mut self, id: ValId, a: &Tensor, g: &Tensor) {
         if self.requires[id.0] {
             let mut dense = match self.grads[id.0].take() {
-                Some(grad) => grad.into_dense(),
+                Some(slot) => slot.into_dense(),
                 None => Tensor::zeros(a.cols(), g.cols()),
             };
             add_tn(dense.as_mut_slice(), a, g);
-            self.grads[id.0] = Some(Grad::Dense(dense));
+            self.grads[id.0] = Some(Slot::Dense(dense));
         }
     }
 
-    /// Add one gradient row per index into the `shape`d matrix `id`.
-    fn add_rows(
+    /// Add gradient row `row(k)` at row `idx[k]` of the `shape`d matrix `id`,
+    /// for every `k`, straight into the slot's flat buffer.
+    fn add_rows<R: IntoIterator<Item = f32>>(
         &mut self,
         id: ValId,
-        (rows, cols): (usize, usize),
+        shape: (usize, usize),
         idx: &[usize],
-        grad_rows: impl Iterator<Item = Vec<f32>>,
+        row: impl Fn(usize) -> R,
     ) {
-        if self.requires[id.0] {
-            let entries = idx.iter().copied().zip(grad_rows).collect();
-            self.merge(id, Grad::SparseRows { rows, cols, entries });
+        if !self.requires[id.0] {
+            return;
         }
-    }
-
-    fn merge(&mut self, id: ValId, contrib: Grad) {
+        let cols = shape.1;
         match &mut self.grads[id.0] {
-            Some(grad) => grad.accumulate(contrib),
-            slot @ None => *slot = Some(contrib),
+            slot @ None => {
+                let mut vals = Vec::with_capacity(idx.len() * cols);
+                (0..idx.len()).for_each(|k| vals.extend(row(k)));
+                *slot = Some(Slot::Rows { shape, idx: idx.to_vec(), vals, at: None });
+            }
+            Some(Slot::Dense(a)) => {
+                let vals: Vec<f32> = (0..idx.len()).flat_map(&row).collect();
+                a.add_scaled_assign(&rows_to_dense(shape, idx, &vals), 1.0);
+            }
+            Some(Slot::Rows { idx: held, vals, at, .. }) => {
+                let at = at.get_or_insert_with(|| coalesce(shape.0, cols, held, vals));
+                for (k, &r) in idx.iter().enumerate() {
+                    match at[r] {
+                        ABSENT => {
+                            at[r] = held.len() as u32;
+                            held.push(r);
+                            vals.extend(row(k));
+                        }
+                        p => {
+                            let p = p as usize;
+                            for (a, v) in vals[p * cols..(p + 1) * cols].iter_mut().zip(row(k)) {
+                                *a += v;
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -226,7 +281,7 @@ impl Slots<'_> {
 pub struct Tape {
     values: Vec<Tensor>,
     ops: Vec<Op>,
-    grads: Vec<Option<Grad>>,
+    grads: Vec<Option<Slot>>,
     requires: Vec<bool>,
     /// Ordered so gradient collection is deterministic (float addition
     /// order affects training bit-for-bit reproducibility).
@@ -477,16 +532,16 @@ impl Tape {
     /// Panics if `loss` is not a `[1,1]` tensor.
     pub fn backward(&mut self, loss: ValId) {
         assert_eq!(self.value(loss).shape(), (1, 1), "backward expects a scalar loss");
-        self.grads[loss.0] = Some(Grad::Dense(Tensor::from_vec(1, 1, vec![1.0])));
+        self.grads[loss.0] = Some(Slot::Dense(Tensor::from_vec(1, 1, vec![1.0])));
         for i in (0..self.values.len()).rev() {
             // Operands precede the node, so the node's own gradient and its
             // operands' slots are disjoint halves.
             let (below, own) = self.grads.split_at_mut(i);
             let g = match (&self.ops[i], &own[0]) {
                 (Op::Leaf, _) | (_, None) => continue,
-                (_, Some(Grad::Dense(g))) => g,
+                (_, Some(Slot::Dense(g))) => g,
                 // Only leaves (embeddings) receive sparse gradients.
-                (_, Some(Grad::SparseRows { .. })) => {
+                (_, Some(Slot::Rows { .. })) => {
                     unreachable!("non-leaf node received a sparse gradient")
                 }
             };
@@ -497,7 +552,7 @@ impl Tape {
 
     /// Gradient of a node after [`Tape::backward`], densified.
     pub fn grad(&self, id: ValId) -> Option<Tensor> {
-        self.grads[id.0].clone().map(Grad::into_dense)
+        self.grads[id.0].as_ref().map(Slot::to_dense)
     }
 
     /// Move all parameter-leaf gradients into the store (accumulating), then
@@ -511,13 +566,13 @@ impl Tape {
     /// Drain parameter-leaf gradients into a shard, in ascending [`ParamId`]
     /// order. Worker threads return shards to the training loop, which
     /// merges them in fixed shard order via
-    /// [`ParamStore::merge_grads`](crate::optim::ParamStore::merge_grads) —
-    /// the combination is bit-identical at any thread count.
+    /// [`AdamW::step_shards`](crate::optim::AdamW::step_shards) — the
+    /// combination is bit-identical at any thread count.
     pub fn take_grads(&mut self) -> crate::optim::GradShard {
         let mut out = Vec::with_capacity(self.param_leaves.len());
         for (&pid, &vid) in &self.param_leaves {
-            if let Some(g) = self.grads[vid.0].take() {
-                out.push((pid, g));
+            if let Some(slot) = self.grads[vid.0].take() {
+                out.push((pid, slot.into_grad()));
             }
         }
         out
@@ -567,7 +622,7 @@ fn backward_op(op: &Op, g: &Tensor, values: &[Tensor], i: usize, mut slots: Slot
             slots.add(*b, || cut(ac, g.cols()));
         }
         Op::Lookup(emb, idx) => {
-            slots.add_rows(*emb, val(emb).shape(), idx, (0..idx.len()).map(|r| g.row(r).to_vec()))
+            slots.add_rows(*emb, val(emb).shape(), idx, |k| g.row(k).iter().copied())
         }
         Op::MeanRows(a) => slots.add(*a, || {
             let (m, n) = val(a).shape();
@@ -598,12 +653,13 @@ fn backward_op(op: &Op, g: &Tensor, values: &[Tensor], i: usize, mut slots: Slot
         Op::SampledSoftmax { h, emb, idx, sub, gold, probs } => {
             let gl = Tensor::from_row(softmax_grad(probs, probs.len(), &[*gold], g.get(0, 0)));
             slots.add(*h, || gl.matmul(sub));
-            // Row `c` of `glᵀ × h`, as `add_tn` would form it.
-            let hv = val(h).as_slice();
-            let row = |&gc: &f32| {
-                hv.iter().map(|&v| if gc == 0.0 { 0.0 } else { 0.0 + gc * v }).collect()
+            // Row `k` of `glᵀ × h`, as `add_tn` would form it.
+            let (gl, hv) = (gl.as_slice(), val(h).as_slice());
+            let row = |k: usize| {
+                let gc = gl[k];
+                hv.iter().map(move |&v| if gc == 0.0 { 0.0 } else { 0.0 + gc * v })
             };
-            slots.add_rows(*emb, val(emb).shape(), idx, gl.as_slice().iter().map(row));
+            slots.add_rows(*emb, val(emb).shape(), idx, row);
         }
         Op::Gru(step) => {
             let GruStep { x, h, w, wt, saved: [z, r, rh, cand] } = &**step;
@@ -823,42 +879,88 @@ mod tests {
         assert_send::<Grad>();
     }
 
+    /// Feed `contributions` to one gradient slot, as backward ops do: a
+    /// `Dense` one through `add`, rows through `add_rows`.
+    fn slot_after(shape: (usize, usize), contributions: &[Grad]) -> Grad {
+        let (mut grads, requires) = (vec![None], [true]);
+        for c in contributions {
+            let mut slots = Slots { grads: &mut grads, requires: &requires };
+            match c {
+                Grad::Dense(t) => slots.add(ValId(0), || t.clone()),
+                Grad::SparseRows { cols, idx, vals, .. } => {
+                    let row = |k: usize| vals[k * cols..(k + 1) * cols].iter().copied();
+                    slots.add_rows(ValId(0), shape, idx, row)
+                }
+            }
+        }
+        grads.pop().flatten().expect("a contribution arrived").into_grad()
+    }
+
+    fn rows(cols: usize, entries: &[(usize, &[f32])]) -> Grad {
+        let idx = entries.iter().map(|(r, _)| *r).collect();
+        let vals = entries.iter().flat_map(|(_, v)| v.iter().copied()).collect();
+        Grad::SparseRows { rows: 8, cols, idx, vals }
+    }
+
     #[test]
     fn sparse_accumulate_coalesces_rows() {
-        let mut g = Grad::SparseRows {
-            rows: 4,
-            cols: 2,
-            entries: vec![(2, vec![1.0, 2.0]), (0, vec![0.5, 0.5])],
+        let first = rows(2, &[(2, &[1.0, 2.0]), (0, &[0.5, 0.5])]);
+        let second = rows(2, &[(2, &[10.0, 20.0]), (3, &[1.0, 1.0]), (2, &[100.0, 200.0])]);
+        let Grad::SparseRows { idx, vals, .. } = slot_after((8, 2), &[first, second]) else {
+            panic!("stayed sparse")
         };
-        g.accumulate(Grad::SparseRows {
-            rows: 4,
-            cols: 2,
-            entries: vec![(2, vec![10.0, 20.0]), (3, vec![1.0, 1.0]), (2, vec![100.0, 200.0])],
-        });
-        let Grad::SparseRows { entries, .. } = &g else { panic!("stayed sparse") };
-        assert_eq!(
-            entries,
-            &vec![(0, vec![0.5, 0.5]), (2, vec![111.0, 222.0]), (3, vec![1.0, 1.0]),],
-            "one entry per row, sorted by row index"
-        );
+        assert_eq!(idx, vec![2, 0, 3], "one entry per row, in first-arrival order");
+        assert_eq!(vals, vec![111.0, 222.0, 0.5, 0.5, 1.0, 1.0]);
     }
 
     #[test]
     fn sparse_accumulate_stays_bounded() {
         // Regression: repeated accumulation onto the same rows must not grow
         // the entry list (it used to append unboundedly).
-        let mut g = Grad::SparseRows { rows: 8, cols: 1, entries: vec![(1, vec![1.0])] };
-        for _ in 0..100 {
-            g.accumulate(Grad::SparseRows {
-                rows: 8,
-                cols: 1,
-                entries: vec![(1, vec![1.0]), (5, vec![2.0])],
-            });
+        let mut contributions = vec![rows(1, &[(1, &[1.0])])];
+        contributions.extend((0..100).map(|_| rows(1, &[(1, &[1.0]), (5, &[2.0])])));
+        let Grad::SparseRows { idx, vals, .. } = slot_after((8, 1), &contributions) else {
+            panic!("stayed sparse")
+        };
+        assert_eq!((idx, vals), (vec![1, 5], vec![101.0, 200.0]));
+    }
+
+    /// A single contribution is kept as it arrived, repeated rows and all:
+    /// a store merging it scales each entry before adding, as it always did.
+    #[test]
+    fn a_lone_contribution_keeps_its_repeated_rows() {
+        let once = rows(1, &[(3, &[1.0]), (1, &[2.0]), (3, &[4.0])]);
+        let Grad::SparseRows { idx, vals, .. } = slot_after((8, 1), &[once]) else {
+            panic!("stayed sparse")
+        };
+        assert_eq!((idx, vals), (vec![3, 1, 3], vec![1.0, 2.0, 4.0]));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat slot against the one-`Vec`-per-row slot it replaced,
+        /// over random contribution sequences: repeated rows, exact zeros
+        /// and `-0.0`, empty row lists, and a slot densified by a dense
+        /// contribution arriving before, between or after rows.
+        #[test]
+        fn flat_slot_matches_the_vec_per_row_slot(seed in 0u64..1_000_000) {
+            use crate::oracle::{below, contribution, per_row, OldGrad};
+            let mut state = seed;
+            let shape = (1 + below(&mut state, 12), 1 + below(&mut state, 5));
+            let dense_odds = [0, 2, 5][below(&mut state, 3)];
+            let contributions: Vec<Grad> = (0..1 + below(&mut state, 6))
+                .map(|_| {
+                    let dense = dense_odds > 0 && below(&mut state, dense_odds) == 0;
+                    contribution(&mut state, shape, dense)
+                })
+                .collect();
+            let mut old = OldGrad::from_grad(&contributions[0]);
+            contributions[1..].iter().for_each(|c| old.accumulate(OldGrad::from_grad(c)));
+            prop_assert_eq!(per_row(&slot_after(shape, &contributions)), old.per_row());
         }
-        let Grad::SparseRows { entries, .. } = &g else { panic!("stayed sparse") };
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0], (1, vec![101.0]));
-        assert_eq!(entries[1], (5, vec![200.0]));
     }
 
     #[test]
@@ -905,27 +1007,28 @@ mod tests {
     }
 
     /// What the materialising protocol handed a slot: each contribution a
-    /// fresh [`Grad`], the first stored as it arrives, the rest accumulated.
-    fn fold(contributions: Vec<Grad>) -> Grad {
-        let mut it = contributions.into_iter();
+    /// fresh gradient in the old one-`Vec`-per-row layout, the first stored
+    /// as it arrives, the rest accumulated.
+    fn fold(contributions: Vec<Grad>) -> crate::oracle::OldGrad {
+        let mut it = contributions.iter().map(crate::oracle::OldGrad::from_grad);
         let mut slot = it.next().expect("at least one contribution");
         it.for_each(|c| slot.accumulate(c));
         slot
     }
 
     fn sparse(rows: usize, cols: usize, idx: &[usize], g: &Tensor) -> Grad {
-        let entries = idx.iter().enumerate().map(|(i, &r)| (r, g.row(i).to_vec())).collect();
-        Grad::SparseRows { rows, cols, entries }
+        Grad::SparseRows { rows, cols, idx: idx.to_vec(), vals: g.as_slice().to_vec() }
     }
 
     fn assert_same_grad(actual: &Grad, expected: &Grad) {
         match (actual, expected) {
             (Grad::Dense(a), Grad::Dense(e)) => assert_eq!(bits(a), bits(e)),
-            (Grad::SparseRows { entries: a, .. }, Grad::SparseRows { entries: e, .. }) => {
-                let rows = |g: &[(usize, Vec<f32>)]| -> Vec<(usize, Vec<u32>)> {
-                    g.iter().map(|(r, v)| (*r, v.iter().map(|x| x.to_bits()).collect())).collect()
-                };
-                assert_eq!(rows(a), rows(e));
+            (
+                Grad::SparseRows { idx: ai, vals: av, .. },
+                Grad::SparseRows { idx: ei, vals: ev, .. },
+            ) => {
+                assert_eq!(ai, ei);
+                assert_eq!(crate::oracle::bits(av), crate::oracle::bits(ev));
             }
             _ => panic!("one gradient is dense, the other sparse"),
         }
@@ -1003,7 +1106,7 @@ mod tests {
             let expected = fold(uses.iter().rev().map(|(_, grad)| grad(&tape)).collect());
             let actual = tape.take_grads().pop().expect("the parameter's gradient").1;
             assert_eq!(matches!(actual, Grad::Dense(_)), products, "sparse until a product");
-            assert_same_grad(&actual, &expected);
+            assert_eq!(crate::oracle::per_row(&actual), expected.per_row());
         }
     }
 

@@ -84,6 +84,11 @@ impl Tensor {
         &self.data
     }
 
+    /// The flat row-major buffer, copied only if another tensor shares it.
+    pub(crate) fn into_vec(self) -> Vec<f32> {
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| shared.as_ref().clone())
+    }
+
     /// Mutable access to the underlying buffer (copy-on-write).
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         Arc::make_mut(&mut self.data).as_mut_slice()

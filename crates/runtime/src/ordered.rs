@@ -34,6 +34,9 @@ pub mod lock_rank {
     pub const CACHE: u16 = 30;
     /// `RouterHandle`'s current router generation.
     pub const CURRENT: u16 = 31;
+    /// One optimizer-epilogue job in training, taken by the thread that
+    /// claims it.
+    pub const JOB: u16 = 40;
 }
 
 #[cfg(debug_assertions)]
