@@ -14,11 +14,24 @@
 //! each group pays a penalty for re-using symbols chosen by earlier groups
 //! in the same step, yielding varied candidate schemata.
 
+use std::cmp::Ordering;
+
 use dbcopilot_graph::{NodeId, QuerySchema, SchemaGraph, Trie};
-use dbcopilot_nn::Tensor;
+use dbcopilot_nn::{GruScratch, Tensor};
 
 use crate::model::RouterModel;
 use crate::vocab::{PieceVocab, Sym, BOS, EOS, SEP};
+
+/// Best score first, as a total order: two numbers compare by `partial_cmp`
+/// (so `0.0` and `-0.0` tie), and NaN comes after every number. Every
+/// routing sort uses it: `sort_by` may panic on a comparator that is not a
+/// total order, and a loaded bundle's weights may hold NaN.
+pub(crate) fn best_first(a: f32, b: f32) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => b.partial_cmp(&a).unwrap_or(Ordering::Equal),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
+}
 
 /// One table's decoding entry: its name as vocabulary pieces, and its node.
 struct TableName {
@@ -203,7 +216,7 @@ impl<'g> Constrainer<'g> {
     }
 
     /// The decoded query schema of a finished state.
-    pub fn schema_of(&self, state: &DecodeState) -> Option<QuerySchema> {
+    fn schema_of(&self, state: &DecodeState) -> Option<QuerySchema> {
         let db = state.db?;
         if state.tables.is_empty() {
             return None;
@@ -261,13 +274,49 @@ pub struct DecodedSchema {
 }
 
 #[derive(Clone)]
-struct Beam {
+struct Beam<N> {
     state: DecodeState,
     /// A [`Tensor`] clone shares its buffer, so sibling beams and the step
     /// memo hold one row between them.
     h: Tensor,
     prev: Sym,
     logp: f32,
+    name_lp: N,
+}
+
+/// What a search carries per beam besides its sequence score, fixed at
+/// compile time: nothing (`()`, every search but the sharded tier's), or
+/// the full-vocabulary log-probability of the database-name pieces the beam
+/// has emitted (`f32`, see [`beam_search_name_logps`]).
+pub(crate) trait NameLogp: Copy {
+    /// A fresh beam's value.
+    const START: Self;
+
+    /// The value after one more name piece of log-probability `lp()`.
+    fn add(self, lp: impl FnOnce() -> f32) -> Self;
+
+    /// Record a finished sequence's value under its database.
+    fn finish(self, db: Option<NodeId>, into: &mut Vec<(NodeId, f32)>);
+}
+
+impl NameLogp for () {
+    const START: Self = ();
+
+    fn add(self, _: impl FnOnce() -> f32) -> Self {}
+
+    fn finish(self, _: Option<NodeId>, _: &mut Vec<(NodeId, f32)>) {}
+}
+
+impl NameLogp for f32 {
+    const START: Self = 0.0;
+
+    fn add(self, lp: impl FnOnce() -> f32) -> Self {
+        self + lp()
+    }
+
+    fn finish(self, db: Option<NodeId>, into: &mut Vec<(NodeId, f32)>) {
+        into.extend(db.map(|db| (db, self)));
+    }
 }
 
 /// The per-step model interface beam search drives. One implementation per
@@ -288,10 +337,22 @@ pub(crate) trait StepScorer {
     fn logprobs(&mut self, h: &Tensor, candidates: &[Sym]) -> Vec<f32>;
 }
 
-/// The reference scorer: exact f32 heap-tensor inference.
+/// The reference scorer: exact f32 inference, bit for bit
+/// [`RouterModel::step_infer`] and [`RouterModel::logprobs_infer`]. Like
+/// the i8 scorer it holds the step's buffers, so a step allocates only its
+/// output row.
 struct F32Scorer<'m> {
     model: &'m RouterModel,
     q: Tensor,
+    /// Step input `concat(dec_emb[prev], q)`.
+    x: Vec<f32>,
+    gru: GruScratch,
+}
+
+impl<'m> F32Scorer<'m> {
+    fn new(model: &'m RouterModel) -> Self {
+        F32Scorer { model, q: Tensor::zeros(1, 1), x: Vec::new(), gru: GruScratch::default() }
+    }
 }
 
 impl StepScorer for F32Scorer<'_> {
@@ -301,7 +362,10 @@ impl StepScorer for F32Scorer<'_> {
     }
 
     fn step(&mut self, prev: Sym, h: &Tensor) -> Tensor {
-        self.model.step_infer(prev, &self.q, h)
+        let mut next = Vec::with_capacity(self.model.cfg.hidden);
+        let Self { model, q, x, gru } = self;
+        model.step_into(prev, q.as_slice(), h.as_slice(), x, gru, &mut next);
+        Tensor::from_row(next)
     }
 
     fn logprobs(&mut self, h: &Tensor, candidates: &[Sym]) -> Vec<f32> {
@@ -317,8 +381,28 @@ pub fn beam_search(
     question: &str,
     opts: &DecodeOptions,
 ) -> Vec<DecodedSchema> {
-    let mut scorer = F32Scorer { model, q: Tensor::zeros(1, 1) };
-    beam_search_with(&mut scorer, constrainer, vocab_len, question, opts)
+    beam_search_with(&mut F32Scorer::new(model), constrainer, vocab_len, question, opts)
+}
+
+/// [`beam_search`], plus each finished sequence's database with the
+/// full-vocabulary log-probability of its name pieces: from `0.0`, in piece
+/// order, `+= logprobs_infer(h, all)[piece]` at the hidden state that emitted
+/// the piece. Beam search starts where that walk starts (`BOS`, the question
+/// encoding) and steps through the same states, so each value is bit for
+/// bit [`crate::DbcRouter::name_logp_unconstrained`] without walking again.
+/// A full-vocabulary row is computed once per step-memo entry, and only
+/// when a beam still in its database name emits a piece from it.
+pub(crate) fn beam_search_name_logps(
+    model: &RouterModel,
+    constrainer: &Constrainer<'_>,
+    vocab_len: usize,
+    question: &str,
+    opts: &DecodeOptions,
+) -> (Vec<DecodedSchema>, Vec<(NodeId, f32)>) {
+    let mut names = Vec::new();
+    let mut scorer = F32Scorer::new(model);
+    let out = search::<_, f32>(&mut scorer, constrainer, vocab_len, question, opts, &mut names);
+    (out, names)
 }
 
 /// One scorer evaluation within a decode step: the input it was computed
@@ -343,10 +427,10 @@ fn same_bits(a: &Tensor, b: &Tensor) -> bool {
 
 /// The index in `memo` of `beam`'s scores over `allowed`, running the scorer
 /// only for what no earlier beam of this decode step already computed.
-fn score_beam<S: StepScorer>(
+fn score_beam<S: StepScorer, N>(
     scorer: &mut S,
     memo: &mut Vec<Scored>,
-    beam: &Beam,
+    beam: &Beam<N>,
     allowed: Vec<Sym>,
 ) -> usize {
     let mut stepped = None;
@@ -372,20 +456,39 @@ pub(crate) fn beam_search_with<S: StepScorer>(
     question: &str,
     opts: &DecodeOptions,
 ) -> Vec<DecodedSchema> {
+    search::<_, ()>(scorer, constrainer, vocab_len, question, opts, &mut Vec::new())
+}
+
+/// The search behind [`beam_search_with`] and [`beam_search_name_logps`]:
+/// with `N = ()` it tracks no name log-probability and compiles to the
+/// search alone; with `N = f32` it pushes `(database, name log-probability)`
+/// into `names` for every finished sequence.
+fn search<S: StepScorer, N: NameLogp>(
+    scorer: &mut S,
+    constrainer: &Constrainer<'_>,
+    vocab_len: usize,
+    question: &str,
+    opts: &DecodeOptions,
+    names: &mut Vec<(NodeId, f32)>,
+) -> Vec<DecodedSchema> {
     let q = scorer.encode(question);
     let groups = if opts.diverse { opts.groups.max(1) } else { 1 };
     let beams_per_group = (opts.beams / groups).max(1);
-    let init = Beam { state: constrainer.initial(), h: q, prev: BOS, logp: 0.0 };
-    let mut group_beams: Vec<Vec<Beam>> = vec![vec![init]; groups];
+    let init = Beam { state: constrainer.initial(), h: q, prev: BOS, logp: 0.0, name_lp: N::START };
+    let mut group_beams: Vec<Vec<Beam<N>>> = vec![vec![init]; groups];
     let mut finished: Vec<(DecodeState, f32)> = Vec::new();
     let all_syms: Vec<Sym> = (0..vocab_len as Sym).collect();
     let mut memo: Vec<Scored> = Vec::new();
+    // Full-vocabulary log-probabilities of `memo[i].h_next`, filled on first
+    // use (only an `N = f32` search uses them).
+    let mut full_rows: Vec<Option<Vec<f32>>> = Vec::new();
     // Symbols chosen so far in this step, with how many beams chose each.
     let mut chosen: Vec<(Sym, f32)> = Vec::new();
 
     for _step in 0..opts.max_steps {
         let mut any_alive = false;
         memo.clear();
+        full_rows.clear();
         chosen.clear();
         for beams in group_beams.iter_mut() {
             // Expansions as (beam, memo entry, candidate, score): ranked
@@ -410,8 +513,8 @@ pub(crate) fn beam_search_with<S: StepScorer>(
                     ranked.push((b, m, i, score));
                 }
             }
-            ranked.sort_by(|a, b| b.3.partial_cmp(&a.3).unwrap_or(std::cmp::Ordering::Equal));
-            let mut next_beams: Vec<Beam> = Vec::with_capacity(beams_per_group);
+            ranked.sort_by(|a, b| best_first(a.3, b.3));
+            let mut next_beams: Vec<Beam<N>> = Vec::with_capacity(beams_per_group);
             for (b, m, i, _) in ranked {
                 if next_beams.len() >= beams_per_group {
                     break;
@@ -426,7 +529,20 @@ pub(crate) fn beam_search_with<S: StepScorer>(
                     None => chosen.push((sym, 1.0)),
                 }
                 let logp = beam.logp + scored.lps[i];
+                let name_lp = match beam.state.db.is_none() && sym != SEP {
+                    // a piece of the database name
+                    true => beam.name_lp.add(|| {
+                        if full_rows.len() <= m {
+                            full_rows.resize(memo.len(), None);
+                        }
+                        let row = full_rows[m]
+                            .get_or_insert_with(|| scorer.logprobs(&scored.h_next, &all_syms));
+                        row[sym as usize]
+                    }),
+                    false => beam.name_lp,
+                };
                 let state = if state.done {
+                    name_lp.finish(state.db, names);
                     finished.push((state, logp));
                     // a finished beam still occupies a slot this step
                     DecodeState { done: true, ..constrainer.initial() }
@@ -434,7 +550,8 @@ pub(crate) fn beam_search_with<S: StepScorer>(
                     any_alive = true;
                     state
                 };
-                next_beams.push(Beam { state, h: scored.h_next.clone(), prev: sym, logp });
+                let h = scored.h_next.clone();
+                next_beams.push(Beam { state, h, prev: sym, logp, name_lp });
             }
             *beams = next_beams;
         }
@@ -449,7 +566,7 @@ pub(crate) fn beam_search_with<S: StepScorer>(
             constrainer.schema_of(&state).map(|schema| DecodedSchema { schema, logp })
         })
         .collect();
-    out.sort_by(|a, b| b.logp.partial_cmp(&a.logp).unwrap_or(std::cmp::Ordering::Equal));
+    out.sort_by(|a, b| best_first(a.logp, b.logp));
     out
 }
 
@@ -471,7 +588,7 @@ pub fn merge_candidates(decoded: &[DecodedSchema]) -> Vec<DecodedSchema> {
             None => by_db.push(d.clone()),
         }
     }
-    by_db.sort_by(|a, b| b.logp.partial_cmp(&a.logp).unwrap_or(std::cmp::Ordering::Equal));
+    by_db.sort_by(|a, b| best_first(a.logp, b.logp));
     by_db
 }
 
@@ -1011,7 +1128,7 @@ mod tests {
                 DecodeOptions { constrained, diverse, ..DecodeOptions::from_config(&model.cfg) };
             for q in &questions {
                 let what = format!("constrained {constrained}, diverse {diverse}, {q:?}");
-                let f32_scorer = || F32Scorer { model, q: Tensor::zeros(1, 1) };
+                let f32_scorer = || F32Scorer::new(model);
                 let new = beam_search_with(&mut f32_scorer(), &new_c, vocab.len(), q, &opts);
                 let old = reference::beam_search(&mut f32_scorer(), &old_c, vocab.len(), q, &opts);
                 assert_same_candidates(&new, &old, &format!("f32, {what}"));
@@ -1084,6 +1201,7 @@ mod tests {
             h: Tensor::from_row(h),
             prev,
             logp: 0.0,
+            name_lp: (),
         };
         let mut scorer = CountingScorer { steps: 0, logprobs: 0 };
         let mut memo = Vec::new();
@@ -1129,5 +1247,98 @@ mod tests {
         let mut scorer = CountingScorer { steps: 0, logprobs: 0 };
         beam_search_with(&mut scorer, &c, v.len(), "q", &opts);
         assert_eq!((scorer.steps, scorer.logprobs), (1, 1), "six groups share one first step");
+    }
+
+    #[test]
+    fn name_logps_off_the_beam_are_the_unconstrained_walk_bit_for_bit() {
+        let (router, questions) = trained_router();
+        let (model, vocab, graph) = (&router.model, &router.vocab, &router.graph);
+        let tables = ConstraintTables::build(graph, vocab);
+        let c = Constrainer::new(graph, &tables, model.cfg.max_tables);
+        let mut tracked = 0;
+        for diverse in [true, false] {
+            let opts = DecodeOptions { diverse, ..DecodeOptions::from_config(&model.cfg) };
+            for q in &questions {
+                let (seqs, names) = beam_search_name_logps(model, &c, vocab.len(), q, &opts);
+                let plain = beam_search(model, &c, vocab.len(), q, &opts);
+                assert_same_candidates(&seqs, &plain, &format!("tracking moved the search: {q:?}"));
+                assert_eq!(names.len(), seqs.len(), "one value per finished sequence");
+                for (db, lp) in names {
+                    let walked = router.name_logp_unconstrained(q, graph.name(db)).unwrap();
+                    assert_eq!(lp.to_bits(), walked.to_bits(), "{q:?} → {}", graph.name(db));
+                    tracked += 1;
+                }
+            }
+        }
+        assert!(tracked > 0, "the comparison must see finished sequences");
+    }
+
+    /// A NaN-mixed vector on which `sort_by` with the closure the routing
+    /// sorts used before `best_first` panics ("does not correctly implement
+    /// a total order") on this toolchain.
+    const NAN_MIXED: [f32; 38] = [
+        f32::NAN,
+        f32::NAN,
+        f32::NAN,
+        -0.75,
+        0.0,
+        -2.25,
+        -2.0,
+        3.75,
+        -3.5,
+        5.0,
+        3.5,
+        f32::NAN,
+        0.25,
+        f32::NAN,
+        f32::NAN,
+        0.0,
+        1.75,
+        2.5,
+        1.25,
+        0.25,
+        f32::NAN,
+        1.25,
+        -2.0,
+        4.75,
+        0.75,
+        f32::NAN,
+        f32::NAN,
+        f32::NAN,
+        -2.25,
+        4.25,
+        f32::NAN,
+        -4.5,
+        f32::NAN,
+        -0.5,
+        f32::NAN,
+        -5.0,
+        3.25,
+        -0.0,
+    ];
+
+    #[test]
+    fn best_first_sorts_what_partial_cmp_cannot() {
+        let legacy = std::panic::catch_unwind(|| {
+            let mut v = NAN_MIXED;
+            v.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+        });
+        assert!(legacy.is_err(), "the committed vector no longer trips the old comparator");
+
+        let mut v = NAN_MIXED;
+        v.sort_by(|a, b| best_first(*a, *b));
+        let numbers = NAN_MIXED.iter().filter(|x| !x.is_nan()).count();
+        assert!(v[..numbers].windows(2).all(|w| w[0] >= w[1]), "numbers best first: {v:?}");
+        assert!(v[numbers..].iter().all(|x| x.is_nan()), "NaN last: {v:?}");
+        // a stable sort keeps tied signed zeros in input order
+        let zeros: Vec<u32> = v.iter().filter(|x| **x == 0.0).map(|x| x.to_bits()).collect();
+        assert_eq!(zeros, [0.0f32, 0.0, -0.0].map(f32::to_bits));
+        // without NaN it is the old order, element for element
+        let numbers: Vec<f32> = NAN_MIXED.into_iter().filter(|x| !x.is_nan()).collect();
+        let (mut old, mut new) = (numbers.clone(), numbers);
+        old.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
+        new.sort_by(|a, b| best_first(*a, *b));
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(old), bits(new));
     }
 }

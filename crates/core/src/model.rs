@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dbcopilot_nn::{Embedding, GruCell, Linear, ParamStore, Tape, Tensor, ValId};
+use dbcopilot_nn::{Embedding, GruCell, GruScratch, Linear, ParamStore, Tape, Tensor, ValId};
 use dbcopilot_synth::Lexicon;
 
 use crate::vocab::Sym;
@@ -193,9 +193,27 @@ impl RouterModel {
     /// One decoder step: previous symbol + question vector + hidden → new
     /// hidden.
     pub fn step_infer(&self, prev: Sym, q: &Tensor, h: &Tensor) -> Tensor {
-        let emb = self.dec_emb.infer(&self.store, &[prev as usize]);
-        let x = emb.concat_cols(q);
-        self.gru.infer(&self.store, &x, h)
+        let mut next = Vec::with_capacity(self.cfg.hidden);
+        let scratch = &mut GruScratch::default();
+        self.step_into(prev, q.as_slice(), h.as_slice(), &mut Vec::new(), scratch, &mut next);
+        Tensor::from_row(next)
+    }
+
+    /// [`Self::step_infer`] into reused buffers: `x` receives the step
+    /// input `concat(dec_emb[prev], q)` and `out` the new hidden state.
+    pub(crate) fn step_into(
+        &self,
+        prev: Sym,
+        q: &[f32],
+        h: &[f32],
+        x: &mut Vec<f32>,
+        scratch: &mut GruScratch,
+        out: &mut Vec<f32>,
+    ) {
+        x.clear();
+        x.extend_from_slice(self.store.value(self.dec_emb.weight).row(prev as usize));
+        x.extend_from_slice(q);
+        self.gru.infer_into(&self.store, x, h, scratch, out);
     }
 
     /// Log-probabilities over `candidates` given hidden state `h`

@@ -6,13 +6,13 @@ use dbcopilot_graph::{QuerySchema, SchemaGraph};
 use dbcopilot_retrieval::{PrecisionSwitch, RoutePrecision, RoutingResult, SchemaRouter};
 
 use crate::decode::{
-    beam_search, beam_search_with, merge_candidates, Constrainer, ConstraintTables, DecodeOptions,
-    DecodedSchema,
+    beam_search, beam_search_name_logps, beam_search_with, best_first, merge_candidates,
+    Constrainer, ConstraintTables, DecodeOptions, DecodedSchema,
 };
 use crate::model::{RouterConfig, RouterModel};
 use crate::qmodel::QuantScorer;
 use crate::train::{train_with_tables, SerializationMode, TrainExample, TrainStats};
-use crate::vocab::{PieceVocab, Sym, BOS, SEP};
+use crate::vocab::{PieceVocab, Sym, BOS};
 
 /// A trained DBCopilot schema router.
 ///
@@ -156,32 +156,14 @@ impl DbcRouter {
     /// scores it at `logp ≈ 0` for any question. This walk keeps the whole
     /// vocabulary in the softmax, so the score reflects how strongly the
     /// question pulls probability mass onto the name against every
-    /// alternative the model knows. The sharded tier uses the *difference*
-    /// between the question-conditioned and null-conditioned walks as its
-    /// cross-shard merge score (a PMI-style calibration that cancels each
-    /// shard model's unconditional bias). Always scored at f32, independent
-    /// of the routing precision — calibration deltas must not mix
-    /// precisions across shards.
+    /// alternative the model knows. The sharded tier centres it on its mean
+    /// over shared probe questions as its cross-shard merge score; it walks
+    /// this function for those backgrounds, and reads the question's own
+    /// value off its beam search (`route_with_name_logps`). Always
+    /// scored at f32, independent of the routing precision — calibration
+    /// deltas must not mix precisions across shards.
     pub fn name_logp_unconstrained(&self, question: &str, database: &str) -> Option<f32> {
-        self.schema_logp_unconstrained(question, database, None)
-    }
-
-    /// Like [`Self::name_logp_unconstrained`], but scoring the decoder's
-    /// full schema prefix `database pieces, SEP, table pieces` when a table
-    /// is given — the same symbol sequence constrained decoding emits, so
-    /// the walk measures the question's pull on the *schema*, not just the
-    /// database label (questions usually mention table entities).
-    pub fn schema_logp_unconstrained(
-        &self,
-        question: &str,
-        database: &str,
-        table: Option<&str>,
-    ) -> Option<f32> {
-        let mut pieces = self.vocab.encode_name(database)?;
-        if let Some(table) = table {
-            pieces.push(SEP);
-            pieces.extend(self.vocab.encode_name(table)?);
-        }
+        let pieces = self.vocab.encode_name(database)?;
         let all: Vec<Sym> = (0..self.vocab.len() as Sym).collect();
         let q = self.model.encode_infer(question);
         // Mirrors beam-search initialization: hidden starts at the question
@@ -195,6 +177,30 @@ impl DbcRouter {
             prev = sym;
         }
         Some(logp)
+    }
+
+    /// [`SchemaRouter::route`], and for each finished sequence its
+    /// database's [`Self::name_logp_unconstrained`] value — bit for bit,
+    /// but read off the beam search's own f32 hidden states instead of
+    /// walked again (see `decode::beam_search_name_logps`). What a shard of
+    /// a multi-shard tier calibrates with.
+    pub(crate) fn route_with_name_logps(
+        &self,
+        question: &str,
+        top_tables: usize,
+    ) -> (RoutingResult, Vec<(&str, f32)>) {
+        // A shard is fit or loaded at f32, and no API sets its precision.
+        debug_assert_eq!(self.precision, RoutePrecision::F32, "a shard routes at f32");
+        let constrainer = Constrainer::new(&self.graph, &self.tables, self.model.cfg.max_tables);
+        let (seqs, names) = beam_search_name_logps(
+            &self.model,
+            &constrainer,
+            self.vocab.len(),
+            question,
+            &self.decode_opts,
+        );
+        let names = names.into_iter().map(|(db, lp)| (self.graph.name(db), lp)).collect();
+        (routing_of(&seqs, top_tables), names)
     }
 
     /// On-disk size in bytes of the binary-serialized router bundle —
@@ -241,29 +247,32 @@ impl SchemaRouter for DbcRouter {
     }
 
     fn route(&self, question: &str, top_tables: usize) -> RoutingResult {
-        let seqs = self.sequences(question);
-        // Tables scored by the best sequence containing them; databases by
-        // their best sequence.
-        let mut tables: Vec<(String, String, f32)> = Vec::new();
-        let mut databases: Vec<(String, f32)> = Vec::new();
-        for d in &seqs {
-            let db = &d.schema.database;
-            match databases.iter_mut().find(|(name, _)| name == db) {
-                Some((_, s)) => *s = s.max(d.logp),
-                None => databases.push((db.clone(), d.logp)),
-            }
-            for t in &d.schema.tables {
-                match tables.iter_mut().find(|(tdb, tt, _)| tdb == db && tt == t) {
-                    Some((_, _, s)) => *s = s.max(d.logp),
-                    None => tables.push((db.clone(), t.clone(), d.logp)),
-                }
+        routing_of(&self.sequences(question), top_tables)
+    }
+}
+
+/// Tables scored by the best sequence containing them, databases by their
+/// best sequence, each best first; tables truncated to `top_tables`.
+fn routing_of(seqs: &[DecodedSchema], top_tables: usize) -> RoutingResult {
+    let mut tables: Vec<(String, String, f32)> = Vec::new();
+    let mut databases: Vec<(String, f32)> = Vec::new();
+    for d in seqs {
+        let db = &d.schema.database;
+        match databases.iter_mut().find(|(name, _)| name == db) {
+            Some((_, s)) => *s = s.max(d.logp),
+            None => databases.push((db.clone(), d.logp)),
+        }
+        for t in &d.schema.tables {
+            match tables.iter_mut().find(|(tdb, tt, _)| tdb == db && tt == t) {
+                Some((_, _, s)) => *s = s.max(d.logp),
+                None => tables.push((db.clone(), t.clone(), d.logp)),
             }
         }
-        tables.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-        tables.truncate(top_tables);
-        databases.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        RoutingResult { tables, databases }
     }
+    tables.sort_by(|a, b| best_first(a.2, b.2));
+    tables.truncate(top_tables);
+    databases.sort_by(|a, b| best_first(a.1, b.1));
+    RoutingResult { tables, databases }
 }
 
 #[cfg(test)]
@@ -353,6 +362,25 @@ mod tests {
         let back = router.route("how many vocalists", 10);
         assert_eq!(back.database_names(), exact.database_names());
         assert_eq!(back.tables, exact.tables);
+    }
+
+    #[test]
+    fn a_nan_weight_routes_without_panicking_and_deterministically() {
+        // A DBC1 bundle may carry NaN weights bit-exactly. One NaN in an
+        // output-embedding row makes every candidate set holding that symbol
+        // score NaN, so the routing sorts see NaN beside numbers.
+        let singer = PieceVocab::build(&graph()).id_of("singer").unwrap();
+        for row in [crate::vocab::EOS, crate::vocab::SEP, singer] {
+            let (mut router, _) =
+                DbcRouter::fit(graph(), &examples(), RouterConfig::tiny(), SerializationMode::Dfs);
+            let out_emb = router.model.out_emb.weight;
+            router.model.store.value_mut(out_emb).set(row as usize, 0, f32::NAN);
+            for q in ["how many vocalists", "population of towns", ""] {
+                let once = format!("{:?} {:?}", router.route(q, 10), router.route_schemata(q));
+                let twice = format!("{:?} {:?}", router.route(q, 10), router.route_schemata(q));
+                assert_eq!(once, twice, "NaN in row {row}, question {q:?}");
+            }
+        }
     }
 
     #[test]

@@ -382,16 +382,31 @@ impl ShardedRouter {
         let slot = &self.shards[shard];
         match slot.router() {
             Some(router) => {
-                slot.routes.fetch_add(1, Ordering::Relaxed);
-                let mut r = router.route(question, top_tables);
-                if self.shards.len() > 1 {
-                    calibrate_scores(slot, router, &self.probes, question, &mut r);
-                }
+                let mut r = self.route_in(slot, router, question, top_tables);
                 sort_routing(&mut r, top_tables);
                 r
             }
             None => RoutingResult::default(),
         }
+    }
+
+    /// One shard's native routing, calibrated (see `calibrate_scores`) when
+    /// the tier has more than one shard.
+    fn route_in(
+        &self,
+        slot: &ShardSlot,
+        router: &DbcRouter,
+        question: &str,
+        top_tables: usize,
+    ) -> RoutingResult {
+        slot.routes.fetch_add(1, Ordering::Relaxed);
+        if self.shards.len() == 1 {
+            return router.route(question, top_tables);
+        }
+        let (mut r, names) = router.route_with_name_logps(question, top_tables);
+        let name_logp = |db: &str| names.iter().find(|(n, _)| *n == db).map(|&(_, lp)| lp);
+        calibrate_scores(slot, router, &self.probes, name_logp, &mut r);
+        r
     }
 
     /// Route a batch of questions, data-parallel over the worker pool.
@@ -506,19 +521,13 @@ impl SchemaRouter for ShardedRouter {
     /// are merged with the deterministic score-then-name tie-break (see
     /// `merge_routing`).
     fn route(&self, question: &str, top_tables: usize) -> RoutingResult {
-        let calibrated = self.shards.len() > 1;
         let per: Vec<Option<RoutingResult>> =
             dbcopilot_runtime::pooled_map(&self.shards, |_, slot| {
                 if slot.db_names.is_empty() {
                     return None;
                 }
                 let router = slot.router().expect("non-empty shard has a router");
-                slot.routes.fetch_add(1, Ordering::Relaxed);
-                let mut r = router.route(question, top_tables);
-                if calibrated {
-                    calibrate_scores(slot, router, &self.probes, question, &mut r);
-                }
-                Some(r)
+                Some(self.route_in(slot, router, question, top_tables))
             });
         merge_routing(per.into_iter().flatten(), top_tables)
     }
@@ -563,6 +572,12 @@ impl SchemaRouter for ShardedRouter {
 /// Table scores shift along with their database, so within-database table
 /// rankings survive the merge untouched.
 ///
+/// The formula is the walk's, but the question's own term is not walked:
+/// `name_logp` reads it off the shard's beam search, whose f32 hidden
+/// states are the walk's, bit for bit (see
+/// [`DbcRouter::route_with_name_logps`]). Only the backgrounds walk, once
+/// per fit.
+///
 /// Skipped for 1-shard tiers: a single shard *is* the monolith, there is
 /// no cross-model comparison to calibrate, and skipping keeps 1-shard
 /// routing identical to [`DbcRouter::route`].
@@ -570,18 +585,18 @@ fn calibrate_scores(
     slot: &ShardSlot,
     router: &DbcRouter,
     probes: &[String],
-    question: &str,
+    name_logp: impl Fn(&str) -> Option<f32>,
     r: &mut RoutingResult,
 ) {
     let background = slot.background(router, probes);
-    for di in 0..r.databases.len() {
-        let name = r.databases[di].0.clone();
-        let Some(idx) = slot.db_names.iter().position(|n| *n == name) else { continue };
-        let Some(cond) = router.name_logp_unconstrained(question, &name) else { continue };
+    let RoutingResult { tables, databases } = r;
+    for (name, score) in databases.iter_mut() {
+        let Some(idx) = slot.db_names.iter().position(|n| n == name) else { continue };
+        let Some(cond) = name_logp(name) else { continue };
         let centred = cond - background[idx];
-        let shift = centred - r.databases[di].1;
-        r.databases[di].1 = centred;
-        for t in r.tables.iter_mut().filter(|t| t.0 == name) {
+        let shift = centred - *score;
+        *score = centred;
+        for t in tables.iter_mut().filter(|t| t.0 == *name) {
             t.2 += shift;
         }
     }

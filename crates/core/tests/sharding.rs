@@ -2,6 +2,7 @@
 //! multi-shard `DBC1` bundles with lazy per-shard loading, back compat in
 //! both directions, and raw-byte splicing on re-save.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dbcopilot_core::{
@@ -9,7 +10,7 @@ use dbcopilot_core::{
     PersistError, RouterConfig, SerializationMode, ShardedRouter, TrainExample,
 };
 use dbcopilot_graph::{QuerySchema, SchemaGraph};
-use dbcopilot_retrieval::SchemaRouter;
+use dbcopilot_retrieval::{RoutingResult, SchemaRouter};
 use dbcopilot_sqlengine::{Collection, DataType, DatabaseSchema, TableSchema};
 
 fn collection() -> Collection {
@@ -268,6 +269,129 @@ fn empty_shards_are_served_and_persisted() {
     assert_eq!(loaded.num_shards(), 8);
     let r2 = loaded.route("how many vocalists are there", 10);
     assert_eq!(r2.database_names(), r.database_names());
+}
+
+/// Names and score bits of a routing, in order.
+type Bits = (Vec<(String, String, u32)>, Vec<(String, u32)>);
+
+fn bits(r: &RoutingResult) -> Bits {
+    let tables = r.tables.iter().map(|(d, t, s)| (d.clone(), t.clone(), s.to_bits())).collect();
+    let dbs = r.databases.iter().map(|(d, s)| (d.clone(), s.to_bits())).collect();
+    (tables, dbs)
+}
+
+/// The tier's ranking contract: score descending, then database, then table.
+fn sort_like_the_tier(r: &mut RoutingResult, top_tables: usize) {
+    r.tables.sort_by(|x, y| {
+        y.2.total_cmp(&x.2).then_with(|| x.0.cmp(&y.0)).then_with(|| x.1.cmp(&y.1))
+    });
+    r.tables.truncate(top_tables);
+    r.databases.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
+}
+
+/// A shard's calibration background per database: the mean walked
+/// `name_logp_unconstrained` over the tier's probe questions.
+fn backgrounds(router: &DbcRouter, probes: &[String]) -> BTreeMap<String, f32> {
+    let names = router.graph.database_nodes().into_iter().map(|d| router.graph.name(d));
+    names
+        .map(|db| {
+            let sum: f32 =
+                probes.iter().map(|p| router.name_logp_unconstrained(p, db).unwrap_or(0.0)).sum();
+            (db.to_string(), sum / probes.len() as f32)
+        })
+        .collect()
+}
+
+/// One shard's calibrated routing as the tier computed it before it read
+/// the question's name log-probabilities off its beam search: the shard's
+/// own ranking, each database rescored by walking
+/// `name_logp_unconstrained` for the question, less its background, its
+/// tables shifted along with it.
+fn walked_shard_route(
+    router: &DbcRouter,
+    background: &BTreeMap<String, f32>,
+    q: &str,
+    top: usize,
+) -> RoutingResult {
+    let mut r = router.route(q, top);
+    let RoutingResult { tables, databases } = &mut r;
+    for (db, score) in databases.iter_mut() {
+        let centred = router.name_logp_unconstrained(q, db).unwrap() - background[db.as_str()];
+        let shift = centred - *score;
+        *score = centred;
+        for t in tables.iter_mut().filter(|t| t.0 == *db) {
+            t.2 += shift;
+        }
+    }
+    r
+}
+
+#[test]
+fn calibration_off_the_beam_routes_exactly_like_the_walk() {
+    // Twelve databases whose names share leading pieces, so each shard
+    // holds several and the beams branch inside database names.
+    let mut coll = Collection::new();
+    let names = [
+        "concert_singer",
+        "concert_hall",
+        "world",
+        "world_cup",
+        "library",
+        "library_loan",
+        "cinema",
+        "cinema_ticket",
+        "school_bus",
+        "school_finance",
+        "pet_store",
+        "pet_clinic",
+    ];
+    for db in names {
+        let mut d = DatabaseSchema::new(db);
+        for t in ["item", "owner", "event"] {
+            d.add_table(TableSchema::new(format!("{db}_{t}")).column("id", DataType::Int));
+        }
+        coll.add_database(d);
+    }
+    let words = ["how many", "list", "count", "show", "which", "average", "oldest", "all"];
+    let examples: Vec<TrainExample> = (0..120)
+        .map(|i| {
+            let db = names[i % names.len()];
+            let table = format!("{db}_{}", ["item", "owner", "event"][i % 3]);
+            TrainExample {
+                question: format!("{} {} {}", words[i % words.len()], db.replace('_', " "), i % 7),
+                schema: QuerySchema::new(db, vec![table]),
+            }
+        })
+        .collect();
+    let (tier, _) = ShardedRouter::fit(&coll, &examples, cfg(), SerializationMode::Dfs, 4);
+    // The fit's calibration probes: the first 96 training questions.
+    let probes: Vec<String> = examples.iter().take(96).map(|e| e.question.clone()).collect();
+    let routers: Vec<_> =
+        (0..4).map(|s| tier.shard_router(s).map(|r| (backgrounds(&r, &probes), r))).collect();
+
+    let top = 10;
+    let mut compared = 0;
+    for i in 0..512 {
+        let q = match i % 4 {
+            0 => examples[i % examples.len()].question.clone(),
+            1 => format!("{} {}", words[i % words.len()], names[(i / 4) % names.len()]),
+            2 => format!("{} the {} of every {}", words[(i / 3) % 8], names[i % 12], i),
+            _ => format!("{i} unrelated words {}", words[(i * 5) % 8]),
+        };
+        let mut walked = RoutingResult::default();
+        for (s, shard) in routers.iter().enumerate() {
+            let Some((background, router)) = shard else { continue };
+            let mut one = walked_shard_route(router, background, &q, top);
+            walked.tables.extend(one.tables.iter().cloned());
+            walked.databases.extend(one.databases.iter().cloned());
+            sort_like_the_tier(&mut one, top);
+            assert_eq!(bits(&tier.route_shard(s, &q, top)), bits(&one), "route_shard {s}, {q:?}");
+        }
+        sort_like_the_tier(&mut walked, top);
+        assert_eq!(bits(&tier.route(&q, top)), bits(&walked), "route, {q:?}");
+        compared += walked.databases.len();
+    }
+    assert!(compared > 512, "the comparison must see routed databases: {compared}");
 }
 
 #[test]

@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use crate::init::xavier_uniform;
 use crate::optim::{ParamId, ParamStore};
 use crate::tape::{Tape, ValId};
-use crate::tensor::Tensor;
+use crate::tensor::{matmul_into, Tensor};
 
 /// Fully connected layer `y = x·W + b`.
 #[derive(Debug, Clone)]
@@ -180,8 +180,61 @@ impl GruCell {
         tape.add(keep, take)
     }
 
-    /// One recurrent step without a tape.
+    /// One recurrent step without a tape: `(x[1,in], h[1,hidden]) →
+    /// h'[1,hidden]`, through [`GruCell::infer_into`].
     pub fn infer(&self, store: &ParamStore, x: &Tensor, h: &Tensor) -> Tensor {
+        let mut out = Vec::with_capacity(self.hidden);
+        self.infer_into(store, x.as_slice(), h.as_slice(), &mut GruScratch::default(), &mut out);
+        Tensor::from_row(out)
+    }
+
+    /// One recurrent step without a tape into `out`, allocating nothing once
+    /// `scratch` and `out` have held a step of this width. The six products
+    /// run on the kernel [`Tensor::matmul`] runs, and every element is
+    /// rounded exactly as the tensor-per-operation composition rounds it:
+    /// `((x·W + h·U) + b)`, `1/(1+exp(-v))`, `tanh`, `(1−z)·h + z·h̃`.
+    ///
+    /// # Panics
+    /// Panics unless `x` has `in_dim` elements and `h` has `hidden`.
+    pub fn infer_into(
+        &self,
+        store: &ParamStore,
+        x: &[f32],
+        h: &[f32],
+        scratch: &mut GruScratch,
+        out: &mut Vec<f32>,
+    ) {
+        assert_eq!((x.len(), h.len()), (self.in_dim, self.hidden), "GRU step shape mismatch");
+        let GruScratch { xw, hu, z, r, rh } = scratch;
+        let bias = |b: ParamId| store.value(b).as_slice();
+        let mut gate = |gate: &mut Vec<f32>, w: ParamId, u: ParamId, b: ParamId| {
+            product(xw, x, store.value(w));
+            product(hu, h, store.value(u));
+            gate.clear();
+            gate.extend(
+                xw.iter().zip(hu.iter()).zip(bias(b)).map(|((a, c), b)| sigmoid(a + c + b)),
+            );
+        };
+        gate(z, self.wz, self.uz, self.bz);
+        gate(r, self.wr, self.ur, self.br);
+        rh.clear();
+        rh.extend(r.iter().zip(h).map(|(r, h)| r * h));
+        product(xw, x, store.value(self.wh));
+        product(hu, rh, store.value(self.uh));
+        out.clear();
+        out.extend(
+            xw.iter()
+                .zip(hu.iter())
+                .zip(bias(self.bh))
+                .zip(z.iter().zip(h))
+                .map(|(((a, c), b), (z, h))| (1.0 - z) * h + z * (a + c + b).tanh()),
+        );
+    }
+
+    /// The step as it stood before [`GruCell::infer_into`], one tensor per
+    /// operation: the bitwise oracle of the fused step.
+    #[cfg(test)]
+    fn infer_composition(&self, store: &ParamStore, x: &Tensor, h: &Tensor) -> Tensor {
         let gate = |w: ParamId, u: ParamId, b: ParamId| {
             x.matmul(store.value(w)).add(&h.matmul(store.value(u))).add(store.value(b))
         };
@@ -194,6 +247,30 @@ impl GruCell {
             .tanh();
         z.map(|v| 1.0 - v).mul_elem(h).add(&z.mul_elem(&cand))
     }
+}
+
+/// The reusable buffers of [`GruCell::infer_into`]: two gate products, the
+/// update and reset gates, and `r⊙h`. A scratch serves steps of any width.
+#[derive(Debug, Default)]
+pub struct GruScratch {
+    xw: Vec<f32>,
+    hu: Vec<f32>,
+    z: Vec<f32>,
+    r: Vec<f32>,
+    rh: Vec<f32>,
+}
+
+/// `out = a[1×k] × w[k×n]`, summed by the kernel behind [`Tensor::matmul`].
+fn product(out: &mut Vec<f32>, a: &[f32], w: &Tensor) {
+    assert_eq!(a.len(), w.rows(), "GRU product shape mismatch");
+    out.clear();
+    out.resize(w.cols(), 0.0);
+    matmul_into(out, a, w.as_slice(), w.rows(), w.cols());
+}
+
+#[inline]
+fn sigmoid(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
 }
 
 #[cfg(test)]
@@ -331,6 +408,68 @@ mod tests {
                 let fused = unroll_bits(&gru, &store, &xs, &h0, GruCell::forward);
                 let oracle = unroll_bits(&gru, &store, &xs, &h0, GruCell::forward_primitives);
                 assert_eq!(fused, oracle, "seed {seed}, {steps} steps");
+            }
+        }
+    }
+
+    /// Exact zeros of both signs (the products' `a == 0.0` skip), subnormals,
+    /// NaN and ±inf, one time in three each; else a value in `[-1, 1]`.
+    fn hostile(state: &mut u64) -> f32 {
+        const POOL: [f32; 9] = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::MIN_POSITIVE / 2.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            -0.5,
+        ];
+        let bits = proptest::next_state(state);
+        match bits % 3 {
+            0 => POOL[(bits >> 8) as usize % POOL.len()],
+            _ => ((bits >> 8) % 2001) as f32 / 1000.0 - 1.0,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `infer_into` is the tensor-per-operation step bit for bit, over
+        /// three shapes in a row on one scratch and one output buffer (widths
+        /// up to past the products' 64-column block), the last shape wider or
+        /// narrower than the one before it.
+        #[test]
+        fn infer_into_is_bitwise_the_tensor_composition(seed in 0u64..100_000) {
+            let mut state = seed;
+            let (mut scratch, mut out) = (GruScratch::default(), Vec::new());
+            for _ in 0..3 {
+                let in_dim = 1 + (proptest::next_state(&mut state) % 90) as usize;
+                let hidden = 1 + (proptest::next_state(&mut state) % 70) as usize;
+                let mut store = ParamStore::new();
+                let gru = GruCell::new(&mut store, "g", in_dim, hidden, &mut seeded_rng(state));
+                // biases start at zero, where `(a + c) + b` and `a + (c + b)`
+                // agree; give them values that tell the associations apart
+                for b in [gru.bz, gru.br, gru.bh] {
+                    let values = (0..hidden).map(|_| hostile(&mut state)).collect();
+                    *store.value_mut(b) = Tensor::from_row(values);
+                }
+                let x: Vec<f32> = (0..in_dim).map(|_| hostile(&mut state)).collect();
+                let h: Vec<f32> = (0..hidden).map(|_| hostile(&mut state)).collect();
+                gru.infer_into(&store, &x, &h, &mut scratch, &mut out);
+                let (x, h) = (Tensor::from_row(x), Tensor::from_row(h));
+                let oracle = gru.infer_composition(&store, &x, &h);
+                // Which NaN an operation returns is not part of Rust's float
+                // semantics (the compiler may swap an addition's operands),
+                // so every NaN counts as one value.
+                let bits = |v: &[f32]| {
+                    v.iter().map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() }).collect::<Vec<_>>()
+                };
+                prop_assert_eq!(bits(&out), bits(oracle.as_slice()), "{}x{}", in_dim, hidden);
+                prop_assert_eq!(bits(gru.infer(&store, &x, &h).as_slice()), bits(&out));
             }
         }
     }

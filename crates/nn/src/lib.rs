@@ -36,7 +36,7 @@ pub mod serialize;
 pub mod tape;
 pub mod tensor;
 
-pub use layers::{Embedding, GruCell, Linear};
+pub use layers::{Embedding, GruCell, GruScratch, Linear};
 pub use optim::{AdamW, GradShard, Jobs, ParamId, ParamStore, Sgd};
 pub use quant::{QuantEntry, QuantizedMatrix, QuantizedStore, QuantizedVec};
 pub use tape::{Grad, Tape, ValId};

@@ -357,7 +357,7 @@ fn dots<const N: usize>(a: &[f32], b: &[f32]) -> [f32; N] {
 /// `wide_kernels_match_portable_ones` holds them to it.
 macro_rules! at_widest {
     ($name:ident = $body:ident) => {
-        fn $name(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+        pub(crate) fn $name(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
                 #[target_feature(enable = "avx2")]
