@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dbcopilot_core::{
-    load_sharded_router_file, save_sharded_router_file, SerializationMode, ShardedRouter,
+    load_sharded_router_bytes, sharded_router_to_vec, SerializationMode, ShardedRouter,
 };
 use dbcopilot_eval::{eval_routing, measure_qps, prepare, CorpusKind, Scale};
 use dbcopilot_retrieval::SchemaRouter;
@@ -110,8 +110,10 @@ fn main() {
 /// decodes one shard (the per-shard `loaded` counters are the evidence).
 fn demo_lazy_loading(router: &ShardedRouter, questions: &[String], failures: &mut Vec<String>) {
     let path = std::env::temp_dir().join("dbc_exp_sharding.dbc1");
-    save_sharded_router_file(router, &path).expect("save sharded bundle");
-    let loaded = load_sharded_router_file(&path).expect("load sharded bundle");
+    let bundle = sharded_router_to_vec(router).expect("encode sharded bundle");
+    std::fs::write(&path, bundle).expect("save sharded bundle");
+    let bundle = std::fs::read(&path).expect("read sharded bundle");
+    let loaded = load_sharded_router_bytes(bundle).expect("load sharded bundle");
     let cold = loaded.loaded_shards();
     let gold = &loaded.database_names()[0];
     let _ = loaded.route_shard(loaded.shard_of_db(gold), &questions[0], 10);

@@ -6,7 +6,7 @@
 //! latency for the CRUSH rows, or 0 to disable.
 
 use dbcopilot::{AskOptions, DbCopilot};
-use dbcopilot_core::{save_router, DbcRouter, SerializationMode};
+use dbcopilot_core::{load_router_slice, router_to_vec, DbcRouter, SerializationMode};
 use dbcopilot_eval::{
     build_method, eval_ask, eval_routing, measure_concurrent, measure_latency_us, prepare,
     render_ask_table, render_precision_table, render_table5, report, BuildReport, CorpusKind,
@@ -43,9 +43,7 @@ fn main() {
                     build_secs: start.elapsed().as_secs_f64(),
                     disk_bytes: r.size_bytes(),
                 };
-                let mut buf = Vec::new();
-                save_router(&r, &mut buf).expect("trained router must serialize");
-                saved_router = Some(buf);
+                saved_router = Some(router_to_vec(&r).expect("trained router must serialize"));
                 (Box::new(r), build)
             } else {
                 build_method(method, &prepared, &scale)
@@ -95,7 +93,7 @@ fn main() {
     // -----------------------------------------------------------------
     eprintln!("  measuring quantized routing (f32 vs i8)");
     let saved = saved_router.expect("DbCopilot row always runs");
-    let mut router = dbcopilot_core::load_router(&saved[..]).expect("saved router must load");
+    let mut router = load_router_slice(&saved).expect("saved router must load");
     let mut precision_rows = Vec::new();
     for (label, precision) in [("f32", RoutePrecision::F32), ("i8", RoutePrecision::I8)] {
         router.set_precision(precision);

@@ -48,9 +48,8 @@ pub use decode::{
 };
 pub use model::{RouterConfig, RouterModel};
 pub use persist::{
-    extend_router, load_router, load_router_file, load_router_slice, load_sharded_router_bytes,
-    load_sharded_router_file, router_disk_size, router_to_vec, save_router, save_router_file,
-    save_sharded_router, save_sharded_router_file, sharded_router_to_vec, PersistError,
+    extend_router, load_router_slice, load_sharded_router_bytes, router_to_vec,
+    sharded_router_to_vec, PersistError,
 };
 pub use qmodel::QuantRouterModel;
 pub use router::DbcRouter;

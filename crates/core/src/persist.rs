@@ -4,8 +4,12 @@
 //! evolve and asks for cheaper adaptation than full retraining. This module
 //! provides both halves:
 //!
-//! * [`save_router`]/[`load_router`] — persist a trained router (weights,
-//!   vocabulary, graph, config) so it can serve without retraining;
+//! * one byte-level save/load pair per bundle kind, so a trained router
+//!   (weights, vocabulary, graph, config) serves without retraining:
+//!   [`router_to_vec`]/[`load_router_slice`] for a monolithic router (and
+//!   each shard's payload), [`sharded_router_to_vec`]/
+//!   [`load_sharded_router_bytes`] for the sharded tier. Files are
+//!   `std::fs::{read, write}` away;
 //! * [`extend_router`] — register new databases and *fine-tune* on
 //!   synthesized questions for the new schemata only, reusing the existing
 //!   weights (new word pieces get fresh embedding rows).
@@ -17,8 +21,7 @@
 //! tensor shapes against the config and fails with a typed [`PersistError`]
 //! in release builds — corruption is never a `debug_assert!`.
 
-use std::io::{Read, Write};
-use std::path::Path;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dbcopilot_graph::SchemaGraph;
@@ -33,7 +36,7 @@ use dbcopilot_synth::Questioner;
 use crate::decode::ConstraintTables;
 use crate::model::{RouterConfig, RouterModel};
 use crate::router::DbcRouter;
-use crate::shard::{ShardSlot, ShardedRouter};
+use crate::shard::{shard_of, ShardSlot, ShardedRouter};
 use crate::train::{train_with_tables, SerializationMode, TrainExample, TrainStats};
 use crate::vocab::PieceVocab;
 
@@ -44,8 +47,8 @@ const SEC_VOCAB: [u8; 4] = *b"VOCB";
 /// Schema-graph section (JSON payload).
 const SEC_GRAPH: [u8; 4] = *b"GRPH";
 /// Sharded-bundle manifest section: shard count, per-shard database names
-/// and `(offset, len)` ranges into the `SBDL` payload; then, each optional
-/// and trailing, the calibration probes and the per-shard backgrounds.
+/// and `(offset, len)` ranges into the `SBDL` payload, the calibration
+/// probes, then the per-shard backgrounds.
 const SEC_SHARDS: [u8; 4] = *b"SHRD";
 /// Concatenated per-shard router bundles (each itself a full `DBC1`
 /// container; empty shards contribute zero bytes).
@@ -70,11 +73,6 @@ pub fn router_to_vec(router: &DbcRouter) -> Result<Vec<u8>, PersistError> {
     Ok(codec::encode_container(&sections))
 }
 
-/// Serialize a trained router to a writer (binary `DBC1`).
-pub fn save_router<W: Write>(router: &DbcRouter, mut w: W) -> Result<(), PersistError> {
-    Ok(w.write_all(&router_to_vec(router)?)?)
-}
-
 /// Deserialize a router from a byte buffer.
 pub fn load_router_slice(bytes: &[u8]) -> Result<DbcRouter, PersistError> {
     let sections = codec::decode_container(bytes)?;
@@ -83,9 +81,7 @@ pub fn load_router_slice(bytes: &[u8]) -> Result<DbcRouter, PersistError> {
     // instead of failing on a "missing" VOCB section.
     if codec::find_section(&sections, SEC_SHARDS)?.is_some() {
         return Err(PersistError::Corrupt(
-            "sharded (SHRD) router bundle: load it with \
-             load_sharded_router_bytes / load_sharded_router_file"
-                .to_string(),
+            "sharded (SHRD) router bundle: load it with load_sharded_router_bytes".to_string(),
         ));
     }
     let cfg: RouterConfig =
@@ -129,25 +125,6 @@ pub fn load_router_slice(bytes: &[u8]) -> Result<DbcRouter, PersistError> {
         PersistError::Corrupt(format!("graph names {name:?}, which the vocabulary cannot spell"))
     })?;
     Ok(DbcRouter::assemble(model, vocab, graph, tables))
-}
-
-/// Deserialize a router from a reader.
-pub fn load_router<R: Read>(mut r: R) -> Result<DbcRouter, PersistError> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    load_router_slice(&buf)
-}
-
-/// Save to a file.
-pub fn save_router_file(router: &DbcRouter, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    let f = std::fs::File::create(path)?;
-    save_router(router, std::io::BufWriter::new(f))
-}
-
-/// Load from a file.
-pub fn load_router_file(path: impl AsRef<Path>) -> Result<DbcRouter, PersistError> {
-    let f = std::fs::File::open(path)?;
-    load_router(std::io::BufReader::new(f))
 }
 
 // ---------------------------------------------------------------------
@@ -197,14 +174,14 @@ pub fn sharded_router_to_vec(router: &ShardedRouter) -> Result<Vec<u8>, PersistE
         manifest.extend_from_slice(&u32::try_from(q.len()).expect("probe length").to_le_bytes());
         manifest.extend_from_slice(q.as_bytes());
     }
-    // Each shard's calibration background where it is known (a flag, then
-    // one `f32` per database name), so a load pre-fills the slot and the
-    // first route after it decodes weights and nothing else. A lazily
-    // loaded slot writes back exactly what it was loaded with.
+    // Each shard's calibration background (a flag, then one `f32` per
+    // database name; the flag is set exactly for the non-empty shards of a
+    // multi-shard tier), so the first route after a load decodes weights
+    // and nothing else.
     for slot in slots {
-        let background = slot.cached_background();
-        manifest.push(u8::from(background.is_some()));
-        for score in background.unwrap_or_default() {
+        let background = slot.background();
+        manifest.push(u8::from(!background.is_empty()));
+        for score in background {
             manifest.extend_from_slice(&score.to_le_bytes());
         }
     }
@@ -216,28 +193,12 @@ pub fn sharded_router_to_vec(router: &ShardedRouter) -> Result<Vec<u8>, PersistE
     Ok(codec::encode_container(&sections))
 }
 
-/// Serialize a sharded router to a writer (binary `DBC1` with a `SHRD`
-/// manifest).
-pub fn save_sharded_router<W: Write>(router: &ShardedRouter, mut w: W) -> Result<(), PersistError> {
-    w.write_all(&sharded_router_to_vec(router)?)?;
-    Ok(())
-}
-
-/// Save a sharded router to a file.
-pub fn save_sharded_router_file(
-    router: &ShardedRouter,
-    path: impl AsRef<Path>,
-) -> Result<(), PersistError> {
-    let f = std::fs::File::create(path)?;
-    save_sharded_router(router, std::io::BufWriter::new(f))
-}
-
 /// Manifest entry parsed eagerly at load time.
 struct ShardManifestEntry {
     names: Vec<String>,
     offset: usize,
     len: usize,
-    background: Option<Vec<f32>>,
+    background: Vec<f32>,
 }
 
 /// Load a sharded router from an owned byte buffer.
@@ -249,8 +210,13 @@ struct ShardManifestEntry {
 /// 64-shard bundle starts serving after decoding exactly the shards the
 /// traffic reaches.
 ///
+/// The manifest must partition the database names the way [`shard_of`]
+/// does (each name once, in the shard it hashes to), carry the calibration
+/// probes, and carry a background for exactly the non-empty shards of a
+/// multi-shard tier; anything else is [`PersistError::Corrupt`].
+///
 /// Pre-manifest bundles — monolithic `DBC1` containers — load as a 1-shard
-/// tier, so every artifact written by [`save_router`] keeps loading here
+/// tier, so every artifact written by [`router_to_vec`] keeps loading here
 /// (back compat is covered both ways: see also the `SHRD` rejection in
 /// [`load_router_slice`]).
 pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, PersistError> {
@@ -278,6 +244,9 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
                     ));
                 }
                 let mut entries = Vec::with_capacity(count);
+                // `merge_routing` relies on the shards partitioning the
+                // names, and `shard_of_db` on `shard_of` placing them.
+                let mut seen = BTreeSet::new();
                 for shard in 0..count {
                     let n_names = r.take_count("shard database count", 4)?;
                     let mut names = Vec::with_capacity(n_names);
@@ -289,6 +258,18 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
                                 "shard {shard} database name is not UTF-8"
                             ))
                         })?;
+                        let owner = shard_of(name, count);
+                        if owner != shard {
+                            return Err(PersistError::Corrupt(format!(
+                                "database {name:?} is listed in shard {shard}, \
+                                 but belongs to shard {owner}"
+                            )));
+                        }
+                        if !seen.insert(name) {
+                            return Err(PersistError::Corrupt(format!(
+                                "database {name:?} is listed twice"
+                            )));
+                        }
                         names.push(name.to_string());
                     }
                     let offset = r.take_u64("shard offset")? as usize;
@@ -312,35 +293,31 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
                         // Weight decoding stays deferred.
                         codec::decode_container(&blob[offset..end])?;
                     }
-                    entries.push(ShardManifestEntry { names, offset, len, background: None });
+                    entries.push(ShardManifestEntry { names, offset, len, background: Vec::new() });
                 }
-                // Calibration probes: absent in manifests written before
-                // the field existed, in which case calibration falls back
-                // to uncentred conditional walks.
-                let mut probes = Vec::new();
-                if !r.at_end() {
-                    let n_probes = r.take_count("probe count", 4)?;
-                    probes.reserve(n_probes);
-                    for i in 0..n_probes {
-                        let len = r.take_u32("probe length")? as usize;
-                        let raw = r.take_bytes(len, "probe question")?;
-                        let q = std::str::from_utf8(raw).map_err(|_| {
-                            PersistError::Corrupt(format!("probe question {i} is not UTF-8"))
-                        })?;
-                        probes.push(q.to_string());
+                let n_probes = r.take_count("probe count", 4)?;
+                let mut probes = Vec::with_capacity(n_probes);
+                for i in 0..n_probes {
+                    let len = r.take_u32("probe length")? as usize;
+                    let raw = r.take_bytes(len, "probe question")?;
+                    let q = std::str::from_utf8(raw).map_err(|_| {
+                        PersistError::Corrupt(format!("probe question {i} is not UTF-8"))
+                    })?;
+                    probes.push(q.to_string());
+                }
+                // The length of a background is its shard's name count — a
+                // field of any other size leaves bytes over or runs out of
+                // them below.
+                for (shard, entry) in entries.iter_mut().enumerate() {
+                    let flag = r.take_array::<1>("background flag")?[0];
+                    let want = u8::from(count > 1 && !entry.names.is_empty());
+                    if flag != want {
+                        return Err(PersistError::Corrupt(format!(
+                            "shard {shard} background flag is {flag}, expected {want}"
+                        )));
                     }
-                }
-                // Calibration backgrounds: absent in manifests written
-                // before the field existed, in which case each shard
-                // computes its own on its first calibrated route. The
-                // length is the shard's name count — a field of any other
-                // size leaves bytes over or runs out of them below.
-                if !r.at_end() {
-                    for entry in &mut entries {
-                        if r.take_array::<1>("background flag")?[0] != 0 {
-                            entry.background =
-                                Some(r.take_f32s(entry.names.len(), "shard background")?);
-                        }
+                    if flag == 1 {
+                        entry.background = r.take_f32s(entry.names.len(), "shard background")?;
                     }
                 }
                 r.expect_end()?;
@@ -367,32 +344,6 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
             Ok(ShardedRouter::from_parts(slots, cfg, probes))
         }
     }
-}
-
-/// Load a sharded router from a file (any bundle kind; see
-/// [`load_sharded_router_bytes`]).
-pub fn load_sharded_router_file(path: impl AsRef<Path>) -> Result<ShardedRouter, PersistError> {
-    load_sharded_router_bytes(std::fs::read(path)?)
-}
-
-/// Exact on-disk size in bytes of the binary router bundle — the Table 5
-/// "Disk" number for DBCopilot, measured over the full saved artifact
-/// (weights + vocabulary + graph + config), not just the weights.
-///
-/// Only the three small JSON metadata sections are actually serialized;
-/// the weight section's length is computed arithmetically, so no copy of
-/// the weights is made. Consistency with [`save_router`]'s real output is
-/// pinned by a test.
-pub fn router_disk_size(router: &DbcRouter) -> Result<usize, PersistError> {
-    let cfg = serde_json::to_vec(&router.model.cfg)?.len();
-    let vocab = serde_json::to_vec(&router.vocab)?.len();
-    let graph = serde_json::to_vec(&router.graph)?.len();
-    let store = codec::store_section_len(&router.model.store);
-    let mut lens = vec![cfg, vocab, graph, store];
-    if let Some(qm) = &router.model.quant {
-        lens.push(codec::quant_section_len(qm.store()));
-    }
-    Ok(codec::container_len(&lens))
 }
 
 /// Widest beam (and most beam groups) a loaded config may ask for. Both
@@ -699,14 +650,7 @@ mod tests {
         let router = trained_router();
         let before = router.best_schema("how many vocalists").unwrap();
 
-        let mut buf = Vec::new();
-        save_router(&router, &mut buf).unwrap();
-        assert_eq!(
-            buf.len(),
-            router_disk_size(&router).unwrap(),
-            "size accounting must match bytes"
-        );
-        let loaded = load_router(buf.as_slice()).unwrap();
+        let loaded = load_router_slice(&router_to_vec(&router).unwrap()).unwrap();
         let after = loaded.best_schema("how many vocalists").unwrap();
         assert!(before.same_as(&after), "{before} vs {after}");
         // bit-exact weights, not merely approximately equal
@@ -754,15 +698,10 @@ mod tests {
         router.set_precision(RoutePrecision::I8);
         let before = router.best_schema("how many vocalists").unwrap();
 
-        let mut buf = Vec::new();
-        save_router(&router, &mut buf).unwrap();
-        assert_eq!(
-            buf.len(),
-            router_disk_size(&router).unwrap(),
-            "size accounting must include the QNT8 section"
-        );
+        let buf = router_to_vec(&router).unwrap();
+        assert_eq!(buf.len(), router.size_bytes(), "size accounting must include the QNT8 section");
 
-        let mut loaded = load_router(buf.as_slice()).unwrap();
+        let mut loaded = load_router_slice(&buf).unwrap();
         let qm = loaded.model.quant.as_ref().expect("QNT8 section must load");
         let orig = router.model.quant.as_ref().unwrap();
         assert_eq!(qm.store(), orig.store(), "quantized weights must round-trip bit-exactly");
@@ -781,9 +720,7 @@ mod tests {
         // no quantized weights attached.
         let router = trained_router();
         assert!(router.model.quant.is_none());
-        let mut buf = Vec::new();
-        save_router(&router, &mut buf).unwrap();
-        let loaded = load_router(buf.as_slice()).unwrap();
+        let loaded = load_router_slice(&router_to_vec(&router).unwrap()).unwrap();
         assert!(loaded.model.quant.is_none());
         assert!(loaded.best_schema("how many vocalists").is_some());
     }
@@ -820,9 +757,7 @@ mod tests {
         router.model.store.value_mut(id).set(0, 0, nan);
         router.model.store.value_mut(id).set(0, 1, f32::NEG_INFINITY);
 
-        let mut bin = Vec::new();
-        save_router(&router, &mut bin).unwrap();
-        let loaded = load_router(bin.as_slice()).unwrap();
+        let loaded = load_router_slice(&router_to_vec(&router).unwrap()).unwrap();
         let lid = loaded.model.store.id_of("q_proj.b").unwrap();
         assert_eq!(loaded.model.store.value(lid).get(0, 0).to_bits(), nan.to_bits());
         assert_eq!(loaded.model.store.value(lid).get(0, 1), f32::NEG_INFINITY);
@@ -830,9 +765,7 @@ mod tests {
 
     #[test]
     fn truncated_and_corrupted_files_fail_loudly() {
-        let router = trained_router();
-        let mut buf = Vec::new();
-        save_router(&router, &mut buf).unwrap();
+        let buf = router_to_vec(&trained_router()).unwrap();
 
         // every possible truncation point returns Err — no panic, and no
         // debug-only check (this test runs in release CI too)
@@ -940,8 +873,9 @@ mod tests {
     /// thread that survives it. Returns the refusal's message.
     fn second_shard_refusal(good: &[u8], hostile: &[u8]) -> String {
         let blob = Arc::new([good, hostile].concat());
+        // `shard_of` puts `concert_singer` in shard 0 of 2 and `world` in 1.
         let slot = |name: &str, offset, len| {
-            Arc::new(ShardSlot::lazy(vec![name.into()], Arc::clone(&blob), offset, len, None))
+            Arc::new(ShardSlot::lazy(vec![name.into()], Arc::clone(&blob), offset, len, vec![0.0]))
         };
         let tier = ShardedRouter::from_parts(
             vec![slot("concert_singer", 0, good.len()), slot("world", good.len(), hostile.len())],
@@ -1052,10 +986,14 @@ mod tests {
             .collect()
     }
 
+    /// Each shard's background bits; `None` where it has none.
     fn background_bits(tier: &ShardedRouter) -> Vec<Option<Vec<u32>>> {
         tier.slots()
             .iter()
-            .map(|slot| slot.cached_background().map(|b| b.iter().map(|x| x.to_bits()).collect()))
+            .map(|slot| {
+                let background = slot.background();
+                (!background.is_empty()).then(|| background.iter().map(|x| x.to_bits()).collect())
+            })
             .collect()
     }
 
@@ -1069,7 +1007,12 @@ mod tests {
 
     /// Bytes the trailing background field takes in `tier`'s manifest.
     fn background_field_len(tier: &ShardedRouter) -> usize {
-        tier.slots().iter().map(|s| 1 + 4 * s.cached_background().map_or(0, <[f32]>::len)).sum()
+        tier.slots().iter().map(|s| 1 + 4 * s.background().len()).sum()
+    }
+
+    /// Bytes the probe field before it takes.
+    fn probe_field_len(tier: &ShardedRouter) -> usize {
+        4 + tier.probes().iter().map(|q| 4 + q.len()).sum::<usize>()
     }
 
     #[test]
@@ -1095,16 +1038,77 @@ mod tests {
     }
 
     #[test]
-    fn manifest_without_the_background_field_loads_and_computes_it_lazily() {
+    fn manifests_breaking_the_partition_or_calibration_rules_are_corrupt() {
         let fitted = sharded_tier();
-        let strip = background_field_len(&fitted);
-        let old_format = with_manifest(&sharded_router_to_vec(&fitted).unwrap(), |manifest| {
-            manifest.truncate(manifest.len() - strip)
-        });
-        let loaded = load_sharded_router_bytes(old_format).unwrap();
-        assert!(background_bits(&loaded).iter().all(Option::is_none), "nothing to pre-fill from");
-        assert_eq!(routing_bits(&loaded), routing_bits(&fitted), "lazy path scores differently");
-        assert_eq!(background_bits(&loaded), background_bits(&fitted), "same walks, same sums");
+        let bundle = sharded_router_to_vec(&fitted).unwrap();
+        let (probe_len, background_len) = (probe_field_len(&fitted), background_field_len(&fitted));
+        // Where each shard's background flag sits, counted from the end.
+        let mut flag_from_end = Vec::new();
+        let mut left = background_len;
+        for slot in fitted.slots() {
+            flag_from_end.push(left);
+            left -= 1 + 4 * slot.background().len();
+        }
+        let full = fitted.slots().iter().position(|s| !s.db_names().is_empty()).unwrap();
+        let empty = fitted.slots().iter().position(|s| s.db_names().is_empty()).unwrap();
+        let set_flag = |shard: usize, flag: u8| {
+            with_manifest(&bundle, |m| {
+                let at = m.len() - flag_from_end[shard];
+                m[at] = flag;
+            })
+        };
+        // A 1-shard tier's manifest ends in its one, clear, flag.
+        let one_shard = sharded_router_to_vec(&ShardedRouter::from_monolith(trained_router()));
+        let one_shard = with_manifest(&one_shard.unwrap(), |m| *m.last_mut().unwrap() = 1);
+        // Hand-made manifests whose names fail before anything else is read.
+        let named = |names: &[&[&str]]| {
+            let mut m = u32::try_from(names.len()).unwrap().to_le_bytes().to_vec();
+            for shard in names {
+                m.extend(u32::try_from(shard.len()).unwrap().to_le_bytes());
+                for name in *shard {
+                    m.extend(u32::try_from(name.len()).unwrap().to_le_bytes());
+                    m.extend(name.as_bytes());
+                }
+            }
+            // Room for the shard count's 20-bytes-per-shard check.
+            m.extend([0u8; 40]);
+            with_manifest(&bundle, |manifest| *manifest = m)
+        };
+        assert_eq!((shard_of("concert_singer", 2), shard_of("world", 2)), (0, 1));
+        // (what the refusal must name, the bundle)
+        let cases: Vec<(String, Vec<u8>)> = vec![
+            (
+                "\"world\" is listed in shard 0, but belongs to shard 1".into(),
+                named(&[&["concert_singer", "world"], &[]]),
+            ),
+            ("\"world\" is listed twice".into(), named(&[&["world", "world"]])),
+            (
+                "probe count needs 4 bytes".into(),
+                with_manifest(&bundle, |m| m.truncate(m.len() - probe_len - background_len)),
+            ),
+            (
+                "background flag needs 1 bytes".into(),
+                with_manifest(&bundle, |m| m.truncate(m.len() - background_len)),
+            ),
+            (format!("shard {full} background flag is 0, expected 1"), set_flag(full, 0)),
+            (format!("shard {empty} background flag is 1, expected 0"), set_flag(empty, 1)),
+            ("shard 0 background flag is 1, expected 0".into(), one_shard),
+        ];
+        // On a default-stack thread, as every pool worker is.
+        let verdicts = std::thread::spawn(move || {
+            cases
+                .into_iter()
+                .map(|(what, bytes)| (what, load_sharded_router_bytes(bytes)))
+                .collect::<Vec<_>>()
+        })
+        .join()
+        .expect("a hostile manifest must not take the thread down");
+        for (what, verdict) in verdicts {
+            match verdict {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(&what), "{what}: {msg}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1130,11 +1134,10 @@ mod tests {
         assert_eq!(retrained.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![owner]);
         for (s, (old, new)) in fitted.slots().iter().zip(extended.slots()).enumerate() {
             if s == owner {
-                let background = new.cached_background().expect("computed by the extend");
-                assert_eq!(background.len(), new.db_names().len());
+                // Computed by the extend.
+                assert_eq!(new.background().len(), new.db_names().len());
             } else {
-                // The very same slot: its background cell is already full
-                // (or the shard is empty) and cannot be computed again.
+                // The very same slot, background and all.
                 assert!(Arc::ptr_eq(old, new), "shard {s} was rebuilt");
             }
         }

@@ -209,9 +209,9 @@ impl DbcRouter {
     /// # Panics
     /// Panics if the metadata fails to serialize, which cannot happen for a
     /// router constructed through this crate; use
-    /// [`crate::persist::router_disk_size`] to handle the error instead.
+    /// [`crate::persist::router_to_vec`] to handle the error instead.
     pub fn size_bytes(&self) -> usize {
-        crate::persist::router_disk_size(self).expect("in-memory router must serialize")
+        crate::persist::router_to_vec(self).expect("in-memory router must serialize").len()
     }
 }
 

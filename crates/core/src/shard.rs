@@ -21,8 +21,9 @@
 //!   [`crate::persist::load_sharded_router_bytes`]) decodes a shard's
 //!   weights behind a [`OnceLock`] on first touch, so a 64-shard bundle
 //!   serves its first request after loading one shard, not all of them.
-//!   The calibration background is *not* part of that first touch: `fit`
-//!   and `extend` compute it and the bundle manifest carries it.
+//!   The calibration background is *not* part of that first touch: the job
+//!   that trains a shard (in `fit` or `extend`) computes it, the bundle
+//!   manifest carries it, and the loader refuses a manifest without it.
 //!
 //! The partition depends only on database names — never on thread count,
 //! machine, or load order — so a collection shards identically everywhere.
@@ -70,80 +71,53 @@ pub(crate) struct LazyShard {
 
 /// One shard: its owned database names (known without decoding), the
 /// decoded router behind a `OnceLock` (`None` inside = the shard owns no
-/// databases), optional undecoded bytes, and a served-question counter.
+/// databases), optional undecoded bytes, its calibration background and a
+/// served-question counter.
 pub(crate) struct ShardSlot {
     db_names: Vec<String>,
     lazy: Option<LazyShard>,
     router: OnceLock<Option<Arc<DbcRouter>>>,
     routes: AtomicU64,
-    /// Per-database background scores (aligned with `db_names`): the mean
-    /// name-walk log-probability over the tier's shared probe questions —
-    /// each model's per-name bias under a common question distribution,
-    /// subtracted out by the cross-shard score calibration. Filled by
-    /// `fit`/`extend` or from the bundle manifest; a slot loaded from a
-    /// manifest without the field computes it on its first calibrated route.
-    background: OnceLock<Vec<f32>>,
+    /// Per-database background scores (aligned with `db_names`, see
+    /// [`shard_background`]), subtracted out by the cross-shard score
+    /// calibration. Empty for an empty shard and in a 1-shard tier, which
+    /// never calibrates.
+    background: Vec<f32>,
 }
 
 impl ShardSlot {
     /// A slot whose router is already in memory (fit, extend, legacy load).
-    pub(crate) fn eager(db_names: Vec<String>, router: Option<Arc<DbcRouter>>) -> Self {
+    pub(crate) fn eager(
+        db_names: Vec<String>,
+        router: Option<Arc<DbcRouter>>,
+        background: Vec<f32>,
+    ) -> Self {
         let cell = OnceLock::new();
         cell.set(router).expect("fresh OnceLock");
-        ShardSlot {
-            db_names,
-            lazy: None,
-            router: cell,
-            routes: AtomicU64::new(0),
-            background: OnceLock::new(),
-        }
+        ShardSlot { db_names, lazy: None, router: cell, routes: AtomicU64::new(0), background }
     }
 
     /// A slot that decodes `bundle[offset..offset + len]` on first touch,
-    /// with the background scores the manifest carried for it (if any).
+    /// with the background scores the manifest carried for it.
     pub(crate) fn lazy(
         db_names: Vec<String>,
         bundle: Arc<Vec<u8>>,
         offset: usize,
         len: usize,
-        background: Option<Vec<f32>>,
+        background: Vec<f32>,
     ) -> Self {
         ShardSlot {
             db_names,
             lazy: Some(LazyShard { bundle, offset, len }),
             router: OnceLock::new(),
             routes: AtomicU64::new(0),
-            background: background.map(OnceLock::from).unwrap_or_default(),
+            background,
         }
     }
 
-    /// The background scores if they are already known — what a save
-    /// writes into the manifest.
-    pub(crate) fn cached_background(&self) -> Option<&[f32]> {
-        self.background.get().map(Vec::as_slice)
-    }
-
-    /// The per-database background scores, computing them if neither a fit
-    /// nor the manifest supplied them: for each database, the mean
-    /// full-vocabulary name-walk log-probability over `probes`. With no
-    /// probes every background is zero and calibration degrades to the raw
-    /// conditional walk.
-    fn background(&self, router: &DbcRouter, probes: &[String]) -> &[f32] {
-        self.background.get_or_init(|| {
-            self.db_names
-                .iter()
-                .map(|db| {
-                    if probes.is_empty() {
-                        return 0.0;
-                    }
-                    let sum: f32 = probes
-                        .iter()
-                        .map(|q| router.name_logp_unconstrained(q, db).unwrap_or(0.0))
-                        .sum();
-                    sum / probes.len() as f32
-                })
-                .collect()
-        })
+    /// The calibration background — what a save writes into the manifest.
+    pub(crate) fn background(&self) -> &[f32] {
+        &self.background
     }
 
     /// The shard's router, decoding the lazy payload on first touch.
@@ -206,8 +180,27 @@ pub struct ShardedRouter {
 
 /// How many probe questions the fit captures for score calibration. Enough
 /// to average out per-question noise in the background estimate while
-/// keeping first-route calibration and the bundle manifest cheap.
+/// keeping the fit's walks and the bundle manifest cheap.
 const CALIBRATION_PROBES: usize = 96;
+
+/// A shard's calibration background: for each of `db_names`, the mean
+/// full-vocabulary name-walk log-probability over the tier's shared
+/// `probes` — each model's per-name bias under one common question
+/// distribution. With no probes every background is zero and calibration
+/// degrades to the raw conditional walk.
+fn shard_background(router: &DbcRouter, db_names: &[String], probes: &[String]) -> Vec<f32> {
+    db_names
+        .iter()
+        .map(|db| {
+            if probes.is_empty() {
+                return 0.0;
+            }
+            let sum: f32 =
+                probes.iter().map(|q| router.name_logp_unconstrained(q, db).unwrap_or(0.0)).sum();
+            sum / probes.len() as f32
+        })
+        .collect()
+}
 
 impl ShardedRouter {
     /// Train a sharded router: partition `collection` and `examples` by
@@ -239,53 +232,37 @@ impl ShardedRouter {
                 parts[s].push(ex.clone());
             }
         }
-        let indices: Vec<usize> = (0..num_shards).collect();
-        let fitted: Vec<(Option<Arc<DbcRouter>>, TrainStats)> =
-            dbcopilot_runtime::pooled_map(&indices, |_, &s| {
-                if subs[s].databases.is_empty() {
-                    return (None, TrainStats { epoch_losses: Vec::new(), examples: 0 });
-                }
-                let graph = SchemaGraph::build(&subs[s]);
-                let (mut router, stats) = DbcRouter::fit(graph, &parts[s], cfg.clone(), mode);
-                router.set_label(&format!("DBCopilot[shard {s}]"));
-                (Some(Arc::new(router)), stats)
-            });
-        let mut shards = Vec::with_capacity(num_shards);
-        let mut all_stats = Vec::with_capacity(num_shards);
-        for (s, (router, stats)) in fitted.into_iter().enumerate() {
-            let db_names: Vec<String> = subs[s].databases.keys().cloned().collect();
-            shards.push(Arc::new(ShardSlot::eager(db_names, router)));
-            all_stats.push(stats);
-        }
         // The shared calibration probes: a prefix of the training stream,
         // identical for every shard (deterministic — example order is the
         // caller's, never thread-count dependent).
         let probes: Vec<String> =
             examples.iter().take(CALIBRATION_PROBES).map(|ex| ex.question.clone()).collect();
+        let indices: Vec<usize> = (0..num_shards).collect();
+        let fitted: Vec<(ShardSlot, TrainStats)> =
+            dbcopilot_runtime::pooled_map(&indices, |_, &s| {
+                let db_names: Vec<String> = subs[s].databases.keys().cloned().collect();
+                if db_names.is_empty() {
+                    let stats = TrainStats { epoch_losses: Vec::new(), examples: 0 };
+                    return (ShardSlot::eager(db_names, None, Vec::new()), stats);
+                }
+                let graph = SchemaGraph::build(&subs[s]);
+                let (mut router, stats) = DbcRouter::fit(graph, &parts[s], cfg.clone(), mode);
+                router.set_label(&format!("DBCopilot[shard {s}]"));
+                let background = if num_shards > 1 {
+                    shard_background(&router, &db_names, &probes)
+                } else {
+                    Vec::new()
+                };
+                (ShardSlot::eager(db_names, Some(Arc::new(router)), background), stats)
+            });
+        let (shards, all_stats) = fitted.into_iter().map(|(slot, st)| (Arc::new(slot), st)).unzip();
         let tier = ShardedRouter {
             shards,
             cfg,
             label: format!("DBCopilot (sharded x{num_shards})"),
             probes: Arc::new(probes),
         };
-        tier.fill_backgrounds();
         (tier, all_stats)
-    }
-
-    /// Compute the calibration background of every resident shard that does
-    /// not have one yet, data-parallel over shards — so the first route
-    /// after a fit, an extend or a bundle load never pays for it. Shards
-    /// still undecoded keep whatever their manifest gave them; a 1-shard
-    /// tier never calibrates and needs none.
-    fn fill_backgrounds(&self) {
-        if self.shards.len() == 1 {
-            return;
-        }
-        dbcopilot_runtime::pooled_map(&self.shards, |_, slot| {
-            if let Some(Some(router)) = slot.router.get() {
-                slot.background(router, &self.probes);
-            }
-        });
     }
 
     /// Wrap an existing monolithic router as a 1-shard tier (how
@@ -298,7 +275,7 @@ impl ShardedRouter {
             .map(|&d| router.graph.name(d).to_string())
             .collect();
         let cfg = router.model.cfg.clone();
-        let slot = ShardSlot::eager(db_names, Some(Arc::new(router)));
+        let slot = ShardSlot::eager(db_names, Some(Arc::new(router)), Vec::new());
         ShardedRouter {
             shards: vec![Arc::new(slot)],
             cfg,
@@ -405,7 +382,7 @@ impl ShardedRouter {
         }
         let (mut r, names) = router.route_with_name_logps(question, top_tables);
         let name_logp = |db: &str| names.iter().find(|(n, _)| *n == db).map(|&(_, lp)| lp);
-        calibrate_scores(slot, router, &self.probes, name_logp, &mut r);
+        calibrate_scores(slot, name_logp, &mut r);
         r
     }
 
@@ -481,11 +458,15 @@ impl ShardedRouter {
                     (Some(r), stats)
                 }
             };
+            let background = match &router {
+                Some(r) if n > 1 => shard_background(r, &db_names, &self.probes),
+                _ => Vec::new(),
+            };
             let router = router.map(|mut r| {
                 r.set_label(&format!("DBCopilot[shard {s}]"));
                 Arc::new(r)
             });
-            shards.push(Arc::new(ShardSlot::eager(db_names, router)));
+            shards.push(Arc::new(ShardSlot::eager(db_names, router, background)));
             retrained.push((s, stats));
         }
         let tier = ShardedRouter {
@@ -494,7 +475,6 @@ impl ShardedRouter {
             label: self.label.clone(),
             probes: Arc::clone(&self.probes),
         };
-        tier.fill_backgrounds();
         Ok((tier, retrained))
     }
 }
@@ -575,25 +555,22 @@ impl SchemaRouter for ShardedRouter {
 /// The formula is the walk's, but the question's own term is not walked:
 /// `name_logp` reads it off the shard's beam search, whose f32 hidden
 /// states are the walk's, bit for bit (see
-/// [`DbcRouter::route_with_name_logps`]). Only the backgrounds walk, once
-/// per fit.
+/// [`DbcRouter::route_with_name_logps`]). Only the backgrounds walk, in
+/// the job that trains the shard.
 ///
 /// Skipped for 1-shard tiers: a single shard *is* the monolith, there is
 /// no cross-model comparison to calibrate, and skipping keeps 1-shard
 /// routing identical to [`DbcRouter::route`].
 fn calibrate_scores(
     slot: &ShardSlot,
-    router: &DbcRouter,
-    probes: &[String],
     name_logp: impl Fn(&str) -> Option<f32>,
     r: &mut RoutingResult,
 ) {
-    let background = slot.background(router, probes);
     let RoutingResult { tables, databases } = r;
     for (name, score) in databases.iter_mut() {
         let Some(idx) = slot.db_names.iter().position(|n| n == name) else { continue };
         let Some(cond) = name_logp(name) else { continue };
-        let centred = cond - background[idx];
+        let centred = cond - slot.background[idx];
         let shift = centred - *score;
         *score = centred;
         for t in tables.iter_mut().filter(|t| t.0 == *name) {

@@ -327,15 +327,14 @@ mod tests {
         let p = prepare(CorpusKind::Spider, &s);
         let (_, report) = build_method(MethodKind::DbCopilot, &p, &s);
         // rebuild the same (deterministic) router and compare against the
-        // bytes save_router actually writes
+        // bytes router_to_vec actually writes
         let (router, _) = DbcRouter::fit(
             p.graph.clone(),
             &p.synth_examples,
             s.router.clone(),
             SerializationMode::Dfs,
         );
-        let mut buf = Vec::new();
-        dbcopilot_core::save_router(&router, &mut buf).unwrap();
+        let buf = dbcopilot_core::router_to_vec(&router).unwrap();
         assert_eq!(report.disk_bytes, buf.len(), "Table 5 disk must equal saved bundle size");
     }
 

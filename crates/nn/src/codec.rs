@@ -42,7 +42,7 @@ use crate::tensor::Tensor;
 pub const MAGIC: [u8; 4] = *b"DBC1";
 
 /// Current (and only) container version.
-pub const VERSION: u16 = 1;
+const VERSION: u16 = 1;
 
 /// Section tag for a [`ParamStore`] payload.
 pub const SEC_PARAMS: [u8; 4] = *b"PARM";
@@ -66,7 +66,7 @@ impl<'a> Section<'a> {
         Section { tag, bytes: std::borrow::Cow::Owned(bytes) }
     }
 
-    pub fn borrowed(tag: [u8; 4], bytes: &'a [u8]) -> Self {
+    fn borrowed(tag: [u8; 4], bytes: &'a [u8]) -> Self {
         Section { tag, bytes: std::borrow::Cow::Borrowed(bytes) }
     }
 }
@@ -76,7 +76,7 @@ impl<'a> Section<'a> {
 // ---------------------------------------------------------------------------
 
 /// Exact encoded length of a container holding payloads of the given sizes.
-pub fn container_len(payload_lens: &[usize]) -> usize {
+fn container_len(payload_lens: &[usize]) -> usize {
     8 + payload_lens.iter().map(|l| 12 + l).sum::<usize>()
 }
 
@@ -175,7 +175,7 @@ pub fn find_section<'a, 'b>(
 // ---------------------------------------------------------------------------
 
 /// Exact byte length of the `PARM` section payload for `store`.
-pub fn store_section_len(store: &ParamStore) -> usize {
+fn store_section_len(store: &ParamStore) -> usize {
     4 + store.iter_values().map(|(name, value)| 4 + name.len() + 8 + 4 * value.len()).sum::<usize>()
 }
 
@@ -262,7 +262,7 @@ pub fn decode_store(bytes: &[u8]) -> Result<ParamStore, PersistError> {
 const QUANT_FLAG_TRANSPOSED: u8 = 1;
 
 /// Exact byte length of the `QNT8` section payload for `qs`.
-pub fn quant_section_len(qs: &QuantizedStore) -> usize {
+fn quant_section_len(qs: &QuantizedStore) -> usize {
     4 + qs
         .entries()
         .iter()
@@ -370,7 +370,7 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    pub fn take_u16(&mut self, what: &str) -> Result<u16, PersistError> {
+    fn take_u16(&mut self, what: &str) -> Result<u16, PersistError> {
         Ok(u16::from_le_bytes(self.take_array::<2>(what)?))
     }
 
@@ -406,12 +406,6 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| PersistError::Corrupt(format!("{what} of {n} floats overflows")))?;
         let raw = self.take_bytes(byte_len, what)?;
         Ok(raw.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
-
-    /// Whether every byte has been consumed — lets readers accept files
-    /// written before an optional trailing field existed.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
     }
 
     /// Fail unless every byte has been consumed (catches foreign data glued

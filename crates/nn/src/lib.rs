@@ -8,7 +8,7 @@
 //! * [`tape::Tape`] — reverse-mode autodiff with sparse embedding gradients;
 //! * [`layers`] — `Linear`, `Embedding`, `GruCell`, each with a tape-free
 //!   inference path for beam search;
-//! * [`optim`] — `ParamStore`, `AdamW` (lazy sparse updates), `Sgd`;
+//! * [`optim`] — `ParamStore`, `AdamW` (lazy sparse updates);
 //! * [`init`] — seeded Xavier initialization;
 //! * [`gradcheck`] — finite-difference validation used across the workspace;
 //! * [`quant`] — read-only per-row i8 quantization of a frozen `ParamStore`
@@ -37,7 +37,7 @@ pub mod tape;
 pub mod tensor;
 
 pub use layers::{Embedding, GruCell, GruScratch, Linear};
-pub use optim::{AdamW, GradShard, Jobs, ParamId, ParamStore, Sgd};
+pub use optim::{AdamW, GradShard, Jobs, ParamId, ParamStore};
 pub use quant::{QuantEntry, QuantizedMatrix, QuantizedStore, QuantizedVec};
 pub use tape::{Grad, Tape, ValId};
 pub use tensor::Tensor;

@@ -597,41 +597,6 @@ impl AdamW {
     }
 }
 
-/// Plain stochastic gradient descent (used by baseline encoders and tests).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    pub lr: f32,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Apply one step and clear gradients.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        for p in &mut store.params {
-            let grad = std::mem::take(&mut p.grad);
-            p.transposed.take();
-            let cols = p.value.cols();
-            let w = p.value.as_mut_slice();
-            let (idx, g) = match &grad {
-                GradAccum::None => continue,
-                GradAccum::Dense(t) => (None, t.as_slice()),
-                GradAccum::Rows { idx, vals } => (Some(idx.as_slice()), vals.as_slice()),
-            };
-            if g.is_empty() {
-                continue;
-            }
-            for (a, t, n) in runs(idx, cols, 0, g.len()) {
-                for (wi, &gv) in w[t..t + n].iter_mut().zip(&g[a..a + n]) {
-                    *wi -= self.lr * gv;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,12 +624,12 @@ mod tests {
             e,
             Grad::SparseRows { rows: 4, cols: 2, idx: vec![1], vals: vec![1.0, 1.0] },
         );
-        let mut opt = Sgd::new(0.5);
-        opt.step(&mut store);
+        AdamW::new(0.5).step(&mut store);
         let v = store.value(e);
         assert_eq!(v.row(0), &[0.0, 0.0]);
-        assert_eq!(v.row(1), &[-0.5, -0.5]);
+        assert!(v.row(1).iter().all(|&w| (w + 0.5).abs() < 1e-6), "{:?}", v.row(1));
         assert_eq!(v.row(2), &[0.0, 0.0]);
+        assert_eq!(v.row(3), &[0.0, 0.0]);
     }
 
     #[test]
@@ -788,10 +753,10 @@ mod tests {
         /// bit, over two optimizer steps: `accumulate_grad`, `merge_grads`
         /// (1–20 shards, `scale ≠ 1`, repeated rows, exact zeros and
         /// `-0.0`, sparse gradients densified by a dense one in either
-        /// order), `grad_norm`, `clip_grad_norm`, `AdamW::step`,
-        /// `Sgd::step`, and the same step as jobs of `span` elements — one
-        /// element, less than a row, a row and a bit, or whole parameters —
-        /// run in a shuffled order.
+        /// order), `grad_norm`, `clip_grad_norm`, `AdamW::step`, and the
+        /// same step as jobs of `span` elements — one element, less than a
+        /// row, a row and a bit, or whole parameters — run in a shuffled
+        /// order.
         #[test]
         fn flat_rows_and_range_jobs_match_the_btreemap_store(seed in 0u64..1_000_000) {
             let mut state = seed;
@@ -806,13 +771,13 @@ mod tests {
                 .iter()
                 .map(|&(r, c)| Tensor::from_vec(r, c, (0..r * c).map(|_| hostile(&mut state)).collect()))
                 .collect();
-            let (mut serial, mut jobs, mut sgd) = (ParamStore::new(), ParamStore::new(), ParamStore::new());
+            let (mut serial, mut jobs) = (ParamStore::new(), ParamStore::new());
             for (i, t) in init.iter().enumerate() {
-                for store in [&mut serial, &mut jobs, &mut sgd] {
+                for store in [&mut serial, &mut jobs] {
                     store.add(format!("p{i}"), t.clone());
                 }
             }
-            let (mut old, mut old_sgd) = (OldStore::new(init.clone()), OldStore::new(init));
+            let mut old = OldStore::new(init);
             let (mut opt, mut opt_jobs) = (AdamW::new(0.05), AdamW::new(0.05));
             let runner = shuffled(seed);
             for _ in 0..2 {
@@ -824,11 +789,10 @@ mod tests {
                 for i in 0..shapes.len() {
                     if below(&mut state, 3) == 0 {
                         let g = draw(&mut state, i);
-                        for store in [&mut serial, &mut jobs, &mut sgd] {
+                        for store in [&mut serial, &mut jobs] {
                             store.accumulate_grad(ParamId(i), g.clone());
                         }
                         old.accumulate_scaled(i, OldGrad::from_grad(&g), 1.0);
-                        old_sgd.accumulate_scaled(i, OldGrad::from_grad(&g), 1.0);
                     }
                 }
                 let mut shards: Vec<GradShard> = Vec::new();
@@ -862,12 +826,6 @@ mod tests {
                 let clip = clip_factor(jobs.norm(&partials), max_norm);
                 opt_jobs.update(&mut jobs, clip, span, &runner);
                 assert_same_state(&jobs, &old)?;
-
-                old_sgd.merge_grads(&old_shards, scale);
-                sgd.merge_grads(shards, scale);
-                old_sgd.sgd_step(0.3);
-                Sgd::new(0.3).step(&mut sgd);
-                assert_same_state(&sgd, &old_sgd)?;
             }
         }
     }

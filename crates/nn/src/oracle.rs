@@ -281,29 +281,6 @@ impl OldStore {
             }
         }
     }
-
-    pub(crate) fn sgd_step(&mut self, lr: f32) {
-        for p in &mut self.params {
-            let grad = std::mem::take(&mut p.grad);
-            let cols = p.value.cols();
-            let w = p.value.as_mut_slice();
-            match grad {
-                OldAccum::None => {}
-                OldAccum::Dense(g) => {
-                    for (wi, &gv) in w.iter_mut().zip(g.as_slice()) {
-                        *wi -= lr * gv;
-                    }
-                }
-                OldAccum::Sparse(map) => {
-                    for (r, row) in map {
-                        for (c, &gv) in row.iter().enumerate() {
-                            w[r * cols + c] -= lr * gv;
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// A value from a pool rich in signed zeros and in pairs whose products

@@ -1,12 +1,9 @@
-//! Parameter persistence.
+//! The error type of every persistence path.
 //!
 //! The one on-disk format is the [`crate::codec`] `DBC1` binary container:
 //! compact (4 bytes per weight), versioned, and bit-exact — every `f32` bit
 //! pattern, including NaN payloads and infinities, survives a save→load
 //! round trip. Anything else fails with a typed [`PersistError`].
-
-use crate::codec;
-use crate::optim::ParamStore;
 
 /// Errors from saving/loading parameter stores and router bundles.
 #[derive(Debug)]
@@ -59,18 +56,13 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
-/// Deserialize a store from a byte buffer. Optimizer state and gradients
-/// are not persisted; training can resume but Adam moments restart from
-/// zero.
-pub fn load_store_slice(bytes: &[u8]) -> Result<ParamStore, PersistError> {
-    codec::decode_store(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
     use crate::init::seeded_rng;
     use crate::init::xavier_uniform;
+    use crate::optim::ParamStore;
 
     fn sample_store() -> (ParamStore, crate::ParamId, crate::ParamId) {
         let mut rng = seeded_rng(9);
@@ -85,7 +77,7 @@ mod tests {
         let (store, a, b) = sample_store();
         let buf = codec::encode_store(&store);
         assert!(buf.starts_with(&codec::MAGIC));
-        let loaded = load_store_slice(&buf).unwrap();
+        let loaded = codec::decode_store(&buf).unwrap();
         assert_eq!(loaded.len(), 2);
         let la = loaded.id_of("alpha").unwrap();
         let lb = loaded.id_of("beta").unwrap();
@@ -102,12 +94,12 @@ mod tests {
     #[test]
     fn garbage_input_is_typed() {
         assert!(matches!(
-            load_store_slice(b"GARBAGE DATA").unwrap_err(),
+            codec::decode_store(b"GARBAGE DATA").unwrap_err(),
             PersistError::BadMagic { .. }
         ));
-        assert!(matches!(load_store_slice(b"DB").unwrap_err(), PersistError::Corrupt(_)));
+        assert!(matches!(codec::decode_store(b"DB").unwrap_err(), PersistError::Corrupt(_)));
         // JSON is not a bundle format: a `{`-leading buffer is just a wrong magic
-        match load_store_slice(br#"{"params": []}"#).unwrap_err() {
+        match codec::decode_store(br#"{"params": []}"#).unwrap_err() {
             PersistError::BadMagic { found } => assert_eq!(&found, b"{\"pa"),
             other => panic!("expected BadMagic, got {other:?}"),
         }

@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 
 use dbcopilot_nn::codec::{decode_store, encode_store, encoded_store_len};
-use dbcopilot_nn::serialize::load_store_slice;
 use dbcopilot_nn::{ParamStore, Tensor};
 
 /// Derive a deterministic stream of arbitrary `f32` bit patterns from one
@@ -80,7 +79,7 @@ proptest! {
         bad[pos] ^= 0xff;
         // Err is fine; Ok is fine (weight-byte flips are legal data); a
         // panic would abort the test process.
-        let _ = load_store_slice(&bad);
+        let _ = decode_store(&bad);
     }
 
     /// Every strict prefix of a valid file is rejected with an error.

@@ -7,7 +7,7 @@
 //! ```
 
 use dbcopilot::{AskOptions, AttemptOutcome, DbCopilot, PipelineConfig, TraceLevel};
-use dbcopilot_core::{load_router, save_router};
+use dbcopilot_core::{load_router_slice, router_to_vec};
 use dbcopilot_synth::{build_spider_like, CorpusSizes};
 
 fn main() {
@@ -27,10 +27,9 @@ fn main() {
     let copilot = DbCopilot::fit(&corpus, cfg);
 
     // Persistence: the router is the product — save it once, serve forever.
-    let mut bundle = Vec::new();
-    save_router(&copilot.router, &mut bundle).unwrap();
+    let bundle = router_to_vec(&copilot.router).unwrap();
     println!("\nPersistence: DBC1 bundle {} KiB", bundle.len() / 1024);
-    let reloaded = load_router(bundle.as_slice()).expect("saved router must load");
+    let reloaded = load_router_slice(&bundle).expect("saved router must load");
     let probe = &corpus.test[0].question;
     assert_eq!(
         copilot.router.best_schema(probe).map(|s| s.to_string()),

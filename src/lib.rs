@@ -154,7 +154,7 @@ impl DbCopilot {
     }
 
     /// Assemble a pipeline from an already-trained router (e.g. one loaded
-    /// via [`dbcopilot_core::load_router`], or a shared test fixture) and
+    /// via [`dbcopilot_core::load_router_slice`], or a shared test fixture) and
     /// the corpus it should answer over.
     pub fn from_parts(
         router: DbcRouter,

@@ -100,12 +100,8 @@ fn repair_reprompt_recovers_failing_sql_within_one_candidate() {
     // one execution-feedback repair recovers the answer.
     let c = corpus();
     let slippy = DbCopilot::from_parts(
-        dbcopilot_core::load_router(
-            &{
-                let mut buf = Vec::new();
-                dbcopilot_core::save_router(&fixture().router, &mut buf).unwrap();
-                buf
-            }[..],
+        dbcopilot_core::load_router_slice(
+            &dbcopilot_core::router_to_vec(&fixture().router).unwrap(),
         )
         .unwrap(),
         LlmConfig::perfect().seed(5).malformed_sql(0.6),

@@ -205,13 +205,12 @@ fn quantized_routing_matches_f32_recall_and_candidate_order() {
     // router is a bit-exact codec round-trip of the shared fixture, so the
     // only difference between the two runs is the precision knob.
     use dbcopilot::retrieval::SchemaRouter;
-    use dbcopilot_core::{load_router, save_router, PrecisionSwitch, RoutePrecision};
+    use dbcopilot_core::{load_router_slice, router_to_vec, PrecisionSwitch, RoutePrecision};
 
     let p = prepared();
     let f32_router = &fixture().router;
-    let mut buf = Vec::new();
-    save_router(f32_router, &mut buf).expect("fixture router must serialize");
-    let mut i8_router = load_router(&buf[..]).expect("fixture bundle must load");
+    let buf = router_to_vec(f32_router).expect("fixture router must serialize");
+    let mut i8_router = load_router_slice(&buf).expect("fixture bundle must load");
     i8_router.set_precision(RoutePrecision::I8);
 
     let m_f32 = eval_routing(f32_router, &p.corpus.test, 100);
