@@ -187,7 +187,7 @@ impl RouterModel {
     /// Encode a question to the initial hidden state `[1, hidden]`.
     pub fn encode_infer(&self, question: &str) -> Tensor {
         let bag = self.q_emb.infer_bag(&self.store, &self.features(question));
-        self.q_proj.infer(&self.store, &bag).tanh()
+        Tensor::tanh(&self.q_proj.infer(&self.store, &bag))
     }
 
     /// One decoder step: previous symbol + question vector + hidden → new

@@ -8,6 +8,7 @@
 //! allocates only its output row. Nonlinearities, bias adds and the softmax
 //! stay f32 — they are O(hidden) against the O(hidden²) dot products.
 
+use dbcopilot_nn::math;
 use dbcopilot_nn::quant::{QuantizedStore, QuantizedVec};
 use dbcopilot_nn::{ParamId, Tensor};
 
@@ -61,11 +62,6 @@ impl QuantRouterModel {
     pub fn store(&self) -> &QuantizedStore {
         &self.store
     }
-}
-
-#[inline]
-fn sigmoid(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
 }
 
 /// The i8 [`StepScorer`]: one per decode call, holding per-question state
@@ -145,7 +141,8 @@ impl StepScorer for QuantScorer<'_> {
         let w = &qm.store.get(model.q_proj.w).matrix; // [hidden, dim], transposed
         w.matvec_into(hq, gx);
         q_f32.clear();
-        q_f32.extend(gx.iter().zip(&qm.q_proj_b).map(|(v, b)| (v + b).tanh()));
+        q_f32.extend(gx.iter().zip(&qm.q_proj_b).map(|(v, b)| v + b));
+        math::tanh_in_place(q_f32);
         Tensor::from_row(q_f32.clone())
     }
 
@@ -176,11 +173,13 @@ impl StepScorer for QuantScorer<'_> {
         wz.matvec_into(xq, gx);
         uz.matvec_into(hq, gh);
         z.clear();
-        z.extend((0..hidden).map(|j| sigmoid(gx[j] + gh[j] + qm.bz[j])));
+        z.extend((0..hidden).map(|j| gx[j] + gh[j] + qm.bz[j]));
+        math::sigmoid_in_place(z);
         wr.matvec_into(xq, gx);
         ur.matvec_into(hq, gh);
         r.clear();
-        r.extend((0..hidden).map(|j| sigmoid(gx[j] + gh[j] + qm.br[j])));
+        r.extend((0..hidden).map(|j| gx[j] + gh[j] + qm.br[j]));
+        math::sigmoid_in_place(r);
 
         rh.clear();
         rh.extend((0..hidden).map(|j| r[j] * hs[j]));
@@ -188,11 +187,10 @@ impl StepScorer for QuantScorer<'_> {
 
         wh.matvec_into(xq, gx);
         uh.matvec_into(rhq, gh);
+        gx.iter_mut().zip(gh.iter()).zip(&qm.bh).for_each(|((a, c), b)| *a = *a + c + b);
+        math::tanh_in_place(gx);
         next.clear();
-        next.extend((0..hidden).map(|j| {
-            let cand = (gx[j] + gh[j] + qm.bh[j]).tanh();
-            (1.0 - z[j]) * hs[j] + z[j] * cand
-        }));
+        next.extend((0..hidden).map(|j| (1.0 - z[j]) * hs[j] + z[j] * gx[j]));
         Tensor::from_row(next.clone())
     }
 

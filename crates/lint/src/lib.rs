@@ -30,6 +30,10 @@ use std::path::{Path, PathBuf};
 pub const DETERMINISTIC_CRATES: &[&str] =
     &["core", "nn", "graph", "retrieval", "synth", "sqlengine", "eval"];
 
+/// Crates whose arithmetic routes and trains: their transcendentals are
+/// the first-party `dbcopilot_nn::math` functions, never the platform libm.
+const NUMERIC_CRATES: &[&str] = &["core", "nn"];
+
 /// Crates on the serving request path (a panic kills a worker).
 pub const SERVING_CRATES: &[&str] = &["http", "serve"];
 
@@ -79,6 +83,7 @@ pub fn scope_for(rel: &str) -> Option<Scope> {
             deterministic: DETERMINISTIC_CRATES.contains(&krate),
             serving: SERVING_CRATES.contains(&krate),
             runtime: krate == "runtime",
+            numeric: NUMERIC_CRATES.contains(&krate),
         });
     }
     if rel.starts_with("src/") {
@@ -153,9 +158,11 @@ mod tests {
     #[test]
     fn scope_classification() {
         let det = scope_for("crates/core/src/lib.rs").unwrap();
-        assert!(det.deterministic && !det.serving && !det.runtime);
+        assert!(det.deterministic && !det.serving && !det.runtime && det.numeric);
+        assert!(scope_for("crates/nn/src/math.rs").unwrap().numeric);
+        assert!(!scope_for("crates/synth/src/questioner.rs").unwrap().numeric);
         let srv = scope_for("crates/http/src/server.rs").unwrap();
-        assert!(srv.serving && !srv.deterministic);
+        assert!(srv.serving && !srv.deterministic && !srv.numeric);
         let rt = scope_for("crates/runtime/src/pool.rs").unwrap();
         assert!(rt.runtime);
         assert!(scope_for("vendor/rand/src/lib.rs").is_none());
@@ -181,6 +188,14 @@ mod tests {
                   // dbc-lint: allow(hashmap-iter-order): keys are sorted by the caller below\n\
                   m.keys().copied().collect() }\n";
         assert!(lint_source(ok, scope).is_empty());
+    }
+
+    #[test]
+    fn libm_calls_are_findings_only_in_numeric_crates() {
+        let src = "fn f(x: f32) -> f32 { x.exp() }\n";
+        let numeric = Scope { numeric: true, ..Scope::default() };
+        assert_eq!(lint_source(src, numeric).len(), 1);
+        assert!(lint_source(src, Scope { deterministic: true, ..Scope::default() }).is_empty());
     }
 
     #[test]

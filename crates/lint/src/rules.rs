@@ -29,6 +29,13 @@ pub const LOCK_ORDER: &str = "lock-order";
 /// built per product. `Tensor::matmul_nt` and the tape's `add_tn` form the
 /// same sums, in the same order, from the untransposed operand.
 pub const TRANSPOSED_OPERAND: &str = "transposed-operand";
+/// A platform-libm transcendental (`.exp()`, `.ln()`, `.tanh()`, …,
+/// `.powf(`, or a `f32::exp`-style path) in a crate that routes or trains:
+/// libm's bits differ between platforms and its calls do not vectorise.
+/// `dbcopilot_nn::math` has the first-party functions. A method of another
+/// type with a libm name is called with arguments (`tape.tanh(x)`) or by
+/// its path (`Tensor::tanh(&t)`).
+pub const LIBM_CALL: &str = "libm-call";
 /// Meta-rule for the pragmas themselves: malformed, unknown-rule, or
 /// justification-free pragmas. Not suppressible.
 pub const PRAGMA: &str = "pragma";
@@ -41,6 +48,7 @@ pub const ALL_RULES: &[&str] = &[
     NO_WALLCLOCK,
     LOCK_ORDER,
     TRANSPOSED_OPERAND,
+    LIBM_CALL,
 ];
 
 /// The declared lock-order ranking. Mirrors
@@ -72,6 +80,9 @@ pub struct Scope {
     pub serving: bool,
     /// The file is inside `dbcopilot-runtime` (owns thread spawning).
     pub runtime: bool,
+    /// Crate computes the router's arithmetic (nn/core): transcendentals
+    /// go through `dbcopilot_nn::math`, never the platform libm.
+    pub numeric: bool,
 }
 
 /// One rule violation at a source line.
@@ -101,6 +112,9 @@ pub fn check(lexed: &Lexed, scope: Scope) -> Vec<Finding> {
     }
     lock_order(toks, &test_mask, &mut findings);
     transposed_operand(toks, &test_mask, &mut findings);
+    if scope.numeric {
+        libm_call(toks, &test_mask, &mut findings);
+    }
 
     apply_pragmas(lexed, &mut findings);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -551,6 +565,43 @@ fn transposed_operand(toks: &[Tok], test: &[bool], out: &mut Vec<Finding>) {
                     "matmul with a freshly transposed {} operand: use `matmul_nt` (or the \
                      tape's `add_tn`), which sums in the same order without the copy",
                     if left { "left" } else { "right" }
+                ),
+            });
+        }
+    }
+}
+
+// -------------------------------------------------------------------
+// libm-call
+// -------------------------------------------------------------------
+
+/// The float methods that call libm; all but `powf` take no argument.
+const LIBM_FUNCTIONS: &[&str] =
+    &["exp", "exp_m1", "ln", "ln_1p", "log2", "log10", "tanh", "powf", "sin", "cos"];
+
+fn libm_call(toks: &[Tok], test: &[bool], out: &mut Vec<Finding>) {
+    for (i, t) in toks.iter().enumerate().skip(1) {
+        if test[i] || t.kind != TokKind::Ident || !LIBM_FUNCTIONS.contains(&t.text.as_str()) {
+            continue;
+        }
+        // `x.exp()`, `x.powf(` — or the path `f32::exp` / `f64::exp`,
+        // called or passed.
+        let arity_fits = t.is_ident("powf") || toks.get(i + 2).is_some_and(|n| n.is_punct(')'));
+        let method = toks[i - 1].is_punct('.')
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+            && arity_fits;
+        let path = i >= 3
+            && toks[i - 1].is_punct(':')
+            && toks[i - 2].is_punct(':')
+            && (toks[i - 3].is_ident("f32") || toks[i - 3].is_ident("f64"));
+        if method || path {
+            out.push(Finding {
+                rule: LIBM_CALL,
+                line: t.line,
+                message: format!(
+                    "`{}` calls the platform libm: its bits differ between libms and the call \
+                     does not vectorise — use `dbcopilot_nn::math`",
+                    t.text
                 ),
             });
         }

@@ -9,9 +9,13 @@
 use dbcopilot_lint::lint_source;
 use dbcopilot_lint::rules::{self, Scope};
 
-const DETERMINISTIC: Scope = Scope { deterministic: true, serving: false, runtime: false };
-const SERVING: Scope = Scope { deterministic: false, serving: true, runtime: false };
-const DEFAULT: Scope = Scope { deterministic: false, serving: false, runtime: false };
+const DETERMINISTIC: Scope =
+    Scope { deterministic: true, serving: false, runtime: false, numeric: false };
+const SERVING: Scope =
+    Scope { deterministic: false, serving: true, runtime: false, numeric: false };
+const DEFAULT: Scope =
+    Scope { deterministic: false, serving: false, runtime: false, numeric: false };
+const NUMERIC: Scope = Scope { deterministic: true, serving: false, runtime: false, numeric: true };
 
 struct Fixture {
     file: &'static str,
@@ -67,6 +71,11 @@ const FIXTURES: &[Fixture] = &[
         &[rules::TRANSPOSED_OPERAND, rules::TRANSPOSED_OPERAND]
     ),
     fixture!("good_matmul_nt.rs", DEFAULT, &[]),
+    // libm-call
+    fixture!("bad_libm_sigmoid.rs", NUMERIC, &[rules::LIBM_CALL]),
+    fixture!("bad_libm_log_softmax.rs", NUMERIC, &[rules::LIBM_CALL, rules::LIBM_CALL]),
+    fixture!("bad_libm_path.rs", NUMERIC, &[rules::LIBM_CALL]),
+    fixture!("good_first_party_math.rs", NUMERIC, &[]),
     // pragmas
     fixture!("good_pragma_justified.rs", SERVING, &[]),
     fixture!("bad_pragma_unjustified.rs", SERVING, &[rules::PANIC_FREE_SERVING, rules::PRAGMA]),
@@ -74,7 +83,7 @@ const FIXTURES: &[Fixture] = &[
     // lexer inertness
     fixture!(
         "good_inert_text.rs",
-        Scope { deterministic: true, serving: true, runtime: false },
+        Scope { deterministic: true, serving: true, runtime: false, numeric: true },
         &[]
     ),
 ];

@@ -121,7 +121,7 @@ proptest! {
         }
         // And the full analyzer, under every rule family at once, must
         // find nothing to complain about.
-        let scope = Scope { deterministic: true, serving: true, runtime: false };
+        let scope = Scope { deterministic: true, serving: true, runtime: false, numeric: true };
         let findings = lint_source(&src, scope);
         prop_assert!(
             findings.is_empty(),

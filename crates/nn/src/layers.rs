@@ -9,6 +9,7 @@
 use rand::rngs::SmallRng;
 
 use crate::init::xavier_uniform;
+use crate::math;
 use crate::optim::{ParamId, ParamStore};
 use crate::tape::{Tape, ValId};
 use crate::tensor::{matmul_into, Tensor};
@@ -192,7 +193,9 @@ impl GruCell {
     /// `scratch` and `out` have held a step of this width. The six products
     /// run on the kernel [`Tensor::matmul`] runs, and every element is
     /// rounded exactly as the tensor-per-operation composition rounds it:
-    /// `((x·W + h·U) + b)`, `1/(1+exp(-v))`, `tanh`, `(1−z)·h + z·h̃`.
+    /// `((x·W + h·U) + b)`, [`math::sigmoid`], [`math::tanh`],
+    /// `(1−z)·h + z·h̃`. Each gate's pre-activations are written first and
+    /// then passed through the vectorised nonlinearity in place.
     ///
     /// # Panics
     /// Panics unless `x` has `in_dim` elements and `h` has `hidden`.
@@ -211,24 +214,20 @@ impl GruCell {
             product(xw, x, store.value(w));
             product(hu, h, store.value(u));
             gate.clear();
-            gate.extend(
-                xw.iter().zip(hu.iter()).zip(bias(b)).map(|((a, c), b)| sigmoid(a + c + b)),
-            );
+            gate.extend(xw.iter().zip(hu.iter()).zip(bias(b)).map(|((a, c), b)| a + c + b));
         };
         gate(z, self.wz, self.uz, self.bz);
+        math::sigmoid_in_place(z);
         gate(r, self.wr, self.ur, self.br);
+        math::sigmoid_in_place(r);
         rh.clear();
         rh.extend(r.iter().zip(h).map(|(r, h)| r * h));
         product(xw, x, store.value(self.wh));
         product(hu, rh, store.value(self.uh));
+        xw.iter_mut().zip(hu.iter()).zip(bias(self.bh)).for_each(|((a, c), b)| *a = *a + c + b);
+        math::tanh_in_place(xw);
         out.clear();
-        out.extend(
-            xw.iter()
-                .zip(hu.iter())
-                .zip(bias(self.bh))
-                .zip(z.iter().zip(h))
-                .map(|(((a, c), b), (z, h))| (1.0 - z) * h + z * (a + c + b).tanh()),
-        );
+        out.extend(xw.iter().zip(z.iter().zip(h)).map(|(cand, (z, h))| (1.0 - z) * h + z * cand));
     }
 
     /// The step as it stood before [`GruCell::infer_into`], one tensor per
@@ -266,11 +265,6 @@ fn product(out: &mut Vec<f32>, a: &[f32], w: &Tensor) {
     out.clear();
     out.resize(w.cols(), 0.0);
     matmul_into(out, a, w.as_slice(), w.rows(), w.cols());
-}
-
-#[inline]
-fn sigmoid(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
 }
 
 #[cfg(test)]

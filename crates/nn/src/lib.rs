@@ -9,6 +9,8 @@
 //! * [`layers`] — `Linear`, `Embedding`, `GruCell`, each with a tape-free
 //!   inference path for beam search;
 //! * [`optim`] — `ParamStore`, `AdamW` (lazy sparse updates);
+//! * [`math`] — first-party `exp` / `sigmoid` / `tanh` / `ln`, scalar and
+//!   AVX2 bit-identical;
 //! * [`init`] — seeded Xavier initialization;
 //! * [`gradcheck`] — finite-difference validation used across the workspace;
 //! * [`quant`] — read-only per-row i8 quantization of a frozen `ParamStore`
@@ -28,6 +30,7 @@ pub mod codec;
 pub mod gradcheck;
 pub mod init;
 pub mod layers;
+pub mod math;
 pub mod optim;
 #[cfg(test)]
 mod oracle;

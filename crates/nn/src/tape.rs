@@ -18,6 +18,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::math;
 use crate::optim::{ParamId, ParamStore};
 use crate::tensor::{add_tn, log_softmax, Tensor};
 
@@ -386,7 +387,7 @@ impl Tape {
     }
 
     pub fn tanh(&mut self, a: ValId) -> ValId {
-        let out = self.value(a).tanh();
+        let out = Tensor::tanh(self.value(a));
         self.push(out, Op::Tanh(a), &[a])
     }
 
@@ -460,8 +461,9 @@ impl Tape {
             assert!(t < lv.cols(), "target class out of range");
             let ls = log_softmax(lv.row(r));
             loss -= ls[t];
-            probs.extend(ls.iter().map(|&v| v.exp()));
+            probs.extend_from_slice(&ls);
         }
+        math::exp_in_place(&mut probs);
         loss /= targets.len() as f32;
         let op = Op::CrossEntropy { logits, targets: targets.to_vec(), probs };
         self.push(Tensor::from_vec(1, 1, vec![loss]), op, &[logits])
@@ -508,7 +510,7 @@ impl Tape {
         let z = pre(wz, hv, uz, bz).sigmoid();
         let r = pre(wr, hv, ur, br).sigmoid();
         let rh = r.mul_elem(hv);
-        let cand = pre(wh, &rh, uh, bh).tanh();
+        let cand = Tensor::tanh(&pre(wh, &rh, uh, bh));
         let out = z.map(|v| 1.0 - v).mul_elem(hv).add(&z.mul_elem(&cand));
         let mut inputs = vec![x, h];
         inputs.extend(w);
@@ -696,8 +698,10 @@ fn backward_op(op: &Op, g: &Tensor, values: &[Tensor], i: usize, mut slots: Slot
 /// and the softmax itself.
 fn nll_and_probs(logits: &[f32], target: usize) -> (f32, Vec<f32>) {
     assert!(target < logits.len(), "target class out of range");
-    let ls = log_softmax(logits);
-    (-ls[target], ls.iter().map(|&v| v.exp()).collect())
+    let mut probs = log_softmax(logits);
+    let nll = -probs[target];
+    math::exp_in_place(&mut probs);
+    (nll, probs)
 }
 
 /// `(softmax − onehot(target)) · scale` for every `cols`-wide row.

@@ -15,6 +15,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::math;
+
 /// A dense row-major matrix of `f32`.
 #[derive(Clone)]
 pub struct Tensor {
@@ -212,6 +214,13 @@ impl Tensor {
         Tensor::from_vec(self.rows, self.cols, self.data.iter().map(|&v| f(v)).collect())
     }
 
+    /// A copy with the in-place slice function `f` run over its data.
+    fn apply(&self, f: fn(&mut [f32])) -> Tensor {
+        let mut data = self.data.to_vec();
+        f(&mut data);
+        Tensor::from_vec(self.rows, self.cols, data)
+    }
+
     fn zip_map(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         let data = self.data.iter().zip(rhs.data.iter()).map(|(&a, &b)| f(a, b)).collect();
         Tensor::from_vec(self.rows, self.cols, data)
@@ -226,12 +235,14 @@ impl Tensor {
         }
     }
 
+    /// Element-wise [`math::tanh`].
     pub fn tanh(&self) -> Tensor {
-        self.map(f32::tanh)
+        self.apply(math::tanh_in_place)
     }
 
+    /// Element-wise [`math::sigmoid`].
     pub fn sigmoid(&self) -> Tensor {
-        self.map(|v| 1.0 / (1.0 + (-v).exp()))
+        self.apply(math::sigmoid_in_place)
     }
 
     pub fn relu(&self) -> Tensor {
@@ -350,29 +361,35 @@ fn dots<const N: usize>(a: &[f32], b: &[f32]) -> [f32; N] {
     acc
 }
 
-/// Defines `$name` as the `#[inline(always)]` loop nest `$body`, run from a
-/// copy compiled with AVX2 where the CPU has it (the runtime detection
-/// `quant` uses). Lanes are independent outputs and the `avx2` feature
-/// cannot fuse `mul` with `add`, so both copies give the same bits;
-/// `wide_kernels_match_portable_ones` holds them to it.
+/// Defines `fn $name($args)` as the `#[inline(always)]` body `$body`, run
+/// from a copy compiled with AVX2 where the CPU has it (the runtime
+/// detection `quant` uses). Lanes are independent outputs and the `avx2`
+/// feature cannot fuse `mul` with `add`, so both copies give the same bits;
+/// `wide_kernels_match_portable_ones` and `crate::math`'s tests hold them
+/// to it.
 macro_rules! at_widest {
-    ($name:ident = $body:ident) => {
-        pub(crate) fn $name(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+    ($vis:vis fn $name:ident($($arg:ident: $ty:ty),*) = $body:ident) => {
+        $vis fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
                 #[target_feature(enable = "avx2")]
-                unsafe fn wide(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-                    $body(dst, a, b, k, n)
+                unsafe fn wide($($arg: $ty),*) {
+                    $body($($arg),*)
                 }
                 // SAFETY: AVX2 support was just verified at runtime.
-                return unsafe { wide(dst, a, b, k, n) };
+                return unsafe { wide($($arg),*) };
             }
-            $body(dst, a, b, k, n)
+            $body($($arg),*)
         }
     };
 }
-at_widest!(matmul_into = matmul_body);
-at_widest!(add_tn_into = add_tn_body);
+pub(crate) use at_widest;
+
+at_widest!(
+    pub(crate) fn matmul_into(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize)
+        = matmul_body
+);
+at_widest!(fn add_tn_into(dst: &mut [f32], a: &[f32], g: &[f32], k: usize, n: usize) = add_tn_body);
 
 /// `out[m×n] = a[m×k] × b[k×n]` over zeroed `out`, in blocks of output
 /// columns whose sums over `k` stay in registers (a read-modify-write of
@@ -454,17 +471,16 @@ fn add_tn_body(dst: &mut [f32], a: &[f32], g: &[f32], k: usize, n: usize) {
     }
 }
 
-/// Numerically stable in-place softmax of a slice.
+/// Numerically stable in-place softmax of a slice: `exp(v − max)`, summed
+/// in index order from `+0.0`, each divided by the sum.
 pub fn softmax_in_place(row: &mut [f32]) {
     if row.is_empty() {
         return;
     }
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
+    row.iter_mut().for_each(|v| *v -= max);
+    math::exp_in_place(row);
+    let sum = row.iter().fold(0.0f32, |s, &v| s + v);
     if sum > 0.0 {
         for v in row.iter_mut() {
             *v /= sum;
@@ -472,11 +488,17 @@ pub fn softmax_in_place(row: &mut [f32]) {
     }
 }
 
-/// Numerically stable log-softmax of a slice into a new vector.
+/// Numerically stable log-softmax of a slice into a new vector:
+/// `v − max − ln Σ exp(v − max)`, the sum in index order from `+0.0`. The
+/// exponentials are formed in the output, which then receives each
+/// `v − max − log_sum` from the input row.
 pub fn log_softmax(row: &[f32]) -> Vec<f32> {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let log_sum: f32 = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
-    row.iter().map(|&v| v - max - log_sum).collect()
+    let mut out: Vec<f32> = row.iter().map(|&v| v - max).collect();
+    math::exp_in_place(&mut out);
+    let log_sum = math::ln(out.iter().fold(0.0f32, |s, &v| s + v));
+    out.iter_mut().zip(row).for_each(|(o, &v)| *o = v - max - log_sum);
+    out
 }
 
 #[cfg(test)]

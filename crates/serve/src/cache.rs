@@ -14,7 +14,8 @@ use std::collections::HashMap;
 const NIL: usize = usize::MAX;
 
 /// Normalize a question into its cache key: lowercase, whitespace
-/// collapsed, trailing sentence punctuation dropped.
+/// collapsed, any trailing run of sentence punctuation and spaces dropped.
+/// Normalizing a key again leaves it unchanged.
 ///
 /// ```
 /// use dbcopilot_serve::normalize_question;
@@ -33,10 +34,7 @@ pub fn normalize_question(question: &str) -> String {
             out.extend(ch.to_lowercase());
         }
     }
-    while out.ends_with(['?', '.', '!']) {
-        out.pop();
-    }
-    while out.ends_with(' ') {
+    while out.ends_with(['?', '.', '!', ' ']) {
         out.pop();
     }
     out
@@ -321,5 +319,40 @@ mod tests {
             assert_eq!(normalize_question(q), "how many singers are there");
         }
         assert_eq!(normalize_question("???"), "");
+        assert_eq!(normalize_question("What? ."), normalize_question("What?"));
+        assert_eq!(normalize_question("how many singers ? !"), "how many singers");
+    }
+
+    /// A question drawn from letters of both cases, digits, punctuation
+    /// and whitespace; characters that lowercase to more than one
+    /// (`İ`) or come from outside ASCII (`É`) included.
+    fn question(state: &mut u64, len: usize) -> String {
+        const ALPHABET: [char; 16] =
+            ['a', 'B', 'z', 'Q', '7', ' ', '\t', '\n', '?', '.', '!', ',', '\'', 'É', 'İ', 'ß'];
+        (0..len).map(|_| ALPHABET[proptest::next_state(state) as usize % ALPHABET.len()]).collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A cache key is a fixed point of the normalization, and any
+        /// trailing mixture of `?`, `.`, `!` and whitespace normalizes to
+        /// the key of the question without it.
+        #[test]
+        fn normalization_is_idempotent_and_ignores_trailing_punctuation(seed in 0u64..1_000_000) {
+            let mut state = seed;
+            let len = (proptest::next_state(&mut state) % 24) as usize;
+            let q = question(&mut state, len);
+            let key = normalize_question(&q);
+            prop_assert_eq!(normalize_question(&key), key.clone(), "{:?}", q);
+            const TAIL: [char; 6] = ['?', '.', '!', ' ', '\t', '\n'];
+            let tail_len = (proptest::next_state(&mut state) % 6) as usize;
+            let tail: String = (0..tail_len)
+                .map(|_| TAIL[proptest::next_state(&mut state) as usize % TAIL.len()])
+                .collect();
+            prop_assert_eq!(normalize_question(&format!("{q}{tail}")), key, "{:?} + {:?}", q, tail);
+        }
     }
 }
