@@ -58,30 +58,27 @@ pub struct ConstraintTables {
 impl ConstraintTables {
     /// # Panics
     /// Panics if a database or table name of `graph` has a piece outside
-    /// `vocab` (a vocabulary built from the same graph has them all).
+    /// `vocab`, which [`PieceVocab::build`] of the same graph never leaves
+    /// out.
     pub fn build(graph: &SchemaGraph, vocab: &PieceVocab) -> Self {
-        Self::try_build(graph, vocab)
-            .unwrap_or_else(|name| panic!("name pieces of {name:?} must be in vocab"))
-    }
-
-    /// [`Self::build`] for a pair that did not come from one graph (a loaded
-    /// bundle): `Err` is the first database or table name of `graph` with a
-    /// piece outside `vocab`.
-    pub(crate) fn try_build(graph: &SchemaGraph, vocab: &PieceVocab) -> Result<Self, String> {
-        let encode =
-            |node| vocab.encode_name(graph.name(node)).ok_or_else(|| graph.name(node).to_string());
+        let encode = |node| {
+            let name = graph.name(node);
+            vocab
+                .encode_name(name)
+                .unwrap_or_else(|| panic!("name pieces of {name:?} must be in vocab"))
+        };
         let mut db_trie = Trie::new();
         let mut tables_of: Vec<Vec<TableName>> = Vec::new();
         tables_of.resize_with(graph.num_nodes(), Vec::new);
         let mut related = vec![Vec::new(); graph.num_nodes()];
         for db in graph.database_nodes() {
-            db_trie.insert(&encode(db)?, db);
+            db_trie.insert(&encode(db), db);
             for t in graph.tables_of(db) {
-                tables_of[db.0 as usize].push(TableName { seq: encode(t)?, node: t });
+                tables_of[db.0 as usize].push(TableName { seq: encode(t), node: t });
                 related[t.0 as usize] = graph.related_tables(t);
             }
         }
-        Ok(ConstraintTables { db_trie, tables_of, related })
+        ConstraintTables { db_trie, tables_of, related }
     }
 }
 

@@ -90,8 +90,8 @@ pub struct RouterModel {
     pub out_emb: Embedding,
     pub cfg: RouterConfig,
     /// Frozen i8 weights for the `RoutePrecision::I8` hot path; `None`
-    /// until [`RouterModel::freeze_quant`] (or a `QNT8` codec load)
-    /// attaches them.
+    /// until [`RouterModel::freeze_quant`] freezes them from `store`. Never
+    /// persisted: a loaded router re-freezes on `set_precision(I8)`.
     pub quant: Option<crate::qmodel::QuantRouterModel>,
     /// World knowledge of the pretrained backbone (T5 in the paper): used
     /// only to canonicalize question tokens into extra input features.

@@ -5,7 +5,7 @@
 //! provides both halves:
 //!
 //! * one byte-level save/load pair per bundle kind, so a trained router
-//!   (weights, vocabulary, graph, config) serves without retraining:
+//!   (weights, graph, config) serves without retraining:
 //!   [`router_to_vec`]/[`load_router_slice`] for a monolithic router (and
 //!   each shard's payload), [`sharded_router_to_vec`]/
 //!   [`load_sharded_router_bytes`] for the sharded tier. Files are
@@ -28,7 +28,6 @@ use dbcopilot_graph::SchemaGraph;
 use dbcopilot_nn::codec::{self, Section};
 pub use dbcopilot_nn::serialize::PersistError;
 use dbcopilot_nn::ParamStore;
-use dbcopilot_nn::QuantizedStore;
 use dbcopilot_nn::Tensor;
 use dbcopilot_sqlengine::Collection;
 use dbcopilot_synth::Questioner;
@@ -42,8 +41,6 @@ use crate::vocab::PieceVocab;
 
 /// Router hyper-parameter section (JSON payload).
 const SEC_CONFIG: [u8; 4] = *b"RCFG";
-/// Piece-vocabulary section (JSON payload).
-const SEC_VOCAB: [u8; 4] = *b"VOCB";
 /// Schema-graph section (JSON payload).
 const SEC_GRAPH: [u8; 4] = *b"GRPH";
 /// Sharded-bundle manifest section: shard count, per-shard database names
@@ -54,31 +51,27 @@ const SEC_SHARDS: [u8; 4] = *b"SHRD";
 /// container; empty shards contribute zero bytes).
 const SEC_SHARD_BUNDLES: [u8; 4] = *b"SBDL";
 
-/// Encode a router as a `DBC1` binary bundle. Weight bits are preserved
-/// exactly; the config/vocab/graph sections are JSON payloads (they hold no
-/// weights and are dwarfed by the parameter section).
+/// Encode a router as a `DBC1` binary bundle of what cannot be derived:
+/// config, graph and f32 weights. Weight bits are preserved exactly; the
+/// config and graph sections are JSON payloads (they hold no weights and are
+/// dwarfed by the parameter section). The vocabulary is rebuilt from the
+/// graph on load, and i8 weights are frozen from the f32 ones on
+/// `set_precision(I8)`.
 pub fn router_to_vec(router: &DbcRouter) -> Result<Vec<u8>, PersistError> {
-    let mut sections = vec![
+    Ok(codec::encode_container(&[
         Section::new(SEC_CONFIG, serde_json::to_vec(&router.model.cfg)?),
-        Section::new(SEC_VOCAB, serde_json::to_vec(&router.vocab)?),
         Section::new(SEC_GRAPH, serde_json::to_vec(&router.graph)?),
         Section::new(codec::SEC_PARAMS, codec::encode_store_section(&router.model.store)),
-    ];
-    // Frozen quantized weights ride along in an optional `QNT8` section so
-    // the loaded bundle serves at I8 with zero re-quantization. Pre-QNT8
-    // readers skip unknown sections; pre-QNT8 bundles simply lack it.
-    if let Some(qm) = &router.model.quant {
-        sections.push(Section::new(codec::SEC_QUANT, codec::encode_quant_section(qm.store())));
-    }
-    Ok(codec::encode_container(&sections))
+    ]))
 }
 
-/// Deserialize a router from a byte buffer.
+/// Deserialize a router from a byte buffer. Sections with other tags are
+/// skipped unread.
 pub fn load_router_slice(bytes: &[u8]) -> Result<DbcRouter, PersistError> {
     let sections = codec::decode_container(bytes)?;
     // A sharded manifest is a different artifact kind, not a broken
     // monolithic bundle: refuse it with a pointer to the right loader
-    // instead of failing on a "missing" VOCB section.
+    // instead of failing on a "missing" GRPH section.
     if codec::find_section(&sections, SEC_SHARDS)?.is_some() {
         return Err(PersistError::Corrupt(
             "sharded (SHRD) router bundle: load it with load_sharded_router_bytes".to_string(),
@@ -86,44 +79,26 @@ pub fn load_router_slice(bytes: &[u8]) -> Result<DbcRouter, PersistError> {
     }
     let cfg: RouterConfig =
         serde_json::from_slice(&codec::require_section(&sections, SEC_CONFIG)?.bytes)?;
-    let vocab: PieceVocab =
-        serde_json::from_slice(&codec::require_section(&sections, SEC_VOCAB)?.bytes)?;
     let graph: SchemaGraph =
         serde_json::from_slice(&codec::require_section(&sections, SEC_GRAPH)?.bytes)?;
     let store =
         codec::decode_store_section(&codec::require_section(&sections, codec::SEC_PARAMS)?.bytes)?;
-    // `QNT8` is optional: pre-quantization bundles load fine and serve at
-    // F32 (I8 re-freezes from the f32 weights on demand).
-    let quant = match codec::find_section(&sections, codec::SEC_QUANT)? {
-        Some(sec) => Some(codec::decode_quant_section(&sec.bytes)?),
-        None => None,
-    };
 
+    // A graph whose own indices disagree is a broken bundle, not an index
+    // out of range in the vocabulary and table builds that walk it below.
+    graph.validate().map_err(|why| PersistError::Corrupt(format!("graph: {why}")))?;
+    let vocab = PieceVocab::build(&graph);
     // `cfg` is untrusted JSON and `RouterModel::new` allocates and
     // random-initialises every tensor it implies, so it is held against the
     // decoded store — whose size the bytes present have already proven —
     // *before* anything is built from it. The layer structs hold ParamIds
     // bound during `new`, so a store that differed in names, order or shapes
-    // would have those ids silently address the wrong tensors.
+    // would have those ids silently address the wrong tensors; the
+    // embedding rows must number exactly the graph's vocabulary.
     validate_config(&cfg, vocab.len(), &store)?;
     let mut model = RouterModel::new(cfg, vocab.len());
     model.store = store;
-    if let Some(qs) = quant {
-        // The quantized store is addressed by the same ParamIds, so it must
-        // mirror the f32 layout entry for entry — including the transposed
-        // orientation the scorer assumes for matvec weights.
-        validate_quant_layout(&model.store, &qs)?;
-        let attached = crate::qmodel::QuantRouterModel::attach(&model, qs);
-        model.quant = Some(attached);
-    }
-    // `GRPH` and `VOCB` are separate sections of untrusted bytes: a graph
-    // whose own indices disagree, or that names something the vocabulary
-    // cannot spell, is a broken bundle — not an index out of range on
-    // every route that touches it.
-    graph.validate().map_err(|why| PersistError::Corrupt(format!("graph: {why}")))?;
-    let tables = ConstraintTables::try_build(&graph, &vocab).map_err(|name| {
-        PersistError::Corrupt(format!("graph names {name:?}, which the vocabulary cannot spell"))
-    })?;
+    let tables = ConstraintTables::build(&graph, &vocab);
     Ok(DbcRouter::assemble(model, vocab, graph, tables))
 }
 
@@ -397,44 +372,6 @@ fn validate_config(
     Ok(())
 }
 
-/// Verify that a loaded `QNT8` store mirrors the f32 store: same entries in
-/// the same order, each with the orientation the quant scorer assumes and
-/// the shape that orientation implies.
-fn validate_quant_layout(store: &ParamStore, qs: &QuantizedStore) -> Result<(), PersistError> {
-    if qs.len() != store.len() {
-        return Err(PersistError::Corrupt(format!(
-            "quantized store has {} entries, f32 store has {}",
-            qs.len(),
-            store.len()
-        )));
-    }
-    for ((name, value), entry) in store.iter_values().zip(qs.entries()) {
-        if entry.name != name {
-            return Err(PersistError::Corrupt(format!(
-                "quantized entry {:?} out of order, expected {name:?}",
-                entry.name
-            )));
-        }
-        let want_t = crate::qmodel::stored_transposed(name);
-        if entry.transposed != want_t {
-            return Err(PersistError::Corrupt(format!(
-                "quantized entry {name:?} transposed={}, scorer expects {want_t}",
-                entry.transposed
-            )));
-        }
-        let (rows, cols) = value.shape();
-        let want = if want_t { (cols, rows) } else { (rows, cols) };
-        if (entry.matrix.rows(), entry.matrix.cols()) != want {
-            return Err(PersistError::Corrupt(format!(
-                "quantized entry {name:?} has shape ({}, {}), expected {want:?}",
-                entry.matrix.rows(),
-                entry.matrix.cols()
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Rejection-sampling attempts allowed per requested example before
 /// [`extend_router`] bails with whatever it has gathered. A new database
 /// that is a `1/r` fraction of the graph needs ~`r` attempts per accepted
@@ -639,7 +576,6 @@ mod tests {
     fn bundle_with_store(router: &DbcRouter, store: &ParamStore) -> Vec<u8> {
         codec::encode_container(&[
             Section::new(SEC_CONFIG, serde_json::to_vec(&router.model.cfg).unwrap()),
-            Section::new(SEC_VOCAB, serde_json::to_vec(&router.vocab).unwrap()),
             Section::new(SEC_GRAPH, serde_json::to_vec(&router.graph).unwrap()),
             Section::new(codec::SEC_PARAMS, codec::encode_store_section(store)),
         ])
@@ -667,8 +603,8 @@ mod tests {
     #[test]
     fn bundle_bytes_are_reproducible() {
         // Enough names that two hash-ordered maps would almost surely
-        // disagree: the `GRPH` and `VOCB` sections serialize name maps and
-        // must not depend on their iteration order.
+        // disagree: the `GRPH` section serializes name maps and must not
+        // depend on their iteration order.
         let mut c = Collection::new();
         for i in 0..12 {
             let mut d = DatabaseSchema::new(format!("db_{i}"));
@@ -691,61 +627,83 @@ mod tests {
         assert!(bundle() == bundle(), "two saves of the same router differ");
     }
 
+    /// Every candidate of `router.route_schemata` for `questions`: database,
+    /// tables and the `logp` bits.
+    fn candidate_bits(router: &DbcRouter, questions: &[&str]) -> Vec<(String, Vec<String>, u32)> {
+        questions
+            .iter()
+            .flat_map(|q| router.route_schemata(q))
+            .map(|d| (d.schema.database, d.schema.tables, d.logp.to_bits()))
+            .collect()
+    }
+
+    /// A vocabulary's pieces in id order.
+    fn pieces(vocab: &PieceVocab) -> Vec<&str> {
+        (0..vocab.len() as u32).filter_map(|sym| vocab.text_of(sym)).collect()
+    }
+
+    /// The tags of a bundle's sections, in order.
+    fn tags(bundle: &[u8]) -> Vec<[u8; 4]> {
+        codec::decode_container(bundle).unwrap().iter().map(|s| s.tag).collect()
+    }
+
     #[test]
-    fn quantized_bundle_roundtrips_bit_exactly_and_sizes_match() {
+    fn a_reload_rebuilds_the_saved_vocabulary_piece_for_piece() {
+        let mut routers = vec![Arc::new(trained_router())];
+        routers.extend(sharded_tier().slots().iter().filter_map(|s| s.router().cloned()));
+        let questioner = Questioner::train(
+            &[dbcopilot_synth::TrainPair {
+                entities: vec!["book".into()],
+                attrs: vec![],
+                question: "list the volumes".into(),
+            }],
+            &dbcopilot_synth::QuestionerConfig::default(),
+        );
+        let meta = dbcopilot_synth::CorpusMeta::default();
+        let (extended, _) =
+            extend_router(&routers[0], &collection(true), &meta, &questioner, 12, 1).unwrap();
+        assert!(extended.vocab.id_of("library").is_some());
+        routers.push(Arc::new(extended));
+        assert_eq!(routers.len(), 1 + 3 + 1, "a monolith, three non-empty shards, an extend");
+        for router in &routers {
+            let bundle = router_to_vec(router).unwrap();
+            assert_eq!(tags(&bundle), [SEC_CONFIG, SEC_GRAPH, codec::SEC_PARAMS]);
+            let loaded = load_router_slice(&bundle).unwrap();
+            assert_eq!(pieces(&loaded.vocab), pieces(&router.vocab));
+        }
+    }
+
+    #[test]
+    fn a_router_saved_at_i8_refreezes_to_the_same_routes() {
         use dbcopilot_retrieval::{PrecisionSwitch, RoutePrecision};
         let mut router = trained_router();
         router.set_precision(RoutePrecision::I8);
-        let before = router.best_schema("how many vocalists").unwrap();
+        let want = candidate_bits(&router, &QUESTIONS);
 
         let buf = router_to_vec(&router).unwrap();
-        assert_eq!(buf.len(), router.size_bytes(), "size accounting must include the QNT8 section");
-
+        assert_eq!(buf.len(), router.size_bytes());
         let mut loaded = load_router_slice(&buf).unwrap();
-        let qm = loaded.model.quant.as_ref().expect("QNT8 section must load");
-        let orig = router.model.quant.as_ref().unwrap();
-        assert_eq!(qm.store(), orig.store(), "quantized weights must round-trip bit-exactly");
-
-        // The loaded bundle serves at I8 with identical decisions — zero
-        // re-quantization means zero drift.
+        assert!(loaded.model.quant.is_none(), "i8 weights are not persisted");
         loaded.set_precision(RoutePrecision::I8);
-        let after = loaded.best_schema("how many vocalists").unwrap();
-        assert!(before.same_as(&after), "{before} vs {after}");
+        let frozen = |r: &DbcRouter| r.model.quant.as_ref().unwrap().store().clone();
+        assert_eq!(frozen(&loaded), frozen(&router));
+        assert_eq!(candidate_bits(&loaded, &QUESTIONS), want);
     }
 
     #[test]
-    fn pre_qnt8_bundle_still_loads() {
-        // A bundle saved before quantization existed has only the four
-        // original sections; it must load and serve (forward compat), with
-        // no quantized weights attached.
+    fn garbage_under_the_retired_vocb_and_qnt8_tags_is_never_read() {
+        use dbcopilot_retrieval::{PrecisionSwitch, RoutePrecision};
         let router = trained_router();
-        assert!(router.model.quant.is_none());
-        let loaded = load_router_slice(&router_to_vec(&router).unwrap()).unwrap();
-        assert!(loaded.model.quant.is_none());
-        assert!(loaded.best_schema("how many vocalists").is_some());
-    }
-
-    #[test]
-    fn qnt8_with_wrong_orientation_is_corrupt() {
-        use dbcopilot_nn::QuantizedStore;
-        let mut router = trained_router();
-        router.model.freeze_quant();
-        // Re-freeze with every entry untransposed: shapes stay valid f32
-        // shapes but the matvec weights no longer match the scorer's layout.
-        let bad = QuantizedStore::freeze(&router.model.store, |_| false);
-        let sections = vec![
-            Section::new(SEC_CONFIG, serde_json::to_vec(&router.model.cfg).unwrap()),
-            Section::new(SEC_VOCAB, serde_json::to_vec(&router.vocab).unwrap()),
-            Section::new(SEC_GRAPH, serde_json::to_vec(&router.graph).unwrap()),
-            Section::new(codec::SEC_PARAMS, codec::encode_store_section(&router.model.store)),
-            Section::new(codec::SEC_QUANT, codec::encode_quant_section(&bad)),
-        ];
-        let bytes = codec::encode_container(&sections);
-        match load_router_slice(&bytes) {
-            Err(PersistError::Corrupt(msg)) => {
-                assert!(msg.contains("transposed"), "{msg}")
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
+        let clean = router_to_vec(&router).unwrap();
+        let mut sections = codec::decode_container(&clean).unwrap();
+        sections.insert(1, Section::new(*b"VOCB", b"{not json".to_vec()));
+        sections.push(Section::new(*b"QNT8", vec![0xff; 13]));
+        let noisy = codec::encode_container(&sections);
+        for precision in [RoutePrecision::F32, RoutePrecision::I8] {
+            let [mut a, mut b] = [&clean, &noisy].map(|bytes| load_router_slice(bytes).unwrap());
+            a.set_precision(precision);
+            b.set_precision(precision);
+            assert_eq!(candidate_bits(&b, &QUESTIONS), candidate_bits(&a, &QUESTIONS));
         }
     }
 
@@ -890,22 +848,55 @@ mod tests {
         panic.downcast_ref::<String>().expect("a formatted PersistError").clone()
     }
 
-    #[test]
-    fn graph_naming_what_the_vocabulary_cannot_spell_is_corrupt_not_a_panic() {
-        let good = router_to_vec(&trained_router()).unwrap();
-        let mut sections = codec::decode_container(&good).unwrap();
+    /// `bundle` with `from` replaced by `to` in its `GRPH` JSON.
+    fn with_graph_text(bundle: &[u8], from: &str, to: &str) -> Vec<u8> {
+        let mut sections = codec::decode_container(bundle).unwrap();
         let graph = sections.iter_mut().find(|s| s.tag == SEC_GRAPH).expect("GRPH section");
         let json = String::from_utf8(graph.bytes.to_vec()).unwrap();
-        assert!(json.contains("\"city\""), "the table to rename is in the graph");
-        *graph.bytes.to_mut() = json.replace("\"city\"", "\"citadel\"").into_bytes();
-        let hostile = codec::encode_container(&sections);
+        assert!(json.contains(from), "{from} is not in {json}");
+        *graph.bytes.to_mut() = json.replace(from, to).into_bytes();
+        codec::encode_container(&sections)
+    }
 
-        match load_router_slice(&hostile) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("citadel"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
+    #[test]
+    fn graph_whose_vocabulary_disagrees_with_the_embeddings_is_corrupt_not_a_panic() {
+        use dbcopilot_retrieval::SchemaRouter;
+        let good = router_to_vec(&trained_router()).unwrap();
+        // The vocabulary rebuilt from the graph has one symbol more (a new
+        // piece beside `city`), or one fewer (`city` gone, `world` already
+        // held), than `PARM` has embedding rows.
+        for to in ["city_hall", "world"] {
+            let hostile = with_graph_text(&good, "\"city\"", &format!("\"{to}\""));
+            let what = "parameter \"dec_emb.weight\" has shape";
+            match load_router_slice(&hostile) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(what), "{to}: {msg}"),
+                other => panic!("{to}: expected Corrupt, got {other:?}"),
+            }
+            let msg = second_shard_refusal(&good, &hostile);
+            assert!(msg.contains("corrupt file") && msg.contains(what), "{to}: {msg}");
         }
-        let msg = second_shard_refusal(&good, &hostile);
-        assert!(msg.contains("corrupt file") && msg.contains("citadel"), "{msg}");
+
+        // A new piece in the place of the one it replaces, and pieces the
+        // vocabulary already holds, renamed in the node and in the
+        // `"world\u001fcity"` name-map key alike: the bundle is
+        // self-consistent, so it loads and routes within its own graph.
+        for to in ["citadel", "world_city"] {
+            let renamed = with_graph_text(&good, "city\"", &format!("{to}\""));
+            let loaded = load_router_slice(&renamed).expect("a self-consistent rename loads");
+            let graph = &loaded.graph;
+            assert!(graph.table_node("world", to).is_some());
+            assert!(!loaded.route_schemata(QUESTIONS[1]).is_empty(), "{to} routes nothing");
+            for q in QUESTIONS {
+                for d in loaded.route_schemata(q) {
+                    for t in &d.schema.tables {
+                        assert!(graph.table_node(&d.schema.database, t).is_some(), "{q}: {t}");
+                    }
+                }
+                for (db, t, _) in loaded.route(q, 10).tables {
+                    assert!(graph.table_node(&db, &t).is_some(), "{q}: {db}.{t}");
+                }
+            }
+        }
     }
 
     #[test]

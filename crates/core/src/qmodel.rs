@@ -20,16 +20,14 @@ use crate::vocab::Sym;
 /// transposed in the quantized store (one scale per *output* unit, each
 /// output reducing over a contiguous row). Embedding tables are gathered
 /// row-wise and keep their layout; biases are additive.
-pub(crate) fn stored_transposed(name: &str) -> bool {
+fn stored_transposed(name: &str) -> bool {
     matches!(name, "q_proj.w" | "gru.wz" | "gru.uz" | "gru.wr" | "gru.ur" | "gru.wh" | "gru.uh")
 }
 
 /// The frozen i8 parameters of a router, plus the exact f32 bias vectors.
 ///
-/// Biases come from the f32 store (always present alongside the quantized
-/// section): they are added once per output unit, so exactness there is
-/// free, and a freshly frozen model scores identically to one rebuilt from
-/// a persisted `QNT8` section.
+/// Biases are copied from the f32 store: they are added once per output
+/// unit, so exactness there is free.
 pub struct QuantRouterModel {
     store: QuantizedStore,
     q_proj_b: Vec<f32>,
@@ -41,24 +39,17 @@ pub struct QuantRouterModel {
 impl QuantRouterModel {
     /// Freeze the model's current f32 weights.
     pub fn freeze(model: &RouterModel) -> Self {
-        Self::attach(model, QuantizedStore::freeze(&model.store, stored_transposed))
-    }
-
-    /// Pair an already-quantized store (the `QNT8` codec load path) with the
-    /// f32 model it was frozen from. No matrix is re-quantized; only the
-    /// four small bias vectors are read from the f32 store.
-    pub fn attach(model: &RouterModel, store: QuantizedStore) -> Self {
         let bias = |id: ParamId| model.store.value(id).row(0).to_vec();
         QuantRouterModel {
+            store: QuantizedStore::freeze(&model.store, stored_transposed),
             q_proj_b: bias(model.q_proj.b),
             bz: bias(model.gru.bz),
             br: bias(model.gru.br),
             bh: bias(model.gru.bh),
-            store,
         }
     }
 
-    /// The underlying quantized parameter store (persistence, accounting).
+    /// The underlying quantized parameter store (accounting, kernel probes).
     pub fn store(&self) -> &QuantizedStore {
         &self.store
     }
@@ -263,18 +254,5 @@ mod tests {
         for (a, b) in lp_exact.iter().zip(&lp) {
             assert!((a - b).abs() < 0.25, "logprob drifted: {a} vs {b}");
         }
-    }
-
-    #[test]
-    fn attach_matches_fresh_freeze() {
-        let m = model();
-        let frozen = QuantRouterModel::freeze(&m);
-        let attached = QuantRouterModel::attach(&m, frozen.store().clone());
-        assert_eq!(attached.store(), frozen.store());
-        let mut a = QuantScorer::new(&m, &frozen);
-        let mut b = QuantScorer::new(&m, &attached);
-        let qa = a.encode("which nation is largest");
-        let qb = b.encode("which nation is largest");
-        assert!(qa.approx_eq(&qb, 0.0), "frozen vs attached must be bit-identical");
     }
 }

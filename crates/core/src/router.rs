@@ -19,9 +19,10 @@ use crate::vocab::{PieceVocab, Sym, BOS};
 /// `Debug` prints a summary (label, vocabulary and graph sizes), not the
 /// weights.
 ///
-/// `vocab` and `graph` are fixed for the router's life: its decoding tables
-/// are derived from the pair at construction, so a changed catalogue means a
-/// new router ([`crate::persist::extend_router`]), never an edit in place.
+/// `vocab` is [`PieceVocab::build`] of `graph`, and the pair is fixed for
+/// the router's life: its decoding tables are derived from the pair at
+/// construction, so a changed catalogue means a new router
+/// ([`crate::persist::extend_router`]), never an edit in place.
 pub struct DbcRouter {
     pub model: RouterModel,
     pub vocab: PieceVocab,
@@ -204,7 +205,7 @@ impl DbcRouter {
     }
 
     /// On-disk size in bytes of the binary-serialized router bundle —
-    /// weights, vocabulary, graph and config (Table 5 "Disk").
+    /// weights, graph and config (Table 5 "Disk").
     ///
     /// # Panics
     /// Panics if the metadata fails to serialize, which cannot happen for a
@@ -227,8 +228,7 @@ impl std::fmt::Debug for DbcRouter {
 
 impl PrecisionSwitch for DbcRouter {
     /// Select the scoring precision. Switching to I8 freezes the current
-    /// f32 weights on first use (a no-op when a quantized store is already
-    /// attached — e.g. loaded from a `QNT8` bundle section).
+    /// f32 weights on first use (a no-op when they are already frozen).
     fn set_precision(&mut self, precision: RoutePrecision) {
         if precision == RoutePrecision::I8 && self.model.quant.is_none() {
             self.model.freeze_quant();

@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use dbcopilot_graph::SchemaGraph;
 
 /// Symbol id type (indexes the decoder embedding tables).
@@ -24,8 +22,9 @@ pub const EOS: Sym = 2;
 /// First piece id.
 pub const FIRST_PIECE: Sym = 3;
 
-/// Piece vocabulary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Piece vocabulary. Derived data: [`PieceVocab::build`] is the only way to
+/// make one, so a router's vocabulary always spells its graph's names.
+#[derive(Debug, Clone)]
 pub struct PieceVocab {
     pieces: Vec<String>,
     by_text: BTreeMap<String, Sym>,

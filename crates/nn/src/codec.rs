@@ -11,7 +11,7 @@
 //! offset 4  version  u16 LE (currently 1)
 //! offset 6  count    u16 LE (number of sections)
 //! then, per section:
-//!           tag      [u8; 4]     (e.g. b"PARM", b"VOCB")
+//!           tag      [u8; 4]     (e.g. b"PARM", b"GRPH")
 //!           len      u64 LE      (payload byte length)
 //!           payload  len bytes
 //! ```
@@ -21,7 +21,8 @@
 //! payloads, infinities and negative zero — survives a save→load round trip
 //! exactly. Decoding validates magic, version, section framing and tensor
 //! shapes, returning typed [`PersistError`]s in release builds (never a
-//! `debug_assert!`).
+//! `debug_assert!`). A reader looks up the tags it needs and skips every
+//! other section unread.
 //!
 //! The parameter-store section (`PARM`) payload is:
 //!
@@ -34,7 +35,6 @@
 //! ```
 
 use crate::optim::ParamStore;
-use crate::quant::{QuantEntry, QuantizedMatrix, QuantizedStore};
 use crate::serialize::PersistError;
 use crate::tensor::Tensor;
 
@@ -46,10 +46,6 @@ const VERSION: u16 = 1;
 
 /// Section tag for a [`ParamStore`] payload.
 pub const SEC_PARAMS: [u8; 4] = *b"PARM";
-
-/// Section tag for a frozen [`QuantizedStore`] payload (optional: bundles
-/// written before quantization existed simply lack it).
-pub const SEC_QUANT: [u8; 4] = *b"QNT8";
 
 /// One tagged, length-prefixed payload inside a `DBC1` container.
 ///
@@ -132,25 +128,13 @@ pub fn require_section<'a, 'b>(
     sections: &'b [Section<'a>],
     tag: [u8; 4],
 ) -> Result<&'b Section<'a>, PersistError> {
-    let mut found = None;
-    for s in sections {
-        if s.tag == tag {
-            if found.is_some() {
-                return Err(PersistError::Corrupt(format!(
-                    "duplicate {:?} section",
-                    String::from_utf8_lossy(&tag)
-                )));
-            }
-            found = Some(s);
-        }
-    }
-    found.ok_or_else(|| {
+    find_section(sections, tag)?.ok_or_else(|| {
         PersistError::Corrupt(format!("missing {:?} section", String::from_utf8_lossy(&tag)))
     })
 }
 
-/// Find an *optional* section with `tag`: `Ok(None)` when absent (older
-/// files), but duplicates are still corruption.
+/// Find an *optional* section with `tag`: `Ok(None)` when absent, but
+/// duplicates are still corruption.
 pub fn find_section<'a, 'b>(
     sections: &'b [Section<'a>],
     tag: [u8; 4],
@@ -240,94 +224,6 @@ pub fn decode_store(bytes: &[u8]) -> Result<ParamStore, PersistError> {
     let sections = decode_container(bytes)?;
     let parm = require_section(&sections, SEC_PARAMS)?;
     decode_store_section(&parm.bytes)
-}
-
-// ---------------------------------------------------------------------------
-// QuantizedStore section
-// ---------------------------------------------------------------------------
-//
-// The `QNT8` payload mirrors `PARM` with an orientation flag and split
-// scale/code buffers, so quantized bundles load with zero re-quantization:
-//
-// ```text
-// u32 entry_count
-// per entry, in registration (ParamId) order:
-//   u32 name_len, name (UTF-8)
-//   u8  flags          (bit 0 = stored transposed; other bits must be 0)
-//   u32 rows, u32 cols (of the *quantized* layout)
-//   rows × f32         (per-row scales, raw LE bits)
-//   rows * cols × i8   (codes)
-// ```
-
-const QUANT_FLAG_TRANSPOSED: u8 = 1;
-
-/// Exact byte length of the `QNT8` section payload for `qs`.
-fn quant_section_len(qs: &QuantizedStore) -> usize {
-    4 + qs
-        .entries()
-        .iter()
-        .map(|e| 4 + e.name.len() + 1 + 8 + 4 * e.matrix.rows() + e.matrix.data().len())
-        .sum::<usize>()
-}
-
-/// Encode a frozen quantized store into a `QNT8` section payload. Scales are
-/// written as raw `f32` bits, so the round trip is bit-exact.
-pub fn encode_quant_section(qs: &QuantizedStore) -> Vec<u8> {
-    let mut out = Vec::with_capacity(quant_section_len(qs));
-    out.extend_from_slice(&(qs.len() as u32).to_le_bytes());
-    for e in qs.entries() {
-        out.extend_from_slice(&(e.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(e.name.as_bytes());
-        out.push(if e.transposed { QUANT_FLAG_TRANSPOSED } else { 0 });
-        out.extend_from_slice(&(e.matrix.rows() as u32).to_le_bytes());
-        out.extend_from_slice(&(e.matrix.cols() as u32).to_le_bytes());
-        for &s in e.matrix.scales() {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-        out.extend(e.matrix.data().iter().map(|&q| q as u8));
-    }
-    debug_assert_eq!(out.len(), quant_section_len(qs));
-    out
-}
-
-/// Decode a `QNT8` section payload, validating names, flags and shapes.
-pub fn decode_quant_section(bytes: &[u8]) -> Result<QuantizedStore, PersistError> {
-    let mut r = Reader::new(bytes);
-    let count = r.take_u32("quant entry count")? as usize;
-    let mut entries: Vec<QuantEntry> = Vec::new();
-    for i in 0..count {
-        let name_len = r.take_u32("quant name length")? as usize;
-        let name_bytes = r.take_bytes(name_len, "quant name")?;
-        let name = std::str::from_utf8(name_bytes)
-            .map_err(|_| PersistError::Corrupt(format!("quant entry {i} name is not UTF-8")))?
-            .to_string();
-        let flags = r.take_array::<1>("quant flags")?[0];
-        if flags & !QUANT_FLAG_TRANSPOSED != 0 {
-            return Err(PersistError::Corrupt(format!(
-                "quant entry {name:?} has unknown flags {flags:#04x}"
-            )));
-        }
-        let rows = r.take_u32("quant rows")? as usize;
-        let cols = r.take_u32("quant cols")? as usize;
-        let code_len = rows.checked_mul(cols).ok_or_else(|| {
-            PersistError::Corrupt(format!("quant entry {name:?} shape {rows}x{cols} overflows"))
-        })?;
-        // as in `decode_store_section`: prove the bytes exist before any
-        // shape-sized allocation, so crafted shapes fail as truncation
-        let scales = r.take_f32s(rows, "quant scales")?;
-        let raw_codes = r.take_bytes(code_len, "quant codes")?;
-        let data: Vec<i8> = raw_codes.iter().map(|&b| b as i8).collect();
-        if entries.iter().any(|e| e.name == name) {
-            return Err(PersistError::Corrupt(format!("duplicate quant entry name {name:?}")));
-        }
-        entries.push(QuantEntry {
-            name,
-            transposed: flags & QUANT_FLAG_TRANSPOSED != 0,
-            matrix: QuantizedMatrix::from_raw(rows, cols, scales, data),
-        });
-    }
-    r.expect_end()?;
-    Ok(QuantizedStore::from_entries(entries))
 }
 
 // ---------------------------------------------------------------------------
@@ -568,111 +464,26 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_section_rejected_by_both_finders() {
+        let payload = encode_store_section(&sample_store());
+        let bytes = encode_container(&[
+            Section::new(SEC_PARAMS, payload.clone()),
+            Section::new(SEC_PARAMS, payload),
+        ]);
+        let sections = decode_container(&bytes).unwrap();
+        for verdict in [find_section(&sections, SEC_PARAMS).err(), decode_store(&bytes).err()] {
+            match verdict {
+                Some(PersistError::Corrupt(msg)) => assert!(msg.contains("duplicate"), "{msg}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn missing_section_rejected() {
         let bytes = encode_container(&[Section::new(*b"XXXX", vec![1, 2, 3])]);
         match decode_store(&bytes) {
             Err(PersistError::Corrupt(msg)) => assert!(msg.contains("missing"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    // -- QNT8 section (mirrors the PARM suite) --
-
-    fn sample_quant() -> QuantizedStore {
-        QuantizedStore::freeze(&sample_store(), |name| name == "w")
-    }
-
-    #[test]
-    fn quant_roundtrip_is_bit_exact() {
-        let qs = sample_quant();
-        let payload = encode_quant_section(&qs);
-        assert_eq!(payload.len(), quant_section_len(&qs));
-        let loaded = decode_quant_section(&payload).unwrap();
-        assert_eq!(loaded.len(), qs.len());
-        for (a, b) in qs.entries().iter().zip(loaded.entries()) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.transposed, b.transposed);
-            assert_eq!(a.matrix.data(), b.matrix.data());
-            for (x, y) in a.matrix.scales().iter().zip(b.matrix.scales()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn quant_every_truncation_errors_without_panic() {
-        let payload = encode_quant_section(&sample_quant());
-        for cut in 0..payload.len() {
-            assert!(
-                decode_quant_section(&payload[..cut]).is_err(),
-                "prefix of {cut} bytes must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn quant_duplicate_section_rejected() {
-        let payload = encode_quant_section(&sample_quant());
-        let bytes = encode_container(&[
-            Section::new(SEC_QUANT, payload.clone()),
-            Section::new(SEC_QUANT, payload),
-        ]);
-        let sections = decode_container(&bytes).unwrap();
-        match find_section(&sections, SEC_QUANT) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("duplicate"), "{msg}"),
-            Err(other) => panic!("expected Corrupt, got {other:?}"),
-            Ok(_) => panic!("duplicate QNT8 must be rejected"),
-        }
-    }
-
-    #[test]
-    fn quant_section_is_optional() {
-        // A pre-QNT8 container simply has no QNT8 section: not an error.
-        let bytes = encode_store(&sample_store());
-        let sections = decode_container(&bytes).unwrap();
-        assert!(find_section(&sections, SEC_QUANT).unwrap().is_none());
-    }
-
-    #[test]
-    fn quant_unknown_flags_rejected() {
-        let mut payload = encode_quant_section(&sample_quant());
-        // flags byte of the first entry sits after count + name_len + "w"
-        let flags_at = 4 + 4 + 1;
-        payload[flags_at] = 0x82;
-        match decode_quant_section(&payload) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("flags"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn quant_duplicate_entry_names_rejected() {
-        let mut store = ParamStore::new();
-        store.add("dup", Tensor::from_row(vec![1.0, -1.0]));
-        let qs = QuantizedStore::freeze(&store, |_| false);
-        let mut section = encode_quant_section(&qs);
-        let entry_bytes = section.split_off(4);
-        let mut payload = 2u32.to_le_bytes().to_vec();
-        payload.extend_from_slice(&entry_bytes);
-        payload.extend_from_slice(&entry_bytes);
-        match decode_quant_section(&payload) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("duplicate"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn quant_crafted_huge_shape_is_corrupt_not_capacity_panic() {
-        let mut payload = 1u32.to_le_bytes().to_vec(); // one entry
-        payload.extend_from_slice(&1u32.to_le_bytes()); // name len
-        payload.push(b'w');
-        payload.push(0); // flags
-        payload.extend_from_slice(&0xffff_ffffu32.to_le_bytes()); // rows
-        payload.extend_from_slice(&0xffff_ffffu32.to_le_bytes()); // cols
-        match decode_quant_section(&payload) {
-            Err(PersistError::Corrupt(msg)) => {
-                assert!(msg.contains("overflows") || msg.contains("truncated"), "{msg}")
-            }
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }

@@ -21,7 +21,7 @@ use crate::tensor::Tensor;
 ///
 /// On x86-64 with AVX2 the row runs through a 32-lane kernel that
 /// reproduces the portable scalar quantizer bit for bit (same scale, same codes),
-/// so which machine froze a model never shows in its `QNT8` bytes.
+/// so which machine froze a model never shows in its codes.
 ///
 /// # Panics
 /// Panics if `dst.len() != src.len()`.
@@ -104,7 +104,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX2; callers must check `is_x86_feature_detected!("avx2")`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
+    pub(super) unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
         let n = a.len().min(b.len());
         let mut acc = _mm256_setzero_si256();
         let mut i = 0;
@@ -157,7 +157,13 @@ mod x86 {
     /// Panics if `data.len() != out.len() * x.len()` or
     /// `scales.len() != out.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn matvec_i8_avx2(data: &[i8], scales: &[f32], x: &[i8], xs: f32, out: &mut [f32]) {
+    pub(super) unsafe fn matvec_i8_avx2(
+        data: &[i8],
+        scales: &[f32],
+        x: &[i8],
+        xs: f32,
+        out: &mut [f32],
+    ) {
         let (rows, cols) = (out.len(), x.len());
         assert_eq!(data.len(), rows * cols, "matvec code count mismatch");
         assert_eq!(scales.len(), rows, "matvec scale count mismatch");
@@ -280,7 +286,7 @@ mod x86 {
     /// # Panics
     /// Panics if `dst.len() != src.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn quantize_row_avx2(src: &[f32], dst: &mut [i8]) -> Option<f32> {
+    pub(super) unsafe fn quantize_row_avx2(src: &[f32], dst: &mut [i8]) -> Option<f32> {
         let n = src.len();
         assert_eq!(dst.len(), n, "quantize_row_avx2 length mismatch");
         let abs = _mm256_set1_epi32(0x7fff_ffff);
@@ -370,8 +376,8 @@ pub struct QuantizedMatrix {
     scales: Vec<f32>,
     data: Vec<i8>,
     /// Every code lies in `[-127, 127]` — what quantization produces, and
-    /// what the blocked AVX2 matvec needs to be exact. Only a matrix rebuilt
-    /// from foreign bytes can hold a `-128`; it then takes the scalar path.
+    /// what the blocked AVX2 matvec needs to be exact. Only a matrix built
+    /// from raw codes can hold a `-128`; it then takes the scalar path.
     symmetric: bool,
 }
 
@@ -395,12 +401,13 @@ impl QuantizedMatrix {
         Self::from_tensor(&t.transpose())
     }
 
-    /// Rebuild from raw parts (codec load path).
+    /// Build from raw parts, which may hold codes quantization never makes
+    /// (the kernel tests' inputs).
     ///
     /// # Panics
-    /// Panics if the buffer lengths disagree with the shape; the codec
-    /// validates before calling this.
-    pub fn from_raw(rows: usize, cols: usize, scales: Vec<f32>, data: Vec<i8>) -> Self {
+    /// Panics if the buffer lengths disagree with the shape.
+    #[cfg(test)]
+    pub(crate) fn from_raw(rows: usize, cols: usize, scales: Vec<f32>, data: Vec<i8>) -> Self {
         assert_eq!(scales.len(), rows, "scale count mismatch");
         assert_eq!(data.len(), rows * cols, "code count mismatch");
         let symmetric = !data.contains(&i8::MIN);
@@ -523,11 +530,6 @@ impl QuantizedStore {
                 }
             })
             .collect();
-        QuantizedStore { entries }
-    }
-
-    /// Rebuild from decoded entries (codec load path).
-    pub fn from_entries(entries: Vec<QuantEntry>) -> Self {
         QuantizedStore { entries }
     }
 

@@ -3,8 +3,10 @@
 //! a 64-bit FNV-1a over every trained weight, one over the saved 4-shard
 //! bundle, and one over what the first 256 test questions route to — the
 //! 4-shard tier's `route(q, 100)` (names and score bits) and the i8
-//! monolith's `route_schemata`. Two commits that train and route the same
-//! print the same four lines at any `DBC_THREADS`; it times nothing.
+//! monolith's `route_schemata`. Two commits that train, save and route the
+//! same print the same four lines at any `DBC_THREADS`; it times nothing.
+//! The lines this tree prints are committed in `fit_fingerprint.expected`
+//! beside this file.
 //!
 //! ```sh
 //! cargo run --release --example fit_fingerprint
