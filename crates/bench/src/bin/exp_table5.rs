@@ -1,5 +1,9 @@
 //! Table 5: method efficiency and resource consumption — QPS, build time
-//! (training + indexing), serialized index size, in-memory estimate.
+//! (training + indexing), serialized index size, in-memory estimate — then,
+//! for the DBCopilot router, f32 vs i8 routing, and end-to-end ask (single
+//! candidate vs top-3 + repair) directly, behind `AskService` and over the
+//! HTTP edge. SQL-engine timings are not measured here: `exp_perf --trace 1`
+//! reports them per served request.
 //!
 //! The paper's CRUSH rows are slow because each query round-trips a
 //! commercial LLM; set `DBC_LLM_LATENCY_MS` (default 300) to simulate that
@@ -108,50 +112,6 @@ fn main() {
     }
     println!("== Quantized routing — f32 vs i8 (same router) ==");
     println!("{}", render_precision_table(&precision_rows));
-
-    // -----------------------------------------------------------------
-    // SQL engine: the execution substrate under every EX number. Replay
-    // the test split's gold queries with a fresh prepare per query, then
-    // with per-database prepared reuse — the configuration eval and
-    // serving actually run.
-    // -----------------------------------------------------------------
-    eprintln!("  measuring engine latency (per-query vs prepared)");
-    {
-        use dbcopilot::sqlengine::{execute, execute_prepared, PreparedStore};
-        let store = &prepared.corpus.store;
-        let pstore = PreparedStore::new(store.clone());
-        let workload: Vec<_> = prepared
-            .corpus
-            .test
-            .iter()
-            .filter_map(|i| {
-                let db = store.database(&i.schema.database)?;
-                let pdb = pstore.prepared(&i.schema.database)?;
-                Some((db, pdb, i.sql.as_str()))
-            })
-            .collect();
-        let per_query_us = |run: &dyn Fn()| {
-            let reps = 3;
-            let start = std::time::Instant::now();
-            for _ in 0..reps {
-                run();
-            }
-            start.elapsed().as_secs_f64() * 1e6 / (reps * workload.len().max(1)) as f64
-        };
-        let one_shot = per_query_us(&|| {
-            for (db, _, sql) in &workload {
-                let _ = execute(db, sql);
-            }
-        });
-        let reused = per_query_us(&|| {
-            for (_, pdb, sql) in &workload {
-                let _ = execute_prepared(pdb, sql);
-            }
-        });
-        println!("== SQL engine — µs/query over the EX workload ({} queries) ==", workload.len());
-        println!("per-query prepare      {one_shot:>10.1} µs/query");
-        println!("prepared reuse         {reused:>10.1} µs/query  ({:.1}x)", one_shot / reused);
-    }
 
     // -----------------------------------------------------------------
     // End-to-end ask: routing accuracy only bounds what the full

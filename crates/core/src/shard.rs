@@ -37,6 +37,7 @@ use dbcopilot_retrieval::{RoutingResult, SchemaRouter, ShardCounters};
 use dbcopilot_sqlengine::Collection;
 use dbcopilot_synth::{CorpusMeta, Questioner};
 
+use crate::decode::best_first;
 use crate::model::RouterConfig;
 use crate::persist::{extend_router, load_router_slice, PersistError};
 use crate::router::DbcRouter;
@@ -580,9 +581,10 @@ fn calibrate_scores(
 }
 
 /// Merge per-shard rankings into one: concatenate, then order by score
-/// descending with ties broken by name ascending (`total_cmp`, so the order
-/// is total even in the presence of NaN scores and identical across thread
-/// counts and shard visit order), truncating tables to `top_tables`.
+/// descending with NaN last and ties broken by name ascending (`best_first`,
+/// as in every other routing sort, so the order is total and identical
+/// across thread counts and shard visit order), truncating tables to
+/// `top_tables`.
 /// Databases are unique across shards by construction (shards partition the
 /// collection), so no deduplication is needed.
 fn merge_routing(
@@ -598,15 +600,15 @@ fn merge_routing(
     merged
 }
 
-/// The shared ranking contract: score descending, then database name, then
-/// table name — a total order, applied identically to merged and
-/// single-shard results.
+/// The shared ranking contract: score descending with NaN last, then
+/// database name, then table name — a total order, applied identically to
+/// merged and single-shard results.
 fn sort_routing(r: &mut RoutingResult, top_tables: usize) {
     r.tables.sort_by(|a, b| {
-        b.2.total_cmp(&a.2).then_with(|| a.0.cmp(&b.0)).then_with(|| a.1.cmp(&b.1))
+        best_first(a.2, b.2).then_with(|| a.0.cmp(&b.0)).then_with(|| a.1.cmp(&b.1))
     });
     r.tables.truncate(top_tables);
-    r.databases.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    r.databases.sort_by(|a, b| best_first(a.1, b.1).then_with(|| a.0.cmp(&b.0)));
 }
 
 #[cfg(test)]
@@ -663,5 +665,21 @@ mod tests {
         assert_eq!(m.tables[0].2, 3.0);
         assert_eq!(m.tables[1].2, 2.5);
         assert_eq!(m.databases.len(), 2);
+    }
+
+    #[test]
+    fn nan_scores_rank_last_after_a_merge() {
+        let nan = RoutingResult {
+            tables: vec![("a_nan".into(), "t".into(), f32::NAN)],
+            databases: vec![("a_nan".into(), f32::NAN)],
+        };
+        let finite = RoutingResult {
+            tables: vec![("b".into(), "t".into(), -5.0), ("b".into(), "u".into(), -7.0)],
+            databases: vec![("b".into(), -5.0)],
+        };
+        let m = merge_routing([nan, finite], 10);
+        assert_eq!(m.database_names(), vec!["b", "a_nan"]);
+        let tables: Vec<&str> = m.tables.iter().map(|t| t.0.as_str()).collect();
+        assert_eq!(tables, ["b", "b", "a_nan"]);
     }
 }

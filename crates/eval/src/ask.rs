@@ -5,7 +5,7 @@
 //! candidate-fallback/repair machinery rescued an answer.
 
 use dbcopilot_serve::{AskError, AskOptions, QueryPipeline};
-use dbcopilot_sqlengine::{compare_to_gold_prepared, execute_prepared, PreparedDb};
+use dbcopilot_sqlengine::{compare_to_gold, execute, PreparedDb};
 use dbcopilot_synth::{Corpus, Instance};
 use std::collections::HashMap;
 
@@ -94,14 +94,14 @@ pub fn eval_ask(
                     let pdb = prepared
                         .entry(inst.schema.database.as_str())
                         .or_insert_with(|| PreparedDb::prepare(db));
-                    let gold = match execute_prepared(pdb, &inst.sql) {
+                    let gold = match execute(pdb, &inst.sql) {
                         Ok(rs) => rs,
                         Err(_) => {
                             m.gold_errors += 1;
                             continue;
                         }
                     };
-                    if compare_to_gold_prepared(pdb, &gold, &report.answer.sql).is_match() {
+                    if compare_to_gold(pdb, &gold, &report.answer.sql).is_match() {
                         m.matches += 1;
                     }
                 }
@@ -151,7 +151,7 @@ mod tests {
     use dbcopilot_serve::{
         Answer, AskReport, ExecutionError, ScoredCandidate, SqlAttempt, StageTimings,
     };
-    use dbcopilot_sqlengine::{execute, EngineError};
+    use dbcopilot_sqlengine::EngineError;
 
     /// A pipeline that answers by executing the instance's own gold SQL
     /// when the question embeds it, else fails at a chosen stage.
@@ -187,7 +187,7 @@ mod tests {
                 }));
             }
             let db = self.corpus.store.database(&inst.schema.database).unwrap();
-            let result = execute(db, &inst.sql).unwrap();
+            let result = execute(&PreparedDb::prepare(db), &inst.sql).unwrap();
             Ok(AskReport {
                 question: question.to_string(),
                 answer: Answer {

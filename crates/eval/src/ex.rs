@@ -8,7 +8,7 @@ use dbcopilot_nl2sql::{
     PromptSchema,
 };
 use dbcopilot_retrieval::SchemaRouter;
-use dbcopilot_sqlengine::{compare_to_gold_prepared, execute_prepared, parse_select, PreparedDb};
+use dbcopilot_sqlengine::{compare_to_gold, execute, parse_select, PreparedDb};
 use dbcopilot_synth::{Corpus, Instance};
 use std::collections::HashMap;
 
@@ -188,7 +188,7 @@ pub fn eval_ex(
         };
         let pdb =
             prepared.entry(inst.schema.database.clone()).or_insert_with(|| PreparedDb::prepare(db));
-        let gold = match execute_prepared(pdb, &inst.sql) {
+        let gold = match execute(pdb, &inst.sql) {
             Ok(rs) => rs,
             Err(_) => {
                 report.gold_errors += 1;
@@ -196,7 +196,7 @@ pub fn eval_ex(
             }
         };
         if let Some(sql) = &out.sql {
-            if compare_to_gold_prepared(pdb, &gold, sql).is_match() {
+            if compare_to_gold(pdb, &gold, sql).is_match() {
                 matches += 1;
             }
         }

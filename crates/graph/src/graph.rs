@@ -168,7 +168,8 @@ impl SchemaGraph {
     /// not come from [`SchemaGraph::build`] (a deserialized one): node 0 is
     /// the root, one adjacency list per node, every edge and id in range,
     /// root edges and database ids lead to databases, table ids to tables,
-    /// and every table belongs to a database node.
+    /// every table belongs to a database node, and each name index keys
+    /// every node of its kind exactly once, by that node's own name.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.nodes.len();
         if self.adj.len() != n {
@@ -206,6 +207,38 @@ impl SchemaGraph {
         }
         if let Some((key, id)) = self.table_by_name.iter().find(|(_, &id)| !is_table(id)) {
             return Err(format!("table {key:?} is node {}, not a table", id.0));
+        }
+        // Keys are unique, so "every key names its own node" plus "as many
+        // keys as nodes of the kind" makes each index a bijection.
+        if let Some((name, &id)) = self.db_by_name.iter().find(|(name, &id)| self.name(id) != *name)
+        {
+            return Err(format!(
+                "database key {name:?} indexes node {} named {:?}",
+                id.0,
+                self.name(id)
+            ));
+        }
+        let own_key = |id: NodeId| match self.nodes[id.0 as usize].kind {
+            NodeKind::Table { database } => Some(table_key(self.name(database), self.name(id))),
+            _ => None,
+        };
+        if let Some((key, &id)) =
+            self.table_by_name.iter().find(|(key, &id)| own_key(id).as_ref() != Some(*key))
+        {
+            return Err(format!(
+                "table key {key:?} indexes node {} keyed {:?}",
+                id.0,
+                own_key(id).unwrap_or_default()
+            ));
+        }
+        let dbs = self.nodes.iter().filter(|n| matches!(n.kind, NodeKind::Database)).count();
+        let tables = self.nodes.iter().filter(|n| matches!(n.kind, NodeKind::Table { .. })).count();
+        if self.db_by_name.len() != dbs || self.table_by_name.len() != tables {
+            return Err(format!(
+                "{} database and {} table keys for {dbs} database and {tables} table nodes",
+                self.db_by_name.len(),
+                self.table_by_name.len()
+            ));
         }
         Ok(())
     }

@@ -1,33 +1,24 @@
 //! Finite-difference gradient checking.
 //!
-//! Used by the test suites of this crate and `dbcopilot-core` to validate
-//! that every backward implementation matches the numerical derivative of the
-//! corresponding forward pass.
+//! Test code: validates that every backward implementation of this crate
+//! matches the numerical derivative of the corresponding forward pass.
 
 use crate::optim::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 
-/// Result of a gradient check for a single parameter.
-#[derive(Debug)]
-pub struct GradCheckReport {
-    /// Largest absolute difference between analytic and numeric gradients.
-    pub max_abs_err: f32,
-    /// Largest relative difference (|a−n| / max(|a|,|n|,1e-3)).
-    pub max_rel_err: f32,
-}
-
 /// Compare the analytic gradient of `param` (accumulated in `store` by
-/// running `loss_fn` once) against central finite differences.
+/// running `loss_fn` once) against central finite differences, returning
+/// the largest relative difference `|a−n| / max(|a|, |n|, 1e-3)`.
 ///
 /// `loss_fn` must build a fresh tape, run backward, and call
 /// `collect_grads` so gradients land in the store; it returns the scalar
 /// loss. The store is left with zeroed gradients and the original values.
-pub fn check_param(
+fn check_param(
     store: &mut ParamStore,
     param: ParamId,
     eps: f32,
     mut loss_fn: impl FnMut(&mut ParamStore) -> f32,
-) -> GradCheckReport {
+) -> f32 {
     store.zero_grads();
     let _ = loss_fn(store);
     let analytic = store
@@ -36,7 +27,6 @@ pub fn check_param(
     store.zero_grads();
 
     let (rows, cols) = store.value(param).shape();
-    let mut max_abs: f32 = 0.0;
     let mut max_rel: f32 = 0.0;
     for r in 0..rows {
         for c in 0..cols {
@@ -53,11 +43,10 @@ pub fn check_param(
             let a = analytic.get(r, c);
             let abs = (a - numeric).abs();
             let rel = abs / a.abs().max(numeric.abs()).max(1e-3);
-            max_abs = max_abs.max(abs);
             max_rel = max_rel.max(rel);
         }
     }
-    GradCheckReport { max_abs_err: max_abs, max_rel_err: max_rel }
+    max_rel
 }
 
 #[cfg(test)]
@@ -91,8 +80,8 @@ mod tests {
             v
         };
         for pid in [lin.w, lin.b] {
-            let rep = check_param(&mut store, pid, 1e-2, run);
-            assert!(rep.max_rel_err < 0.05, "linear rel err {}", rep.max_rel_err);
+            let rel = check_param(&mut store, pid, 1e-2, run);
+            assert!(rel < 0.05, "linear rel err {}", rel);
         }
     }
 
@@ -116,8 +105,8 @@ mod tests {
             v
         };
         for pid in [gru.wz, gru.uz, gru.bz, gru.wr, gru.ur, gru.br, gru.wh, gru.uh, gru.bh] {
-            let rep = check_param(&mut store, pid, 1e-2, run);
-            assert!(rep.max_rel_err < 0.08, "gru rel err {} for {pid:?}", rep.max_rel_err);
+            let rel = check_param(&mut store, pid, 1e-2, run);
+            assert!(rel < 0.08, "gru rel err {} for {pid:?}", rel);
         }
     }
 
@@ -138,8 +127,8 @@ mod tests {
             v
         };
         for pid in [emb.weight, proj.w, proj.b] {
-            let rep = check_param(&mut store, pid, 1e-2, run);
-            assert!(rep.max_rel_err < 0.05, "emb rel err {} for {pid:?}", rep.max_rel_err);
+            let rel = check_param(&mut store, pid, 1e-2, run);
+            assert!(rel < 0.05, "emb rel err {} for {pid:?}", rel);
         }
     }
 
@@ -164,12 +153,8 @@ mod tests {
             v
         };
         for pid in [out_emb.weight, proj.w, proj.b] {
-            let rep = check_param(&mut store, pid, 1e-2, run);
-            assert!(
-                rep.max_rel_err < 0.05,
-                "sampled softmax rel err {} for {pid:?}",
-                rep.max_rel_err
-            );
+            let rel = check_param(&mut store, pid, 1e-2, run);
+            assert!(rel < 0.05, "sampled softmax rel err {} for {pid:?}", rel);
         }
     }
 }

@@ -12,7 +12,8 @@
 //! * [`math`] — first-party `exp` / `sigmoid` / `tanh` / `ln`, scalar and
 //!   AVX2 bit-identical;
 //! * [`init`] — seeded Xavier initialization;
-//! * [`gradcheck`] — finite-difference validation used across the workspace;
+//! * `gradcheck` (test-only) — finite-difference validation of this crate's
+//!   backward implementations;
 //! * [`quant`] — read-only per-row i8 quantization of a frozen `ParamStore`
 //!   with i32-accumulating dot/matvec kernels for the serving hot path;
 //! * [`codec`] — the `DBC1` binary container (compact, versioned, bit-exact);
@@ -27,7 +28,8 @@
 //! ```
 
 pub mod codec;
-pub mod gradcheck;
+#[cfg(test)]
+mod gradcheck;
 pub mod init;
 pub mod layers;
 pub mod math;

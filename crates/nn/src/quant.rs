@@ -374,11 +374,9 @@ pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,
     scales: Vec<f32>,
+    /// Every code lies in `[-127, 127]`: what quantization produces, and
+    /// what the blocked AVX2 matvec needs to be exact.
     data: Vec<i8>,
-    /// Every code lies in `[-127, 127]` — what quantization produces, and
-    /// what the blocked AVX2 matvec needs to be exact. Only a matrix built
-    /// from raw codes can hold a `-128`; it then takes the scalar path.
-    symmetric: bool,
 }
 
 impl QuantizedMatrix {
@@ -390,7 +388,7 @@ impl QuantizedMatrix {
         for r in 0..rows {
             scales.push(quantize_row_into(t.row(r), &mut data[r * cols..(r + 1) * cols]));
         }
-        QuantizedMatrix { rows, cols, scales, data, symmetric: true }
+        QuantizedMatrix { rows, cols, scales, data }
     }
 
     /// Quantize the *transpose* of a tensor, row by row.
@@ -401,17 +399,17 @@ impl QuantizedMatrix {
         Self::from_tensor(&t.transpose())
     }
 
-    /// Build from raw parts, which may hold codes quantization never makes
-    /// (the kernel tests' inputs).
+    /// Build from raw parts (the kernel tests' inputs).
     ///
     /// # Panics
-    /// Panics if the buffer lengths disagree with the shape.
+    /// Panics if the buffer lengths disagree with the shape, or if a code is
+    /// `-128`, which quantization never makes.
     #[cfg(test)]
     pub(crate) fn from_raw(rows: usize, cols: usize, scales: Vec<f32>, data: Vec<i8>) -> Self {
         assert_eq!(scales.len(), rows, "scale count mismatch");
         assert_eq!(data.len(), rows * cols, "code count mismatch");
-        let symmetric = !data.contains(&i8::MIN);
-        QuantizedMatrix { rows, cols, scales, data, symmetric }
+        assert!(!data.contains(&i8::MIN), "a code is -128");
+        QuantizedMatrix { rows, cols, scales, data }
     }
 
     pub fn rows(&self) -> usize {
@@ -474,9 +472,9 @@ impl QuantizedMatrix {
             return;
         }
         #[cfg(target_arch = "x86_64")]
-        if self.symmetric && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime. `symmetric`
-            // is the kernel's no-saturation precondition: no code is -128.
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime, and every
+            // code is in [-127, 127], the kernel's no-saturation precondition.
             unsafe { x86::matvec_i8_avx2(&self.data, &self.scales, &x.data, x.scale, out) };
             return;
         }
@@ -776,21 +774,6 @@ mod tests {
                 assert_matvec_parity(&m, &x);
             }
         }
-    }
-
-    #[test]
-    fn foreign_min_code_stays_exact() {
-        // -128 never comes out of quantization, but `from_raw` takes foreign
-        // bytes; such a matrix must not reach the blocked kernel.
-        let cols = 64;
-        let mut codes = vec![5i8; 8 * cols];
-        codes[3 * cols + 7] = i8::MIN;
-        let m = QuantizedMatrix::from_raw(8, cols, vec![1.0; 8], codes);
-        let x = QuantizedVec { scale: 1.0, data: vec![-3; cols] };
-        assert_matvec_parity(&m, &x);
-        let mut out = Vec::new();
-        m.matvec_into(&x, &mut out);
-        assert_eq!(out[3], (63 * -15 + 384) as f32);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! row order is ignored (ORDER BY exists mostly for LIMIT determinism),
 //! column names are ignored, and floats compare with a small tolerance.
 
-use crate::compile::{execute, execute_prepared, PreparedDb, ResultSet};
-use crate::storage::Database;
+use crate::compile::{execute, PreparedDb, ResultSet};
 
 /// Outcome of comparing a predicted query against a gold query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,18 +58,18 @@ pub fn results_equal(a: &ResultSet, b: &ResultSet) -> bool {
         .all(|(&x, &y)| a.rows[x].iter().zip(b.rows[y].iter()).all(|(va, vb)| va.result_eq(vb)))
 }
 
-/// Execute both queries against `db` and compare (execution accuracy).
-pub fn execution_match(db: &Database, gold_sql: &str, predicted_sql: &str) -> ExOutcome {
-    let gold = match execute(db, gold_sql) {
+/// Execute both queries against `pdb` and compare (execution accuracy).
+pub fn execution_match(pdb: &PreparedDb, gold_sql: &str, predicted_sql: &str) -> ExOutcome {
+    let gold = match execute(pdb, gold_sql) {
         Ok(rs) => rs,
         Err(e) => return ExOutcome::GoldError(e.to_string()),
     };
-    compare_to_gold(db, &gold, predicted_sql)
+    compare_to_gold(pdb, &gold, predicted_sql)
 }
 
 /// Compare a predicted query against an already-executed gold result.
-pub fn compare_to_gold(db: &Database, gold: &ResultSet, predicted_sql: &str) -> ExOutcome {
-    match execute(db, predicted_sql) {
+pub fn compare_to_gold(pdb: &PreparedDb, gold: &ResultSet, predicted_sql: &str) -> ExOutcome {
+    match execute(pdb, predicted_sql) {
         Ok(rs) => {
             if results_equal(gold, &rs) {
                 ExOutcome::Match
@@ -80,48 +79,16 @@ pub fn compare_to_gold(db: &Database, gold: &ResultSet, predicted_sql: &str) -> 
         }
         Err(e) => ExOutcome::PredictedError(e.to_string()),
     }
-}
-
-/// [`compare_to_gold`] against an already-prepared database — the hot path
-/// for eval loops and repair rounds, which execute many queries per
-/// database and shouldn't re-intern tables per query.
-pub fn compare_to_gold_prepared(
-    pdb: &PreparedDb,
-    gold: &ResultSet,
-    predicted_sql: &str,
-) -> ExOutcome {
-    match execute_prepared(pdb, predicted_sql) {
-        Ok(rs) => {
-            if results_equal(gold, &rs) {
-                ExOutcome::Match
-            } else {
-                ExOutcome::Mismatch
-            }
-        }
-        Err(e) => ExOutcome::PredictedError(e.to_string()),
-    }
-}
-
-/// [`execution_match`] against an already-prepared database.
-pub fn execution_match_prepared(
-    pdb: &PreparedDb,
-    gold_sql: &str,
-    predicted_sql: &str,
-) -> ExOutcome {
-    let gold = match execute_prepared(pdb, gold_sql) {
-        Ok(rs) => rs,
-        Err(e) => return ExOutcome::GoldError(e.to_string()),
-    };
-    compare_to_gold_prepared(pdb, &gold, predicted_sql)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{DatabaseSchema, TableSchema};
+    use crate::storage::Database;
     use crate::value::{DataType, Value};
 
-    fn tiny_db() -> Database {
+    fn tiny_db() -> PreparedDb {
         let mut schema = DatabaseSchema::new("d");
         schema.add_table(
             TableSchema::new("t").column("a", DataType::Int).column("b", DataType::Text),
@@ -130,7 +97,7 @@ mod tests {
         for (a, b) in [(1, "x"), (2, "y"), (3, "x")] {
             db.insert("t", vec![Value::Int(a), Value::Text(b.into())]).unwrap();
         }
-        db
+        PreparedDb::prepare(&db)
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::value::Value;
 /// the string is known to the database: two interned texts compare by a
 /// single integer compare, and cloning is a refcount bump.
 #[derive(Debug, Clone)]
-pub enum CVal {
+pub(crate) enum CVal {
     Null,
     Int(i64),
     Float(f64),
@@ -274,7 +274,7 @@ fn value_eq_key(v: &Value, interner: &Interner) -> Option<EqKey> {
 
 /// One table in prepared (interned, row-major flat) form.
 #[derive(Debug, Clone)]
-pub struct PreparedTable {
+pub(crate) struct PreparedTable {
     name: String,
     columns: Vec<String>,
     cells: Vec<CVal>,
@@ -291,9 +291,7 @@ impl PreparedTable {
 
 /// A database in execution-ready form: every text payload interned once,
 /// rows flattened. Build once with [`PreparedDb::prepare`] and reuse across
-/// queries (the eval loops and the serving pipeline do), or let
-/// [`execute_select`] prepare just the referenced tables for a one-shot
-/// query.
+/// queries (the eval loops and the serving pipeline do).
 #[derive(Debug, Clone)]
 pub struct PreparedDb {
     pub name: String,
@@ -305,28 +303,9 @@ impl PreparedDb {
     /// Prepare every table (deterministic: tables in storage order, cells
     /// row-major, so symbol assignment is reproducible).
     pub fn prepare(db: &Database) -> PreparedDb {
-        Self::prepare_filtered(db, None)
-    }
-
-    /// Prepare only the tables a single statement references — the cheap
-    /// path for one-shot execution. Lookup semantics stay identical to
-    /// [`Database::table`] because every case-insensitive candidate of
-    /// every referenced name is included, in storage order.
-    pub fn for_select(db: &Database, sel: &Select) -> PreparedDb {
-        let mut refs = Vec::new();
-        collect_refs(sel, &mut refs);
-        Self::prepare_filtered(db, Some(&refs))
-    }
-
-    fn prepare_filtered(db: &Database, refs: Option<&[String]>) -> PreparedDb {
         let mut interner = Interner::new();
         let mut tables = Vec::new();
         for (key, t) in &db.tables {
-            if let Some(refs) = refs {
-                if !refs.iter().any(|r| key.eq_ignore_ascii_case(r)) {
-                    continue;
-                }
-            }
             interner.intern(key);
             let columns: Vec<String> = t.schema.columns.iter().map(|c| c.name.clone()).collect();
             for c in &columns {
@@ -395,68 +374,6 @@ impl PreparedStore {
         let cell = self.prepared.get(name)?;
         let db = self.store.database(name)?;
         Some(cell.get_or_init(|| PreparedDb::prepare(db)))
-    }
-}
-
-/// Collect every table name a statement references (FROM, JOINs, and all
-/// subqueries, including those in GROUP BY / ORDER BY positions). Names are
-/// kept verbatim so the prepare filter can reproduce case-insensitive
-/// lookup exactly.
-fn collect_refs(sel: &Select, out: &mut Vec<String>) {
-    out.push(sel.from.table.clone());
-    for j in &sel.joins {
-        out.push(j.table.table.clone());
-        collect_refs_expr(&j.on, out);
-    }
-    for p in &sel.projections {
-        if let Projection::Expr { expr, .. } = p {
-            collect_refs_expr(expr, out);
-        }
-    }
-    if let Some(w) = &sel.where_clause {
-        collect_refs_expr(w, out);
-    }
-    for g in &sel.group_by {
-        collect_refs_expr(g, out);
-    }
-    if let Some(h) = &sel.having {
-        collect_refs_expr(h, out);
-    }
-    for o in &sel.order_by {
-        collect_refs_expr(&o.expr, out);
-    }
-}
-
-fn collect_refs_expr(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Column { .. } | Expr::Literal(_) => {}
-        Expr::Binary { left, right, .. } => {
-            collect_refs_expr(left, out);
-            collect_refs_expr(right, out);
-        }
-        Expr::Not(x) | Expr::Neg(x) => collect_refs_expr(x, out),
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => collect_refs_expr(expr, out),
-        Expr::Between { expr, low, high } => {
-            collect_refs_expr(expr, out);
-            collect_refs_expr(low, out);
-            collect_refs_expr(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_refs_expr(expr, out);
-            for e in list {
-                collect_refs_expr(e, out);
-            }
-        }
-        Expr::InSubquery { expr, subquery, .. } => {
-            collect_refs_expr(expr, out);
-            collect_refs(subquery, out);
-        }
-        Expr::ScalarSubquery(s) => collect_refs(s, out),
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                collect_refs_expr(a, out);
-            }
-        }
     }
 }
 
@@ -1568,26 +1485,8 @@ impl ResultSet {
     }
 }
 
-/// Parse and execute a SELECT statement against a database.
-pub fn execute(db: &Database, sql: &str) -> Result<ResultSet, EngineError> {
-    execute_select(db, &parse_select(sql)?)
-}
-
-/// One-shot execution of a parsed SELECT: prepare the referenced tables,
-/// compile, run.
-pub fn execute_select(db: &Database, sel: &Select) -> Result<ResultSet, EngineError> {
-    execute_select_prepared(&PreparedDb::for_select(db, sel), sel)
-}
-
-/// Parse + compile + run against an already-prepared database — the hot
-/// path for eval loops and the serving pipeline.
-pub fn execute_prepared(pdb: &PreparedDb, sql: &str) -> Result<ResultSet, EngineError> {
-    let sel = parse_select(sql)?;
-    execute_select_prepared(pdb, &sel)
-}
-
-/// Compile + run a parsed SELECT against a prepared database.
-pub fn execute_select_prepared(pdb: &PreparedDb, sel: &Select) -> Result<ResultSet, EngineError> {
-    let c = compile(pdb, sel)?;
+/// Parse, compile and run a SELECT statement against a prepared database.
+pub fn execute(pdb: &PreparedDb, sql: &str) -> Result<ResultSet, EngineError> {
+    let c = compile(pdb, &parse_select(sql)?)?;
     run(pdb, &c)
 }

@@ -718,12 +718,12 @@ pub(crate) fn canon_row(row: &[Value]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::execute;
+    use crate::compile::{execute, PreparedDb};
     use crate::schema::{DatabaseSchema, TableSchema};
     use crate::value::DataType;
 
     /// The paper's running example database (Example 1-2).
-    fn concert_db() -> Database {
+    fn concert_db() -> PreparedDb {
         let mut schema = DatabaseSchema::new("concert_singer");
         schema.add_table(
             TableSchema::new("singer")
@@ -758,7 +758,7 @@ mod tests {
         for (s, c) in [(1, 10), (2, 10), (1, 11), (3, 12)] {
             db.insert("singer_in_concert", vec![Value::Int(s), Value::Int(c)]).unwrap();
         }
-        db
+        PreparedDb::prepare(&db)
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! ```
 //! use dbcopilot_sqlengine::{
-//!     execute, DataType, Database, DatabaseSchema, TableSchema, Value,
+//!     execute, DataType, Database, DatabaseSchema, PreparedDb, TableSchema, Value,
 //! };
 //!
 //! let mut schema = DatabaseSchema::new("world");
@@ -29,7 +29,9 @@
 //! db.insert("city", vec![Value::Text("ulm".into()), Value::Int(126_000)]).unwrap();
 //! db.insert("city", vec![Value::Text("bern".into()), Value::Int(134_000)]).unwrap();
 //!
-//! let rs = execute(&db, "SELECT name FROM city WHERE pop > 130000").unwrap();
+//! // Intern and flatten once; every later query reuses the prepared form.
+//! let pdb = PreparedDb::prepare(&db);
+//! let rs = execute(&pdb, "SELECT name FROM city WHERE pop > 130000").unwrap();
 //! assert_eq!(rs.rows.len(), 1);
 //! ```
 
@@ -47,14 +49,8 @@ pub mod storage;
 pub mod value;
 
 pub use ast::{AggFunc, BinOp, Expr, Join, OrderKey, Projection, Select, SortDir, TableRef};
-pub use compare::{
-    compare_to_gold, compare_to_gold_prepared, execution_match, execution_match_prepared,
-    results_equal, ExOutcome,
-};
-pub use compile::{
-    compile, execute, execute_prepared, execute_select, execute_select_prepared, CompiledSelect,
-    PreparedDb, PreparedStore, ResultSet,
-};
+pub use compare::{compare_to_gold, execution_match, results_equal, ExOutcome};
+pub use compile::{compile, execute, CompiledSelect, PreparedDb, PreparedStore, ResultSet};
 pub use error::EngineError;
 pub use intern::{Interner, Symbol};
 pub use parser::parse_select;

@@ -192,6 +192,7 @@ mod tests {
         }
         let sql = "SELECT b FROM t WHERE a > 4 ORDER BY b DESC LIMIT 3";
         let rendered = render_select(&parse_select(sql).unwrap());
-        assert!(crate::compare::execution_match(&db, sql, &rendered).is_match());
+        let pdb = crate::compile::PreparedDb::prepare(&db);
+        assert!(crate::compare::execution_match(&pdb, sql, &rendered).is_match());
     }
 }

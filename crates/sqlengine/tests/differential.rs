@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use dbcopilot_sqlengine::exec::interpret;
 use dbcopilot_sqlengine::{
-    execute, execute_prepared, DataType, Database, DatabaseSchema, PreparedDb, TableSchema, Value,
+    execute, DataType, Database, DatabaseSchema, PreparedDb, TableSchema, Value,
 };
 
 /// A small multi-table database exercising the hazards the compiled path
@@ -90,11 +90,11 @@ fn diff_db() -> Database {
     db
 }
 
-/// Run one SQL string through the interpreter, the compiled path, and the
-/// prepared-database entry point; all three must agree observably.
+/// Run one SQL string through the interpreter and the compiled path on the
+/// prepared database; the two must agree observably.
 fn check(db: &Database, pdb: &PreparedDb, sql: &str) -> Result<(), TestCaseError> {
     let interp = interpret(db, sql);
-    let compiled = execute(db, sql);
+    let compiled = execute(pdb, sql);
     match (&interp, &compiled) {
         (Ok(a), Ok(b)) => {
             // Debug formatting distinguishes -0.0 from 0.0 and NaN bit
@@ -111,24 +111,6 @@ fn check(db: &Database, pdb: &PreparedDb, sql: &str) -> Result<(), TestCaseError
                 sql,
                 interp,
                 compiled
-            );
-        }
-    }
-    let prepared = execute_prepared(pdb, sql);
-    match (&compiled, &prepared) {
-        (Ok(a), Ok(b)) => {
-            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"), "prepared diverges on: {}", sql);
-        }
-        (Err(a), Err(b)) => {
-            prop_assert_eq!(a.to_string(), b.to_string(), "prepared error diverges on: {}", sql);
-        }
-        _ => {
-            prop_assert!(
-                false,
-                "prepared disagreement on {}\n  compiled: {:?}\n  prepared: {:?}",
-                sql,
-                compiled,
-                prepared
             );
         }
     }
@@ -592,8 +574,8 @@ fn prepared_execution_is_deterministic() {
     let mut state = 0xD1FFu64;
     for _ in 0..64 {
         let sql = any_query(&mut state);
-        let a = execute_prepared(&pdb1, &sql);
-        let b = execute_prepared(&pdb2, &sql);
+        let a = execute(&pdb1, &sql);
+        let b = execute(&pdb2, &sql);
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "nondeterministic on: {sql}");
     }
 }

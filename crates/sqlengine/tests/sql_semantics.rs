@@ -2,10 +2,10 @@
 //! ordering, nested subqueries — behaviors EX comparison depends on.
 
 use dbcopilot_sqlengine::{
-    execute, execution_match, DataType, Database, DatabaseSchema, TableSchema, Value,
+    execute, execution_match, DataType, Database, DatabaseSchema, PreparedDb, TableSchema, Value,
 };
 
-fn db() -> Database {
+fn db() -> PreparedDb {
     let mut schema = DatabaseSchema::new("sem");
     schema.add_table(
         TableSchema::new("items")
@@ -36,7 +36,7 @@ fn db() -> Database {
         )
         .unwrap();
     }
-    db
+    PreparedDb::prepare(&db)
 }
 
 #[test]

@@ -634,8 +634,9 @@ mod tests {
         });
         for (dbschema, t) in g.collection.tables() {
             let db = g.store.database(&dbschema.name).unwrap();
-            let rs = dbcopilot_sqlengine::execute(db, &format!("SELECT COUNT(*) FROM {}", t.name))
-                .unwrap();
+            let pdb = dbcopilot_sqlengine::PreparedDb::prepare(db);
+            let sql = format!("SELECT COUNT(*) FROM {}", t.name);
+            let rs = dbcopilot_sqlengine::execute(&pdb, &sql).unwrap();
             assert_eq!(rs.rows.len(), 1);
         }
     }

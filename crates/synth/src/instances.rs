@@ -375,7 +375,8 @@ mod tests {
         assert_eq!(insts.len(), 150);
         for inst in &insts {
             let db = gc.store.database(&inst.schema.database).expect("db exists");
-            let rs = dbcopilot_sqlengine::execute(db, &inst.sql)
+            let pdb = dbcopilot_sqlengine::PreparedDb::prepare(db);
+            let rs = dbcopilot_sqlengine::execute(&pdb, &inst.sql)
                 .unwrap_or_else(|e| panic!("gold SQL failed: {e} — {}", inst.sql));
             let _ = rs;
         }

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use dbcopilot_core::{DbcRouter, RouterConfig, SerializationMode};
 use dbcopilot_graph::{QuerySchema, SchemaGraph};
 use dbcopilot_nl2sql::{basic_prompt, repair_prompt, CopilotLM, LlmConfig, PromptSchema};
-use dbcopilot_sqlengine::{execute_prepared, EngineError, PreparedStore};
+use dbcopilot_sqlengine::{execute, EngineError, PreparedStore};
 use dbcopilot_synth::{questioner_pairs, Corpus, Questioner, QuestionerConfig};
 
 pub use dbcopilot_serve::{
@@ -288,7 +288,7 @@ impl DbCopilot {
                 generated_any = true;
 
                 let exec_start = Instant::now();
-                let executed = execute_prepared(pdb, &sql);
+                let executed = execute(pdb, &sql);
                 execute_time += exec_start.elapsed();
                 match executed {
                     Ok(result) => {

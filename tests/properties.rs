@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use dbcopilot_graph::{
     deserialize_schema, dfs_serialize, sample_schema, IterOrder, SchemaGraph, WalkConfig,
 };
+use dbcopilot_sqlengine::PreparedDb;
 use dbcopilot_synth::{generate_collection, generate_instances, GenConfig, Lexicon, SurfaceStyle};
 
 fn small_gen(seed: u64) -> GenConfig {
@@ -28,8 +29,8 @@ proptest! {
         let lex = Lexicon::new();
         let insts = generate_instances(&gc, &lex, 25, SurfaceStyle::Mixed(0.35), seed ^ 0xabc);
         for inst in &insts {
-            let db = gc.store.database(&inst.schema.database).unwrap();
-            dbcopilot_sqlengine::execute(db, &inst.sql)
+            let pdb = PreparedDb::prepare(gc.store.database(&inst.schema.database).unwrap());
+            dbcopilot_sqlengine::execute(&pdb, &inst.sql)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e} — {}", inst.sql));
         }
     }
@@ -73,9 +74,9 @@ proptest! {
         let lex = Lexicon::new();
         let insts = generate_instances(&gc, &lex, 10, SurfaceStyle::Mixed(0.2), seed ^ 0x7);
         for inst in &insts {
-            let db = gc.store.database(&inst.schema.database).unwrap();
+            let pdb = PreparedDb::prepare(gc.store.database(&inst.schema.database).unwrap());
             prop_assert!(
-                dbcopilot_sqlengine::execution_match(db, &inst.sql, &inst.sql).is_match()
+                dbcopilot_sqlengine::execution_match(&pdb, &inst.sql, &inst.sql).is_match()
             );
         }
     }
