@@ -15,7 +15,9 @@
 //! 1. DB R@1/R@5 at 4 shards must stay within 2 points of the 1-shard
 //!    monolith (the calibrated scatter-gather merge is lossless enough);
 //! 2. a hot-swap `publish` under concurrent load must answer every request
-//!    (zero drops) and advance the service generation;
+//!    (zero drops) and advance the service generation, and a publish of a
+//!    loaded bundle must adopt exactly the shards the old tier shares with
+//!    it and answer as a fresh load does;
 //! 3. loading a multi-shard bundle must decode only the queried shard;
 //! 4. `extend` with one new database must retrain exactly the owning shard.
 
@@ -27,7 +29,7 @@ use dbcopilot_core::{
     load_sharded_router_bytes, sharded_router_to_vec, SerializationMode, ShardedRouter,
 };
 use dbcopilot_eval::{eval_routing, measure_qps, prepare, CorpusKind, Scale};
-use dbcopilot_retrieval::SchemaRouter;
+use dbcopilot_retrieval::{RoutingResult, SchemaRouter};
 use dbcopilot_serve::{RouterService, ServiceConfig};
 use dbcopilot_sqlengine::{DataType, DatabaseSchema, TableSchema};
 
@@ -170,20 +172,37 @@ fn demo_shard_local_extend(
 }
 
 /// Publish the extended tier while clients are routing: every request must
-/// be answered and the service generation must advance.
+/// be answered and the service generation must advance. Both tiers go
+/// through a `DBC1` round trip first, as a deployment would load them, so
+/// each publish can adopt the shards the tiers share: exactly the shards
+/// `extend` left alone must come over decoded, and every answer must equal
+/// a fresh load's.
 fn demo_hot_swap(
     before: ShardedRouter,
     after: ShardedRouter,
     questions: &[String],
     failures: &mut Vec<String>,
 ) {
-    // No cache: every request exercises whichever router is current.
-    let service =
-        RouterService::new(Arc::new(before), ServiceConfig::new().cache_capacity(0).top_tables(10));
+    const TOP_TABLES: usize = 10;
+    let changed = after.shard_of_db("telemetry_hub");
+    let bundles = [
+        sharded_router_to_vec(&before).expect("encode the tier before"),
+        sharded_router_to_vec(&after).expect("encode the tier after"),
+    ];
+    let load = |tier: usize| load_sharded_router_bytes(bundles[tier].clone()).expect("load tier");
+    // No serving cache: every request reaches whichever router is current
+    // (after a publish, its adopted shards answer the questions asked
+    // before it from their memos).
+    let service = RouterService::new(
+        Arc::new(load(0)),
+        ServiceConfig::new().cache_capacity(0).top_tables(TOP_TABLES),
+    );
+    // One scatter-gather decodes every shard, so the publish below has
+    // something to adopt.
+    service.route(&questions[0]);
     let clients: u64 = 4;
     let rounds: u64 = 24;
     let answered = AtomicU64::new(0);
-    let after = Arc::new(after);
     std::thread::scope(|s| {
         for client in 0..clients {
             let (service, answered) = (&service, &answered);
@@ -199,7 +218,7 @@ fn demo_hot_swap(
                 }
             });
         }
-        service.publish(Arc::clone(&after));
+        service.publish(Arc::new(load(1)));
     });
     let answered = answered.load(Ordering::Relaxed);
     let generation = service.generation();
@@ -215,4 +234,52 @@ fn demo_hot_swap(
     if generation != 2 {
         failures.push(format!("publish must advance the generation to 2, got {generation}"));
     }
+
+    // Swap back and forth with no traffic in between, so what is decoded
+    // right after a publish is exactly what it adopted.
+    let sample: Vec<&String> = questions.iter().take(32).collect();
+    for tier in [0, 1] {
+        service.route(&questions[0]); // decode the current tier's every shard
+        service.publish(Arc::new(load(tier)));
+        let adopted: Vec<usize> = service
+            .router()
+            .shard_counters()
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.loaded)
+            .map(|(s, _)| s)
+            .collect();
+        let unchanged: Vec<usize> = (0..after.num_shards())
+            .filter(|&s| s != changed && after.shard_counters()[s].databases > 0)
+            .collect();
+        let fresh = load(tier);
+        let differing = sample
+            .iter()
+            .filter(|q| bits(&service.route(q)) != bits(&fresh.route(q, TOP_TABLES)))
+            .count();
+        println!(
+            "== Adoption — publishing tier {} adopted shards {adopted:?} (unchanged: \
+             {unchanged:?}); {differing}/{} answers differ from a fresh load ==",
+            ["before", "after"][tier],
+            sample.len()
+        );
+        if adopted != unchanged {
+            failures.push(format!(
+                "publish adopted shards {adopted:?}, want exactly the unchanged {unchanged:?}"
+            ));
+        }
+        if differing > 0 {
+            failures.push(format!("{differing} answers after an adopting publish differ"));
+        }
+    }
+}
+
+/// Names and score bits of a routing's tables and databases, in order.
+type Bits<'a> = (Vec<(&'a str, &'a str, u32)>, Vec<(&'a str, u32)>);
+
+fn bits(r: &RoutingResult) -> Bits<'_> {
+    (
+        r.tables.iter().map(|(d, t, s)| (d.as_str(), t.as_str(), s.to_bits())).collect(),
+        r.databases.iter().map(|(d, s)| (d.as_str(), s.to_bits())).collect(),
+    )
 }

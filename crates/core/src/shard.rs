@@ -24,16 +24,28 @@
 //!   The calibration background is *not* part of that first touch: the job
 //!   that trains a shard (in `fit` or `extend`) computes it, the bundle
 //!   manifest carries it, and the loader refuses a manifest without it.
+//! * **A hot swap keeps what it did not change** — [`SchemaRouter::inherit`]
+//!   lets each shard of a newly loaded tier adopt the decoded router of the
+//!   tier it replaces, when its database names, background bits and
+//!   payload bytes all equal the old shard's. Each shard records the
+//!   answers it computes in a memo bounded in bytes (see `MEMO_BYTES`);
+//!   an adopting shard takes that memo and answers the questions asked
+//!   before the swap from it, never what its own generation computed (the
+//!   serving cache answers those repeats). An adopted shard is byte for
+//!   byte the shard that computed those answers, so routing stays
+//!   bit-identical; only the changed shards decode and search again.
 //!
 //! The partition depends only on database names — never on thread count,
 //! machine, or load order — so a collection shards identically everywhere.
 
-use std::collections::BTreeSet;
+use std::any::Any;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dbcopilot_graph::SchemaGraph;
 use dbcopilot_retrieval::{RoutingResult, SchemaRouter, ShardCounters};
+use dbcopilot_runtime::{lock_rank, OrderedMutex};
 use dbcopilot_sqlengine::Collection;
 use dbcopilot_synth::{CorpusMeta, Questioner};
 
@@ -70,10 +82,86 @@ pub(crate) struct LazyShard {
     pub(crate) len: usize,
 }
 
+/// The most bytes one shard's memo holds before it evicts its oldest
+/// answers: keys, answers and the strings in them, counted by capacity
+/// (see `memo_cost`). One answer at `top_tables = 100` holds about 4
+/// databases and 12 tables and costs about 1.5 KB with a short question,
+/// so a full memo holds some 700 of them. An answer that alone would take
+/// more than 1/64 of the budget (a question over ~16 KB) is never kept, so
+/// no one question can flush the memo. A tier's memos cost at most this
+/// many bytes per shard: 4 MiB on a 4-shard tier, whatever is asked.
+const MEMO_BYTES: usize = 1 << 20;
+
+/// A memo key: the question as asked and the `top_tables` it was asked
+/// with.
+type MemoKey = (String, usize);
+
+/// The bytes a memo entry holds: its key twice (map and eviction queue)
+/// and its answer, each with the heap its strings and vectors reserve.
+fn memo_cost(key: &MemoKey, answer: &RoutingResult) -> usize {
+    use std::mem::size_of;
+    let tables: usize = answer.tables.iter().map(|(d, t, _)| d.capacity() + t.capacity()).sum();
+    let databases: usize = answer.databases.iter().map(|(d, _)| d.capacity()).sum();
+    2 * (size_of::<MemoKey>() + key.0.capacity())
+        + size_of::<(u64, Arc<RoutingResult>)>()
+        + size_of::<RoutingResult>()
+        + answer.tables.capacity() * size_of::<(String, String, f32)>()
+        + tables
+        + answer.databases.capacity() * size_of::<(String, f32)>()
+        + databases
+}
+
+/// A shard's memo: the answers `route_in` computed per `(question,
+/// top_tables)`, each tagged with the generation that computed it, bounded
+/// to [`MEMO_BYTES`] and evicted first in, first out, so what it holds is a
+/// function of the questions asked, in order.
+///
+/// It answers only what an *earlier* generation computed: within one
+/// generation the serving cache already answers repeats, and a slot that
+/// was never adopted (generation 0) answers nothing from it. A hot swap
+/// carries the memo to the adopting slot and advances its generation, so
+/// the questions asked before the swap are answered without a search.
+#[derive(Default)]
+struct ShardMemo {
+    /// How many adoptions this memo has been carried across.
+    generation: u64,
+    answers: HashMap<MemoKey, (u64, Arc<RoutingResult>)>,
+    /// Keys and their costs in insertion order; the front is evicted first.
+    order: VecDeque<(MemoKey, usize)>,
+    /// The sum of the costs in `order`.
+    bytes: usize,
+}
+
+impl ShardMemo {
+    /// The answer an earlier generation computed for `key`, if any.
+    fn get(&self, key: &MemoKey) -> Option<Arc<RoutingResult>> {
+        match self.answers.get(key) {
+            Some((generation, answer)) if *generation < self.generation => Some(answer.clone()),
+            _ => None,
+        }
+    }
+
+    fn insert(&mut self, key: MemoKey, answer: Arc<RoutingResult>) {
+        let cost = memo_cost(&key, &answer);
+        // Another request may have computed the same answer meanwhile.
+        if cost > MEMO_BYTES / 64 || self.answers.contains_key(&key) {
+            return;
+        }
+        while self.bytes + cost > MEMO_BYTES {
+            let Some((oldest, freed)) = self.order.pop_front() else { break };
+            self.answers.remove(&oldest);
+            self.bytes -= freed;
+        }
+        self.bytes += cost;
+        self.order.push_back((key.clone(), cost));
+        self.answers.insert(key, (self.generation, answer));
+    }
+}
+
 /// One shard: its owned database names (known without decoding), the
 /// decoded router behind a `OnceLock` (`None` inside = the shard owns no
-/// databases), optional undecoded bytes, its calibration background and a
-/// served-question counter.
+/// databases), optional undecoded bytes, its calibration background, its
+/// memo of answers and a served-question counter.
 pub(crate) struct ShardSlot {
     db_names: Vec<String>,
     lazy: Option<LazyShard>,
@@ -84,6 +172,7 @@ pub(crate) struct ShardSlot {
     /// calibration. Empty for an empty shard and in a 1-shard tier, which
     /// never calibrates.
     background: Vec<f32>,
+    memo: OrderedMutex<ShardMemo>,
 }
 
 impl ShardSlot {
@@ -95,7 +184,14 @@ impl ShardSlot {
     ) -> Self {
         let cell = OnceLock::new();
         cell.set(router).expect("fresh OnceLock");
-        ShardSlot { db_names, lazy: None, router: cell, routes: AtomicU64::new(0), background }
+        ShardSlot {
+            db_names,
+            lazy: None,
+            router: cell,
+            routes: AtomicU64::new(0),
+            background,
+            memo: new_memo(),
+        }
     }
 
     /// A slot that decodes `bundle[offset..offset + len]` on first touch,
@@ -113,6 +209,7 @@ impl ShardSlot {
             router: OnceLock::new(),
             routes: AtomicU64::new(0),
             background,
+            memo: new_memo(),
         }
     }
 
@@ -161,6 +258,57 @@ impl ShardSlot {
     pub(crate) fn raw_bytes(&self) -> Option<&[u8]> {
         self.lazy.as_ref().map(|lazy| &lazy.bundle[lazy.offset..lazy.offset + lazy.len])
     }
+
+    /// Whether this slot is provably the shard `previous` is: the same
+    /// database names, the same background bits and the same payload
+    /// bytes. A slot built in memory (fit, extend) has no payload bytes to
+    /// compare, so it is never the same as anything.
+    fn same_shard_as(&self, previous: &ShardSlot) -> bool {
+        self.db_names == previous.db_names
+            && self
+                .background
+                .iter()
+                .map(|x| x.to_bits())
+                .eq(previous.background.iter().map(|x| x.to_bits()))
+            && matches!((self.raw_bytes(), previous.raw_bytes()), (Some(a), Some(b)) if a == b)
+    }
+
+    /// Adopt `previous`'s decoded router and take its memo, one generation
+    /// on, if `previous` is decoded and [the same shard](Self::same_shard_as).
+    /// Returns whether it did. A slot that is already decoded keeps its own
+    /// router, and one that already remembers answers keeps its own memo.
+    fn adopt(&self, previous: &ShardSlot) -> bool {
+        let Some(router) = previous.router.get() else { return false };
+        if !self.same_shard_as(previous) {
+            return false;
+        }
+        let _ = self.router.set(router.clone());
+        let mut taken = previous.take_memo();
+        taken.generation += 1;
+        let mut memo = self.memo.lock();
+        if memo.order.is_empty() {
+            *memo = taken;
+        }
+        true
+    }
+
+    /// The answer an earlier generation of this shard computed for `key`.
+    fn remembered(&self, key: &MemoKey) -> Option<Arc<RoutingResult>> {
+        self.memo.lock().get(key)
+    }
+
+    fn remember(&self, key: MemoKey, answer: RoutingResult) {
+        self.memo.lock().insert(key, Arc::new(answer));
+    }
+
+    /// Empty the memo, returning what it held.
+    fn take_memo(&self) -> ShardMemo {
+        std::mem::take(&mut *self.memo.lock())
+    }
+}
+
+fn new_memo() -> OrderedMutex<ShardMemo> {
+    OrderedMutex::new("memo", lock_rank::MEMO, ShardMemo::default())
 }
 
 /// A schema router partitioned into independent per-database-name shards.
@@ -369,7 +517,9 @@ impl ShardedRouter {
     }
 
     /// One shard's native routing, calibrated (see `calibrate_scores`) when
-    /// the tier has more than one shard.
+    /// the tier has more than one shard: the answer an earlier generation of
+    /// the slot computed, when its memo has one, else a beam search whose
+    /// answer the memo then records for the next generation.
     fn route_in(
         &self,
         slot: &ShardSlot,
@@ -378,12 +528,19 @@ impl ShardedRouter {
         top_tables: usize,
     ) -> RoutingResult {
         slot.routes.fetch_add(1, Ordering::Relaxed);
-        if self.shards.len() == 1 {
-            return router.route(question, top_tables);
+        let key = (question.to_string(), top_tables);
+        if let Some(answer) = slot.remembered(&key) {
+            return RoutingResult::clone(&answer);
         }
-        let (mut r, names) = router.route_with_name_logps(question, top_tables);
-        let name_logp = |db: &str| names.iter().find(|(n, _)| *n == db).map(|&(_, lp)| lp);
-        calibrate_scores(slot, name_logp, &mut r);
+        let r = if self.shards.len() == 1 {
+            router.route(question, top_tables)
+        } else {
+            let (mut r, names) = router.route_with_name_logps(question, top_tables);
+            let name_logp = |db: &str| names.iter().find(|(n, _)| *n == db).map(|&(_, lp)| lp);
+            calibrate_scores(slot, name_logp, &mut r);
+            r
+        };
+        slot.remember(key, r.clone());
         r
     }
 
@@ -523,6 +680,32 @@ impl SchemaRouter for ShardedRouter {
             })
             .collect()
     }
+
+    /// Adopt, shard by shard, the decoded router and the memo of every
+    /// shard of `previous` that this tier provably shares (`previous` is a
+    /// `ShardedRouter` of the same shard count, and per shard the names,
+    /// background bits and payload bytes are the same — see
+    /// `ShardSlot::adopt`). Every other shard stays lazy. A slot already
+    /// shared by `Arc` (an in-memory `extend`) is decoded already and is
+    /// left as it is, its memo in the generation it was.
+    fn inherit(&self, previous: &dyn SchemaRouter) {
+        let Some(previous) = previous.as_any().and_then(|p| p.downcast_ref::<ShardedRouter>())
+        else {
+            return;
+        };
+        if self.shards.len() != previous.shards.len() {
+            return;
+        }
+        for (slot, old) in self.shards.iter().zip(&previous.shards) {
+            if !Arc::ptr_eq(slot, old) {
+                slot.adopt(old);
+            }
+        }
+    }
+
+    fn as_any(&self) -> Option<&dyn Any> {
+        Some(self)
+    }
 }
 
 /// Calibrate one shard's native routing scores for cross-shard merging.
@@ -614,6 +797,223 @@ fn sort_routing(r: &mut RoutingResult, top_tables: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::{load_sharded_router_bytes, sharded_router_to_vec};
+    use dbcopilot_graph::QuerySchema;
+    use dbcopilot_sqlengine::{DataType, DatabaseSchema, TableSchema};
+
+    const QUESTIONS: [&str; 3] =
+        ["how many vocalists", "population of towns", "which writer wrote the most"];
+
+    /// The bundle of a 4-shard tier over three databases.
+    fn tier_bytes() -> Vec<u8> {
+        let mut collection = Collection::new();
+        for (db, table) in [("concert_singer", "singer"), ("world", "city"), ("library", "book")] {
+            let mut d = DatabaseSchema::new(db);
+            d.add_table(TableSchema::new(table).column("id", DataType::Int).primary(0));
+            collection.add_database(d);
+        }
+        let examples: Vec<TrainExample> = (0..8)
+            .flat_map(|_| {
+                [("how many vocalists", "concert_singer", "singer"), ("towns", "world", "city")]
+                    .map(|(q, db, t)| TrainExample {
+                        question: q.into(),
+                        schema: QuerySchema::new(db, vec![t.into()]),
+                    })
+            })
+            .collect();
+        let mut cfg = RouterConfig::tiny();
+        cfg.epochs = 3;
+        let (tier, _) = ShardedRouter::fit(&collection, &examples, cfg, SerializationMode::Dfs, 4);
+        sharded_router_to_vec(&tier).unwrap()
+    }
+
+    /// A loaded tier that has routed every question (so each non-empty
+    /// shard is decoded and remembers an answer per question).
+    fn warm_tier(bytes: &[u8]) -> ShardedRouter {
+        let tier = load_sharded_router_bytes(bytes.to_vec()).unwrap();
+        for q in QUESTIONS {
+            tier.route(q, 10);
+        }
+        tier
+    }
+
+    fn memo_len(slot: &ShardSlot) -> usize {
+        slot.memo.lock().order.len()
+    }
+
+    /// Names and score bits of a routing's tables and databases, in order.
+    type Bits = (Vec<(String, String, u32)>, Vec<(String, u32)>);
+
+    fn routing_bits(r: &RoutingResult) -> Bits {
+        (
+            r.tables.iter().map(|(d, t, s)| (d.clone(), t.clone(), s.to_bits())).collect(),
+            r.databases.iter().map(|(d, s)| (d.clone(), s.to_bits())).collect(),
+        )
+    }
+
+    #[test]
+    fn a_reload_of_the_same_bytes_adopts_every_decoded_shard_and_answers_from_its_memo() {
+        let bytes = tier_bytes();
+        let old = warm_tier(&bytes);
+        let non_empty = old.slots().iter().filter(|s| !s.db_names.is_empty()).count();
+        assert!(non_empty > 1, "the fixture must calibrate across shards");
+        assert_eq!(old.loaded_shards(), non_empty);
+
+        // Plant a marker answer in one shard's memo: only a shard that
+        // took that memo can answer with it.
+        let owner = old.shard_of_db("world");
+        let key = (QUESTIONS[1].to_string(), 10);
+        let marker = RoutingResult {
+            tables: vec![("world".into(), "marker".into(), 1.0)],
+            databases: vec![("world".into(), 1.0)],
+        };
+        old.slots()[owner].memo.lock().answers.insert(key.clone(), (0, Arc::new(marker.clone())));
+        assert_ne!(
+            routing_bits(&old.route_shard(owner, QUESTIONS[1], 10)),
+            routing_bits(&marker),
+            "a memo never answers what its own generation computed"
+        );
+        let remembered: Vec<usize> = old.slots().iter().map(|s| memo_len(s)).collect();
+
+        let new = load_sharded_router_bytes(bytes.clone()).unwrap();
+        assert_eq!(new.loaded_shards(), 0);
+        new.inherit(&old);
+        assert_eq!(new.loaded_shards(), non_empty, "every decoded shard is adopted");
+        for (s, (slot, before)) in new.slots().iter().zip(&remembered).enumerate() {
+            assert_eq!(memo_len(slot), *before, "shard {s} takes the old memo");
+            assert_eq!(memo_len(&old.slots()[s]), 0, "shard {s}'s old memo is taken, not copied");
+            if let (Some(Some(a)), Some(Some(b))) = (slot.router.get(), old.slots()[s].router.get())
+            {
+                assert!(Arc::ptr_eq(a, b), "shard {s} shares the decoded router");
+            }
+        }
+        assert_eq!(
+            routing_bits(&new.route_shard(owner, QUESTIONS[1], 10)),
+            routing_bits(&marker),
+            "the adopted shard answers from the memo it took"
+        );
+        // What the adopting generation computes and records, it does not
+        // read back: the marker recorded now is for the next generation.
+        new.slots()[owner].remember(key, marker.clone());
+        assert_eq!(new.slots()[owner].memo.lock().answers[&(QUESTIONS[1].to_string(), 10)].0, 0);
+        let fresh_key = ("a question no generation asked".to_string(), 10);
+        new.slots()[owner].remember(fresh_key.clone(), marker.clone());
+        assert!(new.slots()[owner].remembered(&fresh_key).is_none());
+    }
+
+    #[test]
+    fn shards_differing_in_payload_background_or_names_are_never_adopted() {
+        let bytes = tier_bytes();
+        let old = warm_tier(&bytes);
+        let slot = old.slots().iter().find(|s| !s.db_names.is_empty()).unwrap();
+        let lazy = slot.lazy.as_ref().unwrap();
+        let payload = lazy.bundle[lazy.offset..lazy.offset + lazy.len].to_vec();
+        let len = payload.len();
+        let rebuilt = |names: Vec<String>, payload: Vec<u8>, background: Vec<f32>| {
+            ShardSlot::lazy(names, Arc::new(payload), 0, len, background)
+        };
+
+        let mut flipped = payload.clone();
+        flipped[len - 1] ^= 1;
+        let mut shifted = slot.background.clone();
+        shifted[0] = f32::from_bits(shifted[0].to_bits() ^ 1);
+        let mut renamed = slot.db_names.clone();
+        renamed[0].push('x');
+        let remembered = memo_len(slot);
+        for (what, candidate) in [
+            ("payload", rebuilt(slot.db_names.clone(), flipped, slot.background.clone())),
+            ("background", rebuilt(slot.db_names.clone(), payload.clone(), shifted)),
+            ("names", rebuilt(renamed, payload.clone(), slot.background.clone())),
+        ] {
+            assert!(!candidate.adopt(slot), "a slot with other {what} was adopted");
+            assert!(!candidate.is_loaded(), "{what}: the unadopted slot stays lazy");
+            assert_eq!(memo_len(&candidate), 0, "{what}");
+            assert_eq!(memo_len(slot), remembered, "{what}: the old memo is left alone");
+        }
+        // A slot built in memory (fit, extend) has no payload bytes to
+        // compare, even around the very same router.
+        let decoded = slot.router.get().unwrap().clone();
+        let eager = ShardSlot::eager(slot.db_names.clone(), decoded, slot.background.clone());
+        let same = || rebuilt(slot.db_names.clone(), payload.clone(), slot.background.clone());
+        assert!(!same().adopt(&eager));
+        // The control: the very same bytes are adopted.
+        let adopted = same();
+        assert!(adopted.adopt(slot));
+        assert!(adopted.is_loaded());
+    }
+
+    #[test]
+    fn an_undecoded_or_differently_sharded_tier_hands_over_nothing() {
+        let bytes = tier_bytes();
+        let cold = load_sharded_router_bytes(bytes.clone()).unwrap();
+        let new = load_sharded_router_bytes(bytes.clone()).unwrap();
+        new.inherit(&cold);
+        assert_eq!(new.loaded_shards(), 0, "nothing decoded, nothing to adopt");
+
+        let old = warm_tier(&bytes);
+        let mut slots: Vec<Arc<ShardSlot>> = old.slots().to_vec();
+        slots.pop();
+        let three = ShardedRouter::from_parts(slots, old.config().clone(), Vec::new());
+        let new = load_sharded_router_bytes(bytes).unwrap();
+        new.inherit(&three);
+        assert_eq!(new.loaded_shards(), 0, "a tier of another shard count is not the same tier");
+    }
+
+    #[test]
+    fn the_memo_evicts_first_in_first_out_within_its_byte_bound() {
+        let answer = Arc::new(RoutingResult {
+            tables: vec![("world".into(), "city".into(), 1.0)],
+            databases: vec![("world".into(), 1.0)],
+        });
+        let key = |i: usize| (format!("question {i}"), 10);
+        let cost = memo_cost(&key(0), &answer);
+        let mut memo = ShardMemo::default();
+        let fits = MEMO_BYTES / cost;
+        for i in 0..fits {
+            memo.insert(key(i), Arc::clone(&answer));
+        }
+        // Re-inserting a remembered key neither duplicates nor refreshes it.
+        memo.insert(key(0), Arc::clone(&answer));
+        assert_eq!((memo.order.len(), memo.bytes), (fits, fits * cost));
+        memo.insert(key(fits), Arc::clone(&answer));
+        assert_eq!(memo.order.len(), fits, "one answer in, the oldest out");
+        assert!(!memo.answers.contains_key(&key(0)), "the oldest answer goes first");
+        assert!(memo.answers.contains_key(&key(1)) && memo.answers.contains_key(&key(fits)));
+
+        // Nothing is readable until the memo is carried to a new generation.
+        assert!(memo.get(&key(1)).is_none());
+        memo.generation += 1;
+        assert!(memo.get(&key(1)).is_some());
+        assert!(memo.get(&(key(1).0, 11)).is_none(), "top_tables is part of the key");
+    }
+
+    #[test]
+    fn long_questions_cannot_push_the_memo_past_its_byte_bound() {
+        let answer = Arc::new(RoutingResult {
+            tables: vec![("world".into(), "city".into(), 1.0)],
+            databases: vec![("world".into(), 1.0)],
+        });
+        let mut memo = ShardMemo::default();
+        memo.insert(("short".into(), 10), Arc::clone(&answer));
+        // A question as long as a request body may be is never kept.
+        memo.insert(("x".repeat(1 << 20), 10), Arc::clone(&answer));
+        assert_eq!(memo.order.len(), 1);
+        // The longest kept questions still cannot hold more than the bound.
+        let width = (MEMO_BYTES / 64 - memo_cost(&(String::new(), 10), &answer)) / 2;
+        for i in 0..200 {
+            let mut question = String::with_capacity(width);
+            question.extend(std::iter::repeat_n('x', width - 3));
+            question.push_str(&format!("{i:03}"));
+            let key = (question, 10);
+            assert_eq!(memo_cost(&key, &answer), MEMO_BYTES / 64);
+            memo.insert(key.clone(), Arc::clone(&answer));
+            assert!(memo.answers.contains_key(&key), "a question of the largest kept cost is kept");
+            let held: usize = memo.answers.iter().map(|(k, (_, a))| memo_cost(k, a)).sum::<usize>();
+            assert_eq!(held, memo.bytes);
+            assert!(memo.bytes <= MEMO_BYTES, "{} bytes held after {i} inserts", memo.bytes);
+        }
+        assert!((2..200).contains(&memo.order.len()), "long questions evict older ones");
+    }
 
     #[test]
     fn shard_assignment_is_stable_and_in_range() {

@@ -421,6 +421,44 @@ fn shard_counters_track_databases_loading_and_traffic() {
 }
 
 #[test]
+fn a_tier_loaded_from_the_same_bytes_adopts_every_decoded_shard_and_routes_like_a_fresh_load() {
+    let bytes = sharded_router_to_vec(&fit_sharded(4)).unwrap();
+    let asked = ["how many vocalists are there", "list the names of all towns"];
+    let old = load_sharded_router_bytes(bytes.clone()).unwrap();
+    for q in asked {
+        old.route(q, 10);
+    }
+    let decoded = old.loaded_shards();
+    let non_empty = old.shard_counters().iter().filter(|c| c.databases > 0).count();
+    assert_eq!(decoded, non_empty, "a scatter-gather decodes every non-empty shard");
+
+    let new = load_sharded_router_bytes(bytes.clone()).unwrap();
+    new.inherit(&old);
+    assert_eq!(new.loaded_shards(), decoded, "every decoded shard is adopted before any route");
+
+    // Remembered questions, new questions, and other `top_tables`: all
+    // bit-identical to a tier that never adopted anything.
+    let fresh = load_sharded_router_bytes(bytes).unwrap();
+    let questions = asked.iter().chain(&["who directed the longest film", "vocalists in towns"]);
+    for q in questions {
+        for top_tables in [10, 1] {
+            assert_eq!(
+                bits(&new.route(q, top_tables)),
+                bits(&fresh.route(q, top_tables)),
+                "{q:?} at top_tables {top_tables}"
+            );
+        }
+    }
+    for s in 0..new.num_shards() {
+        assert_eq!(
+            bits(&new.route_shard(s, asked[0], 10)),
+            bits(&fresh.route_shard(s, asked[0], 10)),
+            "route_shard({s})"
+        );
+    }
+}
+
+#[test]
 fn shards_owning_databases_but_no_examples_fit_untrained_and_stay_routable() {
     // Eight one-table databases and every example on `alpha`: the other
     // shards own databases but no examples. Their fit used to panic ("no

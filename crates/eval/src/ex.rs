@@ -118,7 +118,7 @@ pub fn eval_ex(
     // Databases interned once and reused across the instance loop — the
     // same database serves many instances, and each instance executes at
     // least two queries (gold + prediction) against it.
-    let mut prepared: HashMap<String, PreparedDb> = HashMap::new();
+    let mut prepared: HashMap<&str, PreparedDb> = HashMap::new();
     for inst in instances {
         let k = match strategy {
             Strategy::Best => 1,
@@ -186,8 +186,9 @@ pub fn eval_ex(
             report.gold_errors += 1;
             continue;
         };
-        let pdb =
-            prepared.entry(inst.schema.database.clone()).or_insert_with(|| PreparedDb::prepare(db));
+        let pdb = prepared
+            .entry(inst.schema.database.as_str())
+            .or_insert_with(|| PreparedDb::prepare(db));
         let gold = match execute(pdb, &inst.sql) {
             Ok(rs) => rs,
             Err(_) => {

@@ -64,6 +64,7 @@ pub const LOCK_RANKS: &[(&str, u16)] = &[
     ("cache", 30),
     ("current", 31),
     ("job", 40),
+    ("memo", 50),
 ];
 
 fn rank_of(name: &str) -> Option<u16> {

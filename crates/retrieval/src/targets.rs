@@ -183,6 +183,22 @@ pub trait SchemaRouter {
     fn shard_counters(&self) -> Vec<ShardCounters> {
         Vec::new()
     }
+
+    /// Take over whatever `self` provably shares with `previous`, the
+    /// router it is about to replace (a hot swap calls this before the
+    /// swap). A sharded tier adopts each byte-identical shard's decoded
+    /// model and the answers it computed; every other router (the default)
+    /// keeps nothing. Routing results must not change either way.
+    fn inherit(&self, previous: &dyn SchemaRouter) {
+        let _ = previous;
+    }
+
+    /// The router itself, for an [`inherit`](Self::inherit) that must
+    /// recognise its own kind behind `&dyn SchemaRouter`. Routers that
+    /// inherit nothing (the default) need not say.
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        None
+    }
 }
 
 // Smart-pointer wrappers route through their pointee, so a boxed trait
@@ -200,6 +216,14 @@ impl<T: SchemaRouter + ?Sized> SchemaRouter for Box<T> {
     fn shard_counters(&self) -> Vec<ShardCounters> {
         (**self).shard_counters()
     }
+
+    fn inherit(&self, previous: &dyn SchemaRouter) {
+        (**self).inherit(previous)
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        (**self).as_any()
+    }
 }
 
 impl<T: SchemaRouter + ?Sized> SchemaRouter for std::sync::Arc<T> {
@@ -213,6 +237,14 @@ impl<T: SchemaRouter + ?Sized> SchemaRouter for std::sync::Arc<T> {
 
     fn shard_counters(&self) -> Vec<ShardCounters> {
         (**self).shard_counters()
+    }
+
+    fn inherit(&self, previous: &dyn SchemaRouter) {
+        (**self).inherit(previous)
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        (**self).as_any()
     }
 }
 

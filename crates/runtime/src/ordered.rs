@@ -37,6 +37,9 @@ pub mod lock_rank {
     /// One optimizer-epilogue job in training, taken by the thread that
     /// claims it.
     pub const JOB: u16 = 40;
+    /// A routing shard's memo of its answers, held for one lookup or one
+    /// insert and never around a search (a leaf: nothing nests inside).
+    pub const MEMO: u16 = 50;
 }
 
 #[cfg(debug_assertions)]

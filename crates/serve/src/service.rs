@@ -511,9 +511,13 @@ impl<R: SchemaRouter + Send + Sync + 'static> RouterService<R> {
     /// request on the old generation to finish on the router it started
     /// with, then clear the cache (whose old-generation entries are already
     /// tag-invalidated — clearing reclaims their space). Requests arriving
-    /// during the swap are served by the new router. Returns the new
+    /// during the swap are served by the new router. Before the swap the
+    /// new router inherits what it shares with the current one (see
+    /// [`SchemaRouter::inherit`]; a sharded tier keeps its unchanged
+    /// shards decoded and their answers remembered). Returns the new
     /// generation number.
     pub fn publish(&self, router: Arc<R>) -> u64 {
+        router.inherit(&*self.router());
         let generation = self.engine.backend().handle.publish(router);
         self.engine.clear_cache();
         generation

@@ -461,3 +461,113 @@ fn stats_surface_generation_and_shard_counters_for_a_sharded_router() {
     assert!(plain.stats().shards.is_empty());
     assert_eq!(plain.stats().generation, 1);
 }
+
+/// Names and score bits of a routing, in order.
+type Bits = (Vec<(String, String, u32)>, Vec<(String, u32)>);
+
+fn bits(r: &RoutingResult) -> Bits {
+    let tables = r.tables.iter().map(|(d, t, s)| (d.clone(), t.clone(), s.to_bits())).collect();
+    let dbs = r.databases.iter().map(|(d, s)| (d.clone(), s.to_bits())).collect();
+    (tables, dbs)
+}
+
+#[test]
+fn publishing_a_tier_over_its_extension_and_back_adopts_every_unchanged_shard() {
+    use dbcopilot_core::{
+        load_sharded_router_bytes, sharded_router_to_vec, RouterConfig, SerializationMode,
+        ShardedRouter, TrainExample,
+    };
+    use dbcopilot_graph::QuerySchema;
+    use dbcopilot_sqlengine::{Collection, DataType, DatabaseSchema, TableSchema};
+    use dbcopilot_synth::{CorpusMeta, Questioner, QuestionerConfig, TrainPair};
+
+    fn database(name: &str, tables: &[&str]) -> DatabaseSchema {
+        let mut d = DatabaseSchema::new(name);
+        for &t in tables {
+            d.add_table(TableSchema::new(t).column("id", DataType::Int).primary(0));
+        }
+        d
+    }
+
+    // Tier A: eight databases over four shards, every shard owning some.
+    let dbs = [
+        ("concert_singer", "singer", "how many vocalists"),
+        ("world", "city", "population of towns"),
+        ("library", "book", "list the volumes"),
+        ("cinema", "movie", "the longest film"),
+        ("farm", "crop", "which crop grows best"),
+        ("school", "pupil", "oldest pupil"),
+        ("airline", "flight", "delayed flights"),
+        ("museum", "painting", "most visited painting"),
+    ];
+    let mut collection = Collection::new();
+    for (db, table, _) in dbs {
+        collection.add_database(database(db, &[table]));
+    }
+    let examples: Vec<TrainExample> = (0..4)
+        .flat_map(|_| dbs.iter())
+        .map(|&(db, table, q)| TrainExample {
+            question: q.into(),
+            schema: QuerySchema::new(db, vec![table.into()]),
+        })
+        .collect();
+    let mut cfg = RouterConfig::tiny();
+    cfg.epochs = 2;
+    let (fitted, _) = ShardedRouter::fit(&collection, &examples, cfg, SerializationMode::Dfs, 4);
+    assert!(fitted.shard_counters().iter().all(|c| c.databases > 0), "every shard owns a database");
+
+    // Tier B: A plus one database, retrained in its owning shard only.
+    let mut grown = collection.clone();
+    grown.add_database(database("telemetry_hub", &["sensor", "reading"]));
+    let questioner = Questioner::train(
+        &[TrainPair {
+            entities: vec!["sensor".into()],
+            attrs: vec![],
+            question: "how many sensors report".into(),
+        }],
+        &QuestionerConfig::default(),
+    );
+    let (extended, _) = fitted.extend(&grown, &CorpusMeta::default(), &questioner, 16, 1).unwrap();
+    let changed = fitted.shard_of_db("telemetry_hub");
+    let bundles =
+        [sharded_router_to_vec(&fitted).unwrap(), sharded_router_to_vec(&extended).unwrap()];
+    let load = |tier: usize| load_sharded_router_bytes(bundles[tier].clone()).unwrap();
+
+    let questions: Vec<String> = dbs
+        .iter()
+        .map(|&(_, _, q)| q.to_string())
+        .chain(["how many sensors report".to_string(), "vocalists in towns".to_string()])
+        .collect();
+    let top_tables = cfg_top_tables();
+    let service = RouterService::new(Arc::new(load(0)), ServiceConfig::default());
+    service.warm(&questions);
+    for (step, tier) in [1, 0, 1].into_iter().enumerate() {
+        service.publish(Arc::new(load(tier)));
+        let loaded: Vec<bool> = service.stats().shards.iter().map(|c| c.loaded).collect();
+        let want: Vec<bool> = (0..4).map(|s| s != changed).collect();
+        assert_eq!(loaded, want, "publish {step}: exactly the unchanged shards are adopted");
+        let fresh = load(tier);
+        for q in &questions {
+            assert_eq!(
+                bits(&service.route(q)),
+                bits(&fresh.route(q, top_tables)),
+                "publish {step}: {q:?} differs from a fresh load of the published tier"
+            );
+        }
+    }
+
+    // Behind a `Box<dyn SchemaRouter>` or an `Arc`, the hook still reaches
+    // the tier.
+    let want: Vec<bool> = (0..4).map(|s| s != changed).collect();
+    let boxed: RouterService<Box<dyn SchemaRouter + Send + Sync>> =
+        RouterService::from_router(Box::new(load(0)), ServiceConfig::default());
+    boxed.warm(&questions);
+    boxed.publish(Arc::new(Box::new(load(1))));
+    let loaded: Vec<bool> = boxed.stats().shards.iter().map(|c| c.loaded).collect();
+    assert_eq!(loaded, want, "a boxed tier adopts");
+    let shared = RouterService::from_router(Arc::new(load(0)), ServiceConfig::default());
+    shared.warm(&questions);
+    shared.publish(Arc::new(Arc::new(load(1))));
+    let loaded: Vec<bool> = shared.stats().shards.iter().map(|c| c.loaded).collect();
+    assert_eq!(loaded, want, "a shared tier adopts");
+}

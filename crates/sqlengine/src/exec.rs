@@ -3,9 +3,9 @@
 //!
 //! It resolves names per row and nested-loops every join — slow and
 //! obviously right, which is its whole job. Nothing serves or evaluates
-//! through it: `tests/differential.rs` and the eval crate's engine-parity
-//! suite call [`interpret`] and hold the compiled engine to identical
-//! `ResultSet`s and identical errors.
+//! through it: `tests/differential.rs`, the eval crate's engine-parity
+//! suite and this module's own directed tests call [`interpret`] and hold
+//! the compiled engine to identical `ResultSet`s and identical errors.
 //!
 //! Supported: inner joins (nested loop), WHERE, GROUP BY + aggregates,
 //! HAVING, ORDER BY, LIMIT, DISTINCT, uncorrelated scalar/IN subqueries.
@@ -722,8 +722,39 @@ mod tests {
     use crate::schema::{DatabaseSchema, TableSchema};
     use crate::value::DataType;
 
+    /// A fixture database, as stored and as prepared for the compiled
+    /// engine.
+    struct Fixture {
+        db: Database,
+        prepared: PreparedDb,
+    }
+
+    impl Fixture {
+        /// Run `sql` through both engines: the interpreter and the compiled
+        /// path must return the same result set (the same columns, the same
+        /// rows in the same order) or the same error text. Returns the
+        /// compiled path's result.
+        fn run(&self, sql: &str) -> Result<ResultSet, EngineError> {
+            let interpreted = interpret(&self.db, sql);
+            let compiled = execute(&self.prepared, sql);
+            match (&interpreted, &compiled) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "results diverge on: {sql}")
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string(), "errors diverge on: {sql}")
+                }
+                _ => panic!(
+                    "one engine failed on {sql}\n  interpreted: {interpreted:?}\n  \
+                     compiled: {compiled:?}"
+                ),
+            }
+            compiled
+        }
+    }
+
     /// The paper's running example database (Example 1-2).
-    fn concert_db() -> PreparedDb {
+    fn concert_db() -> Fixture {
         let mut schema = DatabaseSchema::new("concert_singer");
         schema.add_table(
             TableSchema::new("singer")
@@ -758,13 +789,14 @@ mod tests {
         for (s, c) in [(1, 10), (2, 10), (1, 11), (3, 12)] {
             db.insert("singer_in_concert", vec![Value::Int(s), Value::Int(c)]).unwrap();
         }
-        PreparedDb::prepare(&db)
+        let prepared = PreparedDb::prepare(&db);
+        Fixture { db, prepared }
     }
 
     #[test]
     fn select_star() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT * FROM singer").unwrap();
+        let rs = db.run("SELECT * FROM singer").unwrap();
         assert_eq!(rs.columns, vec!["singer_id", "name", "age"]);
         assert_eq!(rs.rows.len(), 4);
     }
@@ -772,21 +804,21 @@ mod tests {
     #[test]
     fn where_filter() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT name FROM singer WHERE age > 30").unwrap();
+        let rs = db.run("SELECT name FROM singer WHERE age > 30").unwrap();
         assert_eq!(rs.rows.len(), 2);
     }
 
     #[test]
     fn paper_example2_join() {
         let db = concert_db();
-        let rs = execute(
-            &db,
-            "SELECT s.name FROM singer_in_concert AS sc \
+        let rs = db
+            .run(
+                "SELECT s.name FROM singer_in_concert AS sc \
              JOIN singer AS s ON sc.singer_id = s.singer_id \
              JOIN concert AS c ON sc.concert_id = c.concert_id \
              WHERE c.year = 2014",
-        )
-        .unwrap();
+            )
+            .unwrap();
         let mut names: Vec<String> = rs
             .rows
             .iter()
@@ -802,13 +834,13 @@ mod tests {
     #[test]
     fn group_by_count_order() {
         let db = concert_db();
-        let rs = execute(
-            &db,
-            "SELECT venue, COUNT(*) AS n FROM concert \
+        let rs = db
+            .run(
+                "SELECT venue, COUNT(*) AS n FROM concert \
              JOIN singer_in_concert AS sc ON concert.concert_id = sc.concert_id \
              GROUP BY venue ORDER BY n DESC LIMIT 1",
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(rs.rows.len(), 1);
         assert!(rs.rows[0][0].sql_eq(&Value::Text("Arena".into())));
         assert!(rs.rows[0][1].sql_eq(&Value::Int(2)));
@@ -817,7 +849,7 @@ mod tests {
     #[test]
     fn global_aggregate_on_empty_input() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT COUNT(*) FROM singer WHERE age > 100").unwrap();
+        let rs = db.run("SELECT COUNT(*) FROM singer WHERE age > 100").unwrap();
         assert_eq!(rs.rows.len(), 1);
         assert!(rs.rows[0][0].sql_eq(&Value::Int(0)));
     }
@@ -825,8 +857,8 @@ mod tests {
     #[test]
     fn scalar_subquery_max() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT name FROM singer WHERE age = (SELECT MAX(age) FROM singer)")
-            .unwrap();
+        let rs =
+            db.run("SELECT name FROM singer WHERE age = (SELECT MAX(age) FROM singer)").unwrap();
         assert_eq!(rs.rows.len(), 1);
         assert!(rs.rows[0][0].sql_eq(&Value::Text("Bo".into())));
     }
@@ -834,30 +866,30 @@ mod tests {
     #[test]
     fn in_subquery() {
         let db = concert_db();
-        let rs = execute(
-            &db,
-            "SELECT name FROM singer WHERE singer_id IN \
+        let rs = db
+            .run(
+                "SELECT name FROM singer WHERE singer_id IN \
              (SELECT singer_id FROM singer_in_concert WHERE concert_id = 10)",
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(rs.rows.len(), 2);
     }
 
     #[test]
     fn distinct_dedups() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT DISTINCT year FROM concert").unwrap();
+        let rs = db.run("SELECT DISTINCT year FROM concert").unwrap();
         assert_eq!(rs.rows.len(), 2);
     }
 
     #[test]
     fn having_filters_groups() {
         let db = concert_db();
-        let rs = execute(
-            &db,
-            "SELECT concert_id FROM singer_in_concert GROUP BY concert_id HAVING COUNT(*) >= 2",
-        )
-        .unwrap();
+        let rs = db
+            .run(
+                "SELECT concert_id FROM singer_in_concert GROUP BY concert_id HAVING COUNT(*) >= 2",
+            )
+            .unwrap();
         assert_eq!(rs.rows.len(), 1);
         assert!(rs.rows[0][0].sql_eq(&Value::Int(10)));
     }
@@ -865,7 +897,7 @@ mod tests {
     #[test]
     fn order_by_text_asc() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT name FROM singer ORDER BY name ASC").unwrap();
+        let rs = db.run("SELECT name FROM singer ORDER BY name ASC").unwrap();
         assert!(rs.rows[0][0].sql_eq(&Value::Text("Ann".into())));
         assert!(rs.rows[3][0].sql_eq(&Value::Text("Di".into())));
     }
@@ -873,14 +905,14 @@ mod tests {
     #[test]
     fn db_qualified_tables_allowed() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT name FROM concert_singer.singer WHERE age < 30").unwrap();
+        let rs = db.run("SELECT name FROM concert_singer.singer WHERE age < 30").unwrap();
         assert_eq!(rs.rows.len(), 1);
     }
 
     #[test]
     fn wrong_database_qualifier_fails() {
         let db = concert_db();
-        let err = execute(&db, "SELECT * FROM other_db.singer").unwrap_err();
+        let err = db.run("SELECT * FROM other_db.singer").unwrap_err();
         assert!(matches!(err, EngineError::WrongDatabase { .. }));
     }
 
@@ -888,7 +920,7 @@ mod tests {
     fn unknown_table_fails() {
         let db = concert_db();
         assert!(matches!(
-            execute(&db, "SELECT * FROM nonexistent"),
+            db.run("SELECT * FROM nonexistent"),
             Err(EngineError::UnknownTable { .. })
         ));
     }
@@ -897,7 +929,7 @@ mod tests {
     fn unknown_column_fails() {
         let db = concert_db();
         assert!(matches!(
-            execute(&db, "SELECT bogus FROM singer"),
+            db.run("SELECT bogus FROM singer"),
             Err(EngineError::UnknownColumn { .. })
         ));
     }
@@ -905,37 +937,37 @@ mod tests {
     #[test]
     fn ambiguous_column_fails() {
         let db = concert_db();
-        let err = execute(
-            &db,
-            "SELECT singer_id FROM singer JOIN singer_in_concert \
+        let err = db
+            .run(
+                "SELECT singer_id FROM singer JOIN singer_in_concert \
              ON singer.singer_id = singer_in_concert.singer_id",
-        )
-        .unwrap_err();
+            )
+            .unwrap_err();
         assert!(matches!(err, EngineError::AmbiguousColumn { .. }));
     }
 
     #[test]
     fn like_patterns() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT name FROM singer WHERE name LIKE 'a%'").unwrap();
+        let rs = db.run("SELECT name FROM singer WHERE name LIKE 'a%'").unwrap();
         assert_eq!(rs.rows.len(), 1); // Ann, case-insensitive
-        let rs = execute(&db, "SELECT name FROM singer WHERE name LIKE '__'").unwrap();
+        let rs = db.run("SELECT name FROM singer WHERE name LIKE '__'").unwrap();
         assert_eq!(rs.rows.len(), 3); // Bo, Cy, Di
     }
 
     #[test]
     fn arithmetic_and_division() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT age * 2 FROM singer WHERE singer_id = 1").unwrap();
+        let rs = db.run("SELECT age * 2 FROM singer WHERE singer_id = 1").unwrap();
         assert!(rs.rows[0][0].sql_eq(&Value::Int(60)));
-        let rs = execute(&db, "SELECT age / 0 FROM singer WHERE singer_id = 1").unwrap();
+        let rs = db.run("SELECT age / 0 FROM singer WHERE singer_id = 1").unwrap();
         assert!(rs.rows[0][0].is_null());
     }
 
     #[test]
     fn avg_and_sum() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT AVG(age), SUM(age) FROM singer").unwrap();
+        let rs = db.run("SELECT AVG(age), SUM(age) FROM singer").unwrap();
         assert!(rs.rows[0][0].sql_eq(&Value::Float(33.0)));
         assert!(rs.rows[0][1].sql_eq(&Value::Int(132)));
     }
@@ -943,25 +975,23 @@ mod tests {
     #[test]
     fn count_distinct() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT COUNT(DISTINCT singer_id) FROM singer_in_concert").unwrap();
+        let rs = db.run("SELECT COUNT(DISTINCT singer_id) FROM singer_in_concert").unwrap();
         assert!(rs.rows[0][0].sql_eq(&Value::Int(3)));
     }
 
     #[test]
     fn between() {
         let db = concert_db();
-        let rs = execute(&db, "SELECT name FROM singer WHERE age BETWEEN 25 AND 35").unwrap();
+        let rs = db.run("SELECT name FROM singer WHERE age BETWEEN 25 AND 35").unwrap();
         assert_eq!(rs.rows.len(), 3);
     }
 
     #[test]
     fn order_by_alias() {
         let db = concert_db();
-        let rs = execute(
-            &db,
-            "SELECT name, age * 2 AS doubled FROM singer ORDER BY doubled DESC LIMIT 1",
-        )
-        .unwrap();
+        let rs = db
+            .run("SELECT name, age * 2 AS doubled FROM singer ORDER BY doubled DESC LIMIT 1")
+            .unwrap();
         assert!(rs.rows[0][0].sql_eq(&Value::Text("Bo".into())));
     }
 }
