@@ -13,8 +13,8 @@
 
 use std::time::Instant;
 
-use dbcopilot_core::{DbcRouter, SerializationMode};
-use dbcopilot_eval::{prepare, CorpusKind, Scale};
+use dbcopilot_core::SerializationMode;
+use dbcopilot_eval::{fit_dbcopilot, prepare, CorpusKind, Scale};
 use dbcopilot_retrieval::{Bm25Index, Bm25Params};
 use dbcopilot_runtime::with_thread_count;
 
@@ -34,12 +34,8 @@ fn main() {
     for threads in [1usize, 2, 4, 8] {
         let (train_secs, bm25_secs, losses) = with_thread_count(threads, || {
             let t0 = Instant::now();
-            let (_, stats) = DbcRouter::fit(
-                prepared.graph.clone(),
-                &prepared.synth_examples,
-                scale.router.clone(),
-                SerializationMode::Dfs,
-            );
+            let (_, stats) =
+                fit_dbcopilot(&prepared, &prepared.synth_examples, &scale, SerializationMode::Dfs);
             let train_secs = t0.elapsed().as_secs_f64();
             let targets = prepared.targets.clone(); // outside the timed region
             let t1 = Instant::now();

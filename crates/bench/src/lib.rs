@@ -1,44 +1,32 @@
-//! `dbcopilot-bench` — experiment binaries (`exp_*`) regenerating every
-//! table and figure of the paper.
+//! `dbcopilot-bench` — the programs that regenerate the paper's evaluation.
+//!
+//! * `exp_quality [table…]` prints Tables 2–7 and Figures 7 and 10 in plain
+//!   text, every table when given no names (`table2` … `table7`, `fig7`,
+//!   `fig10`). At `DBC_SCALE=quick` every table but Table 5, which prints
+//!   timings, prints `quality_quick.expected` beside this crate's manifest
+//!   byte for byte, at any `DBC_THREADS`; CI diffs it.
+//! * `exp_sharding` — the sharded tier's acceptance gate.
+//! * `exp_scaling` — training and indexing time at 1, 2, 4 and 8 threads.
 //!
 //! Run with `DBC_SCALE=quick` for a fast smoke pass or leave unset for the
-//! full (paper-shaped) scale. Every binary prints the corresponding paper
-//! table/figure in plain text (a committed paper-vs-measured artifact is
-//! ROADMAP item 2). System performance is not measured here: that is
-//! `exp_perf/`.
+//! full (paper-shaped) scale. System performance is not measured here:
+//! that is `exp_perf/`.
+//!
+//! Every table of `exp_quality` reads one
+//! [`Workbench`](dbcopilot_eval::Workbench), which prepares a corpus and
+//! builds a method the first time a table asks for it and hands the same
+//! one to every later table:
 //!
 //! ```
-//! use dbcopilot_bench::render_routing_rows;
-//! use dbcopilot_eval::RoutingMetrics;
+//! use dbcopilot_eval::{CorpusKind, MethodKind, Scale, Workbench};
+//! use dbcopilot_synth::CorpusSizes;
 //!
-//! let table = render_routing_rows("Spider", &[("BM25".into(), RoutingMetrics::default())]);
-//! assert!(table.contains("Spider") && table.contains("BM25"));
+//! let mut scale = Scale::quick();
+//! scale.spider = CorpusSizes { num_databases: 4, train_n: 60, test_n: 8 };
+//! scale.synth_pairs = 60;
+//! let bench = Workbench::new(scale);
+//! // Table 3 and Figure 7 both read Spider's BM25 index: it is built once
+//! let (table3, _) = bench.method(CorpusKind::Spider, MethodKind::Bm25);
+//! let (fig7, _) = bench.method(CorpusKind::Spider, MethodKind::Bm25);
+//! assert!(std::ptr::addr_eq(table3, fig7));
 //! ```
-
-use dbcopilot_eval::RoutingMetrics;
-
-/// Render a Table 3/4-style routing block.
-pub fn render_routing_rows(title: &str, rows: &[(String, RoutingMetrics)]) -> String {
-    let mut out = format!("== {title} ==\n");
-    out.push_str(&format!(
-        "{:<14} {:>8} {:>8} {:>8} {:>8} {:>8}\n",
-        "Method", "DB R@1", "DB R@5", "Tab R@5", "Tab R@15", "mAP"
-    ));
-    for (name, m) in rows {
-        out.push_str(&format!(
-            "{:<14} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}\n",
-            name, m.db_r1, m.db_r5, m.table_r5, m.table_r15, m.map
-        ));
-    }
-    out
-}
-
-/// Render a Table 6-style EX block.
-pub fn render_ex_rows(title: &str, rows: &[(String, f64, f64)]) -> String {
-    let mut out = format!("== {title} ==\n");
-    out.push_str(&format!("{:<28} {:>8} {:>9}\n", "Config", "EX", "Cost ($)"));
-    for (name, ex, cost) in rows {
-        out.push_str(&format!("{:<28} {:>8.2} {:>9.4}\n", name, ex, cost));
-    }
-    out
-}

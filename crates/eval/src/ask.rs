@@ -122,7 +122,7 @@ pub fn eval_ask(
 }
 
 /// Render a small comparison table of ask configurations (the end-to-end
-/// section of `exp_table5`).
+/// section of Table 5, `exp_quality table5`).
 pub fn render_ask_table(rows: &[(String, AskAccuracy)]) -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -246,7 +246,7 @@ mod tests {
         );
         assert_eq!(tc.gold_errors, 0, "gold SQL must execute");
         // small-sample tolerance: orderings are asserted with slack here
-        // (full scale is `exp_table6`)
+        // (full scale is `exp_quality table6`)
         assert!(tc.ex + 3.0 >= t.ex, "gold T&C {:.1} vs gold T {:.1}", tc.ex, t.ex);
         assert!(t.ex >= db.ex - 5.0, "gold T {:.1} vs gold DB {:.1}", t.ex, db.ex);
         assert!(db.ex + 8.0 >= five.ex, "gold DB {:.1} vs 5 DB {:.1}", db.ex, five.ex);

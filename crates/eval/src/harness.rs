@@ -1,11 +1,12 @@
 //! Experiment harness: corpus preparation, method construction, and
 //! parallel routing evaluation.
 
+use std::cell::OnceCell;
 // dbc-lint: allow(no-wallclock-determinism): build-time measurement is
 // part of the report (Table 5 "Build"); it never feeds routed results.
 use std::time::Instant;
 
-use dbcopilot_core::{DbcRouter, SerializationMode, TrainExample};
+use dbcopilot_core::{DbcRouter, SerializationMode, TrainExample, TrainStats};
 use dbcopilot_graph::SchemaGraph;
 use dbcopilot_retrieval::{
     build_dtr, build_sxfmr, tune_bm25, Bm25Index, Bm25Params, Crush, SchemaRouter, TargetSet,
@@ -165,60 +166,137 @@ pub fn build_method(
     prepared: &Prepared,
     scale: &Scale,
 ) -> (Box<dyn SchemaRouter + Send + Sync>, BuildReport) {
+    timed(|| -> (Box<dyn SchemaRouter + Send + Sync>, usize) {
+        match kind {
+            MethodKind::Bm25 => {
+                let idx = Bm25Index::build(prepared.targets.clone(), Bm25Params::default());
+                let disk = idx.size_bytes();
+                (Box::new(idx), disk)
+            }
+            MethodKind::Bm25Ft => {
+                let train = baseline_train_pairs(prepared);
+                // tuning on a sample keeps the grid search fast
+                let sample: Vec<_> = train.into_iter().take(400).collect();
+                let params = tune_bm25(&prepared.targets, &sample, 15);
+                let idx = Bm25Index::build_labeled(prepared.targets.clone(), params, "BM25 (ft)");
+                let disk = idx.size_bytes();
+                (Box::new(idx), disk)
+            }
+            MethodKind::Sxfmr => {
+                let r = build_sxfmr(prepared.targets.clone(), scale.encoder.clone());
+                let disk = r.size_bytes();
+                (Box::new(r), disk)
+            }
+            MethodKind::Dtr => {
+                let train = baseline_train_pairs(prepared);
+                let r = build_dtr(prepared.targets.clone(), &train, scale.encoder.clone());
+                let disk = r.size_bytes();
+                (Box::new(r), disk)
+            }
+            MethodKind::CrushBm25 => {
+                let idx = Bm25Index::build(prepared.targets.clone(), Bm25Params::default());
+                let disk = idx.size_bytes();
+                let c = Crush::new(idx, prepared.graph.clone(), "CRUSH_BM25");
+                (Box::new(c), disk)
+            }
+            MethodKind::CrushSxfmr => {
+                let r = build_sxfmr(prepared.targets.clone(), scale.encoder.clone());
+                let disk = r.size_bytes();
+                let c = Crush::new(r, prepared.graph.clone(), "CRUSH_SXFMR");
+                (Box::new(c), disk)
+            }
+            MethodKind::DbCopilot => {
+                let (router, disk) = full_dbcopilot(prepared, scale);
+                (Box::new(router), disk)
+            }
+        }
+    })
+}
+
+/// Train the DBCopilot router on `examples` over `prepared`'s schema graph:
+/// the one place an experiment fits it, whether the full model, a Table 7
+/// ablation, a Figure 10 data size or a thread-scaling run.
+pub fn fit_dbcopilot(
+    prepared: &Prepared,
+    examples: &[TrainExample],
+    scale: &Scale,
+    mode: SerializationMode,
+) -> (DbcRouter, TrainStats) {
+    DbcRouter::fit(prepared.graph.clone(), examples, scale.router.clone(), mode)
+}
+
+/// The full DBCopilot router (synthetic data, DFS serialization) and the
+/// exact size of its saveable DBC1 bundle, not an estimate.
+fn full_dbcopilot(prepared: &Prepared, scale: &Scale) -> (DbcRouter, usize) {
+    let (router, _) =
+        fit_dbcopilot(prepared, &prepared.synth_examples, scale, SerializationMode::Dfs);
+    let disk = router.size_bytes();
+    (router, disk)
+}
+
+/// Run `build`, which returns what it built and its on-disk size, and
+/// report how long it took.
+fn timed<R>(build: impl FnOnce() -> (R, usize)) -> (R, BuildReport) {
     // dbc-lint: allow(no-wallclock-determinism): the build-seconds column
     // of the report is the deliverable; results are unaffected.
     let start = Instant::now();
-    let (router, disk): (Box<dyn SchemaRouter + Send + Sync>, usize) = match kind {
-        MethodKind::Bm25 => {
-            let idx = Bm25Index::build(prepared.targets.clone(), Bm25Params::default());
-            let disk = idx.size_bytes();
-            (Box::new(idx), disk)
+    let (built, disk_bytes) = build();
+    (built, BuildReport { build_secs: start.elapsed().as_secs_f64(), disk_bytes })
+}
+
+type BuiltMethod = (Box<dyn SchemaRouter + Send + Sync>, BuildReport);
+
+/// Every corpus and method one experiment run reads, each built on first
+/// use and kept for the run: however many tables ask for it, a corpus is
+/// prepared once and a (corpus, method) built once. Sharing is sound
+/// because no router holds interior mutable state; a caller that mutates
+/// one (Table 7's decoding ablations) works on its own copy.
+pub struct Workbench {
+    pub scale: Scale,
+    corpora: [CorpusSlot; CorpusKind::ALL.len()],
+}
+
+#[derive(Default)]
+struct CorpusSlot {
+    prepared: OnceCell<Prepared>,
+    /// Indexed by `MethodKind as usize`; DBCopilot's slot stays empty
+    /// because [`Workbench::dbcopilot`] keeps the router's own type.
+    methods: [OnceCell<BuiltMethod>; MethodKind::ALL.len()],
+    dbcopilot: OnceCell<(DbcRouter, BuildReport)>,
+}
+
+impl Workbench {
+    pub fn new(scale: Scale) -> Self {
+        Workbench { scale, corpora: Default::default() }
+    }
+
+    /// `corpus`, prepared.
+    pub fn prepared(&self, corpus: CorpusKind) -> &Prepared {
+        self.corpora[corpus as usize].prepared.get_or_init(|| prepare(corpus, &self.scale))
+    }
+
+    /// `method` built for `corpus`, and what building it cost.
+    pub fn method(
+        &self,
+        corpus: CorpusKind,
+        method: MethodKind,
+    ) -> (&(dyn SchemaRouter + Send + Sync), &BuildReport) {
+        if method == MethodKind::DbCopilot {
+            let (router, report) = self.dbcopilot(corpus);
+            return (router, report);
         }
-        MethodKind::Bm25Ft => {
-            let train = baseline_train_pairs(prepared);
-            // tuning on a sample keeps the grid search fast
-            let sample: Vec<_> = train.into_iter().take(400).collect();
-            let params = tune_bm25(&prepared.targets, &sample, 15);
-            let idx = Bm25Index::build_labeled(prepared.targets.clone(), params, "BM25 (ft)");
-            let disk = idx.size_bytes();
-            (Box::new(idx), disk)
-        }
-        MethodKind::Sxfmr => {
-            let r = build_sxfmr(prepared.targets.clone(), scale.encoder.clone());
-            let disk = r.size_bytes();
-            (Box::new(r), disk)
-        }
-        MethodKind::Dtr => {
-            let train = baseline_train_pairs(prepared);
-            let r = build_dtr(prepared.targets.clone(), &train, scale.encoder.clone());
-            let disk = r.size_bytes();
-            (Box::new(r), disk)
-        }
-        MethodKind::CrushBm25 => {
-            let idx = Bm25Index::build(prepared.targets.clone(), Bm25Params::default());
-            let disk = idx.size_bytes();
-            let c = Crush::new(idx, prepared.graph.clone(), "CRUSH_BM25");
-            (Box::new(c), disk)
-        }
-        MethodKind::CrushSxfmr => {
-            let r = build_sxfmr(prepared.targets.clone(), scale.encoder.clone());
-            let disk = r.size_bytes();
-            let c = Crush::new(r, prepared.graph.clone(), "CRUSH_SXFMR");
-            (Box::new(c), disk)
-        }
-        MethodKind::DbCopilot => {
-            let (router, _) = DbcRouter::fit(
-                prepared.graph.clone(),
-                &prepared.synth_examples,
-                scale.router.clone(),
-                SerializationMode::Dfs,
-            );
-            // exact size of the saveable DBC1 bundle, not an estimate
-            let disk = router.size_bytes();
-            (Box::new(router), disk)
-        }
-    };
-    (router, BuildReport { build_secs: start.elapsed().as_secs_f64(), disk_bytes: disk })
+        let (router, report) = self.corpora[corpus as usize].methods[method as usize]
+            .get_or_init(|| build_method(method, self.prepared(corpus), &self.scale));
+        (router.as_ref(), report)
+    }
+
+    /// The full DBCopilot router for `corpus`, and what training it cost.
+    pub fn dbcopilot(&self, corpus: CorpusKind) -> (&DbcRouter, &BuildReport) {
+        let (router, report) = self.corpora[corpus as usize]
+            .dbcopilot
+            .get_or_init(|| timed(|| full_dbcopilot(self.prepared(corpus), &self.scale)));
+        (router, report)
+    }
 }
 
 /// Questions per evaluation work unit. Fixed (never derived from the thread
@@ -322,19 +400,28 @@ mod tests {
 
     #[test]
     fn dbcopilot_disk_column_matches_saved_bytes() {
+        // ... and every router the shared builder hands out, however often
+        // it is read, routes like a fresh build of the same method
         let mut s = quick();
         s.router.epochs = 1;
-        let p = prepare(CorpusKind::Spider, &s);
-        let (_, report) = build_method(MethodKind::DbCopilot, &p, &s);
-        // rebuild the same (deterministic) router and compare against the
-        // bytes router_to_vec actually writes
-        let (router, _) = DbcRouter::fit(
-            p.graph.clone(),
-            &p.synth_examples,
-            s.router.clone(),
-            SerializationMode::Dfs,
-        );
-        let buf = dbcopilot_core::router_to_vec(&router).unwrap();
+        let bench = Workbench::new(s.clone());
+        let p = bench.prepared(CorpusKind::Spider);
+        for &method in MethodKind::ALL {
+            let (fresh, fresh_report) = build_method(method, p, &s);
+            let expected = eval_routing(fresh.as_ref(), &p.corpus.test, 100);
+            let (shared, report) = bench.method(CorpusKind::Spider, method);
+            assert_eq!(report.disk_bytes, fresh_report.disk_bytes, "{}", method.label());
+            for _ in 0..2 {
+                let (again, _) = bench.method(CorpusKind::Spider, method);
+                assert!(std::ptr::addr_eq(shared, again), "{} built twice", method.label());
+                let metrics = eval_routing(again, &p.corpus.test, 100);
+                assert_eq!(metrics, expected, "{} reused ≠ rebuilt", method.label());
+            }
+        }
+        let (shared, report) = bench.dbcopilot(CorpusKind::Spider);
+        let (fresh, _) = fit_dbcopilot(p, &p.synth_examples, &s, SerializationMode::Dfs);
+        let buf = dbcopilot_core::router_to_vec(shared).unwrap();
+        assert_eq!(buf, dbcopilot_core::router_to_vec(&fresh).unwrap());
         assert_eq!(report.disk_bytes, buf.len(), "Table 5 disk must equal saved bundle size");
     }
 

@@ -3,7 +3,8 @@
 //!
 //! * [`metrics`] — Recall@k (database/table) and mAP (§4.1.4);
 //! * [`harness`] — corpus preparation, method construction ([Table 3–5
-//!   baselines + DBCopilot]), parallel routing evaluation;
+//!   baselines + DBCopilot]), the [`Workbench`] that builds each once per
+//!   experiment run, parallel routing evaluation;
 //! * [`ex`] — end-to-end execution accuracy and cost (Table 6), including
 //!   the oracle tests and human-in-the-loop selection;
 //! * [`ask`] — end-to-end evaluation of any `QueryPipeline` (the facade's
@@ -41,12 +42,12 @@ pub use ask::{eval_ask, render_ask_table, AskAccuracy};
 pub use ex::{eval_ex, ExReport, SchemaSource, Strategy};
 pub use figures::{map_by_db_size, recall_curve, render_series};
 pub use harness::{
-    baseline_train_pairs, build_method, eval_routing, eval_routing_served, prepare, BuildReport,
-    CorpusKind, MethodKind, Prepared,
+    baseline_train_pairs, build_method, eval_routing, eval_routing_served, fit_dbcopilot, prepare,
+    BuildReport, CorpusKind, MethodKind, Prepared, Workbench,
 };
 pub use metrics::{average_precision, db_recall_at_k, table_recall_at_k, RoutingMetrics};
 pub use resources::{
-    measure_concurrent, measure_latency_us, measure_qps, render_precision_table, render_table5,
-    report, PrecisionRow, ResourceReport,
+    measure_concurrent, measure_qps, render_precision_table, render_table5, PrecisionRow,
+    ResourceReport,
 };
 pub use scale::Scale;
