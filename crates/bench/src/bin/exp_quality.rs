@@ -5,11 +5,13 @@
 //! DBC_SCALE=quick cargo run --release --bin exp_quality -- table3 fig7  # just these
 //! ```
 //!
-//! Table names: `table2` … `table7`, `fig7`, `fig10`; they print in the
-//! order given. Every table reads one [`Workbench`], so a run prepares each
-//! corpus once and builds each (corpus, method) once, however many tables
-//! use it. Table 5 is the only one whose output holds timings; the others
-//! print the same bytes at any `DBC_THREADS`.
+//! Table names: `table2` … `table7`, `fig7`, `fig10`, `sharding`; they
+//! print in the order given. Every table reads one [`Workbench`], so a run
+//! prepares each corpus once and builds each (corpus, method) once, however
+//! many tables use it. Table 5 is the only one whose output holds timings;
+//! the others print the same bytes at any `DBC_THREADS`. `sharding` exits
+//! non-zero if the 4-shard tier's recall falls more than
+//! [`RECALL_TOLERANCE`] points below the 1-shard tier's.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,7 +19,7 @@ use std::time::Duration;
 use dbcopilot::{AskOptions, DbCopilot};
 use dbcopilot_core::{
     examples_from_instances, load_router_slice, router_to_vec, DbcRouter, SerializationMode,
-    TrainExample,
+    ShardedRouter, TrainExample,
 };
 use dbcopilot_eval::{
     eval_ask, eval_ex, eval_routing, fit_dbcopilot, map_by_db_size, measure_concurrent,
@@ -45,6 +47,7 @@ const TABLES: &[Table] = &[
     ("table7", table7),
     ("fig7", fig7),
     ("fig10", fig10),
+    ("sharding", sharding),
 ];
 
 fn main() {
@@ -516,4 +519,46 @@ fn fig10(bench: &Workbench) {
     }
     println!("{}", render_series("Figure 10 — database recall@1 vs #synthetic pairs", &series_db));
     println!("{}", render_series("Figure 10 — table recall@5 vs #synthetic pairs", &series_tab));
+}
+
+/// Tolerance (percentage points) between the 4-shard tier's DB recall and
+/// the 1-shard tier's.
+const RECALL_TOLERANCE: f64 = 2.0;
+
+/// Sharded routing: DB recall of the scatter-gather tier vs its shard
+/// count on Spider. The 1-shard row is a 1-shard `ShardedRouter`, not
+/// Table 3's monolith: the tier's calibrated merge is what the sweep
+/// compares. Fit time and throughput are `exp_perf`'s to measure.
+fn sharding(bench: &Workbench) {
+    let prepared = bench.prepared(CorpusKind::Spider);
+    println!(
+        "== Sharded routing — {} databases, {} synth pairs, {} test questions ==",
+        prepared.corpus.collection.num_databases(),
+        prepared.synth_examples.len(),
+        prepared.corpus.test.len()
+    );
+    println!("{:>6} | {:>7} | {:>7}", "shards", "DB R@1", "DB R@5");
+    let mut one_shard = None;
+    for shards in [1, 2, 4, 8] {
+        eprintln!("  [Spider] fitting {shards} shard(s)");
+        let (router, _) = ShardedRouter::fit(
+            &prepared.corpus.collection,
+            &prepared.synth_examples,
+            bench.scale.router.clone(),
+            SerializationMode::Dfs,
+            shards,
+        );
+        let m = eval_routing(&router, &prepared.corpus.test, 100);
+        println!("{shards:>6} | {:>7.1} | {:>7.1}", m.db_r1, m.db_r5);
+        let (r1, r5) = *one_shard.get_or_insert((m.db_r1, m.db_r5));
+        if shards == 4 && (m.db_r1 < r1 - RECALL_TOLERANCE || m.db_r5 < r5 - RECALL_TOLERANCE) {
+            eprintln!(
+                "4-shard recall degraded beyond {RECALL_TOLERANCE} points: \
+                 R@1 {:.1} vs {r1:.1}, R@5 {:.1} vs {r5:.1}",
+                m.db_r1, m.db_r5
+            );
+            std::process::exit(1);
+        }
+    }
+    println!();
 }

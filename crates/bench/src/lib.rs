@@ -1,11 +1,13 @@
 //! `dbcopilot-bench` — the programs that regenerate the paper's evaluation.
 //!
-//! * `exp_quality [table…]` prints Tables 2–7 and Figures 7 and 10 in plain
-//!   text, every table when given no names (`table2` … `table7`, `fig7`,
-//!   `fig10`). At `DBC_SCALE=quick` every table but Table 5, which prints
-//!   timings, prints `quality_quick.expected` beside this crate's manifest
-//!   byte for byte, at any `DBC_THREADS`; CI diffs it.
-//! * `exp_sharding` — the sharded tier's acceptance gate.
+//! * `exp_quality [table…]` prints Tables 2–7, Figures 7 and 10 and the
+//!   sharded tier's recall sweep in plain text, every table when given no
+//!   names (`table2` … `table7`, `fig7`, `fig10`, `sharding`). At
+//!   `DBC_SCALE=quick` every table but Table 5, which prints timings,
+//!   prints `quality_quick.expected` beside this crate's manifest byte for
+//!   byte, at any `DBC_THREADS`; CI diffs it. `sharding` is also a gate:
+//!   the run exits non-zero if 4 shards route more than 2 points worse
+//!   than 1.
 //! * `exp_scaling` — training and indexing time at 1, 2, 4 and 8 threads.
 //!
 //! Run with `DBC_SCALE=quick` for a fast smoke pass or leave unset for the

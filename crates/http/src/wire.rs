@@ -23,8 +23,8 @@
 //! those primitives (one escaping routine, one number routine), and the
 //! tests below hold each streamed body against the tree it replaced for
 //! arbitrary outcomes. A body is therefore a pure function of its outcome —
-//! which is what lets `exp_table5` assert HTTP-served answers equal direct
-//! `ask` results byte for byte.
+//! which is what lets `exp_quality table5` assert HTTP-served answers equal
+//! direct `ask` results byte for byte.
 
 use serde::Value;
 use serde_json::{write_bool, write_f64, write_i64, write_str, write_u64};

@@ -12,7 +12,6 @@
 //! DBCopilot's joint retrieval.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use dbcopilot_graph::SchemaGraph;
 use dbcopilot_synth::Lexicon;
@@ -104,12 +103,10 @@ pub struct Crush<R> {
     inner: R,
     graph: SchemaGraph,
     label: String,
-    /// Relation-rerank bonus weight.
-    pub rerank_lambda: f32,
-    /// Optional simulated LLM latency per query (Table 5 reproduces the
-    /// cost of a commercial-LLM round trip; disabled by default).
-    pub llm_latency: Option<Duration>,
 }
+
+/// Relation-rerank bonus weight.
+const RERANK_LAMBDA: f32 = 0.15;
 
 /// The subset of retriever behavior CRUSH needs (per-segment search).
 pub trait SegmentSearch {
@@ -139,14 +136,7 @@ impl SegmentSearch for crate::dense::DenseRetriever {
 
 impl<R: SegmentSearch> Crush<R> {
     pub fn new(inner: R, graph: SchemaGraph, label: &str) -> Self {
-        Crush {
-            hallucinator: Hallucinator::new(),
-            inner,
-            graph,
-            label: label.to_string(),
-            rerank_lambda: 0.15,
-            llm_latency: None,
-        }
+        Crush { hallucinator: Hallucinator::new(), inner, graph, label: label.to_string() }
     }
 }
 
@@ -156,9 +146,6 @@ impl<R: SegmentSearch> SchemaRouter for Crush<R> {
     }
 
     fn route(&self, question: &str, top_tables: usize) -> RoutingResult {
-        if let Some(lat) = self.llm_latency {
-            std::thread::sleep(lat);
-        }
         let segments = self.hallucinator.hallucinate(question);
         // Collective retrieval: max-normalized score sum over segments.
         // BTreeMap keeps every downstream step (candidate scan, rerank,
@@ -203,7 +190,7 @@ impl<R: SegmentSearch> SchemaRouter for Crush<R> {
                             .count() as f32
                     })
                     .unwrap_or(0.0);
-                (id, score + self.rerank_lambda * bonus)
+                (id, score + RERANK_LAMBDA * bonus)
             })
             .collect();
         ranked.sort_by(|a, b| {

@@ -30,8 +30,6 @@ use dbcopilot_sqlengine::{EngineError, ResultSet};
 /// How much of the pipeline's work an [`AskReport`] retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
-    /// Counters and the answer only: no per-attempt rows in the report.
-    Off,
     /// Every attempt with its SQL and outcome (the default).
     #[default]
     Stages,
@@ -170,7 +168,7 @@ pub struct AskReport {
     pub candidates: Vec<ScoredCandidate>,
     /// Index of the winning candidate in `candidates`.
     pub chosen: usize,
-    /// Every prompt/SQL attempt in order (empty at [`TraceLevel::Off`]).
+    /// Every prompt/SQL attempt in order.
     pub attempts: Vec<SqlAttempt>,
     pub timings: StageTimings,
 }
@@ -238,8 +236,7 @@ impl std::error::Error for GenerationError {}
 /// is the [`std::error::Error::source`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionError {
-    /// The failed attempts, in order (always recorded on failure,
-    /// regardless of [`TraceLevel`]).
+    /// The failed attempts, in order.
     pub attempts: Vec<SqlAttempt>,
     /// The last execution error observed.
     pub last: EngineError,

@@ -556,6 +556,41 @@ fn publishing_a_tier_over_its_extension_and_back_adopts_every_unchanged_shard() 
         }
     }
 
+    // The first adopting publish again, now while four uncached clients
+    // route across it: every request is answered with a ranking, the
+    // generation advances, and the adopted tier answers as a fresh load.
+    let live = RouterService::new(Arc::new(load(0)), ServiceConfig::new().cache_capacity(0));
+    live.warm(&questions);
+    let started = Barrier::new(5);
+    let answered: usize = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..4)
+            .map(|client| {
+                let (live, questions, started) = (&live, &questions, &started);
+                s.spawn(move || {
+                    let mut answered = 0;
+                    for round in 0..24 {
+                        if round == 1 {
+                            started.wait(); // the publish starts once every client has routed
+                        }
+                        let r = live.route(&questions[(client + round * 4) % questions.len()]);
+                        assert!(!r.databases.is_empty(), "an empty ranking across the publish");
+                        answered += 1;
+                    }
+                    answered
+                })
+            })
+            .collect();
+        started.wait();
+        assert_eq!(live.publish(Arc::new(load(1))), 2, "the publish advances the generation");
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+    assert_eq!(answered, 4 * 24, "every request across the publish is answered");
+    assert_eq!(live.stats().generation, 2);
+    let fresh = load(1);
+    for q in &questions {
+        assert_eq!(bits(&live.route(q)), bits(&fresh.route(q, top_tables)), "{q:?} under load");
+    }
+
     // Behind a `Box<dyn SchemaRouter>` or an `Arc`, the hook still reaches
     // the tier.
     let want: Vec<bool> = (0..4).map(|s| s != changed).collect();

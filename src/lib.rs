@@ -271,18 +271,14 @@ impl DbCopilot {
                 let prompt_text = (opts.trace == TraceLevel::Full).then(|| prompt.text.clone());
 
                 let Some(sql) = out.sql else {
-                    record(
-                        opts,
-                        &mut attempts,
-                        SqlAttempt {
-                            candidate: ci,
-                            database: cand.schema.database.clone(),
-                            repair,
-                            prompt: prompt_text,
-                            sql: None,
-                            outcome: AttemptOutcome::NoSql,
-                        },
-                    );
+                    attempts.push(SqlAttempt {
+                        candidate: ci,
+                        database: cand.schema.database.clone(),
+                        repair,
+                        prompt: prompt_text,
+                        sql: None,
+                        outcome: AttemptOutcome::NoSql,
+                    });
                     break; // grounding failed: feedback cannot conjure missing tables
                 };
                 generated_any = true;
@@ -292,30 +288,20 @@ impl DbCopilot {
                 execute_time += exec_start.elapsed();
                 match executed {
                     Ok(result) => {
-                        record(
-                            opts,
-                            &mut attempts,
-                            SqlAttempt {
-                                candidate: ci,
-                                database: cand.schema.database.clone(),
-                                repair,
-                                prompt: prompt_text,
-                                sql: Some(sql.clone()),
-                                outcome: AttemptOutcome::Success { rows: result.rows.len() },
-                            },
-                        );
+                        attempts.push(SqlAttempt {
+                            candidate: ci,
+                            database: cand.schema.database.clone(),
+                            repair,
+                            prompt: prompt_text,
+                            sql: Some(sql.clone()),
+                            outcome: AttemptOutcome::Success { rows: result.rows.len() },
+                        });
                         let answer = Answer {
                             schema: cand.schema.clone(),
                             sql,
                             result,
                             recovered_errors: exec_errors,
                         };
-                        // At TraceLevel::Off the success report carries no
-                        // attempt rows (recovered errors stay on the
-                        // answer); terminal failures keep theirs below.
-                        if opts.trace == TraceLevel::Off {
-                            attempts.clear();
-                        }
                         return Ok(AskReport {
                             question: question.to_string(),
                             answer,
@@ -331,8 +317,7 @@ impl DbCopilot {
                         });
                     }
                     Err(err) => {
-                        // Failed attempts are always recorded (regardless
-                        // of trace level): they are the failure report.
+                        // Failed attempts are the failure report.
                         attempts.push(SqlAttempt {
                             candidate: ci,
                             database: cand.schema.database.clone(),
@@ -381,14 +366,6 @@ impl DbCopilot {
     /// point for [`dbcopilot_serve::AskService`]).
     pub fn into_shared(self) -> std::sync::Arc<DbCopilot> {
         std::sync::Arc::new(self)
-    }
-}
-
-/// Keep successful attempts out of the trace when tracing is off; failed
-/// attempts are recorded unconditionally at the call sites that need them.
-fn record(opts: &AskOptions, attempts: &mut Vec<SqlAttempt>, attempt: SqlAttempt) {
-    if opts.trace != TraceLevel::Off {
-        attempts.push(attempt);
     }
 }
 
