@@ -526,9 +526,10 @@ fn fig10(bench: &Workbench) {
 const RECALL_TOLERANCE: f64 = 2.0;
 
 /// Sharded routing: DB recall of the scatter-gather tier vs its shard
-/// count on Spider. The 1-shard row is a 1-shard `ShardedRouter`, not
-/// Table 3's monolith: the tier's calibrated merge is what the sweep
-/// compares. Fit time and throughput are `exp_perf`'s to measure.
+/// count on Spider. Every tier is fit on the prepared graph, joins and
+/// all, so the 1-shard row is Table 3's DBCopilot: the same model, bit for
+/// bit. The rows below it show what the tier's calibrated merge keeps of
+/// it. Fit time and throughput are `exp_perf`'s to measure.
 fn sharding(bench: &Workbench) {
     let prepared = bench.prepared(CorpusKind::Spider);
     println!(
@@ -541,8 +542,8 @@ fn sharding(bench: &Workbench) {
     let mut one_shard = None;
     for shards in [1, 2, 4, 8] {
         eprintln!("  [Spider] fitting {shards} shard(s)");
-        let (router, _) = ShardedRouter::fit(
-            &prepared.corpus.collection,
+        let (router, _) = ShardedRouter::fit_on(
+            &prepared.graph,
             &prepared.synth_examples,
             bench.scale.router.clone(),
             SerializationMode::Dfs,

@@ -29,13 +29,12 @@ use dbcopilot_nn::codec::{self, Section};
 pub use dbcopilot_nn::serialize::PersistError;
 use dbcopilot_nn::ParamStore;
 use dbcopilot_nn::Tensor;
-use dbcopilot_sqlengine::Collection;
 use dbcopilot_synth::Questioner;
 
 use crate::decode::ConstraintTables;
 use crate::model::{RouterConfig, RouterModel};
 use crate::router::DbcRouter;
-use crate::shard::{shard_of, ShardSlot, ShardedRouter};
+use crate::shard::{database_names, shard_of, ShardSlot, ShardedRouter};
 use crate::train::{train_with_tables, SerializationMode, TrainExample, TrainStats};
 use crate::vocab::PieceVocab;
 
@@ -388,7 +387,9 @@ fn extend_attempt_budget(target: usize) -> usize {
 
 /// Incrementally extend a trained router with new databases.
 ///
-/// Rebuilds the graph/vocabulary over the grown collection, transplants the
+/// Routes on `new_graph`, the grown schema graph (build it with
+/// `SchemaGraph::with_joins`, as the router's own graph was, or restrict
+/// one that was), rebuilds the vocabulary over it, transplants the
 /// existing weights (old pieces keep their embeddings; new pieces are
 /// freshly initialized), synthesizes training questions for the *new*
 /// schemata only, and fine-tunes for `epochs`.
@@ -399,13 +400,12 @@ fn extend_attempt_budget(target: usize) -> usize {
 /// rather than spinning indefinitely.
 pub fn extend_router(
     router: &DbcRouter,
-    grown: &Collection,
+    new_graph: SchemaGraph,
     meta: &dbcopilot_synth::CorpusMeta,
     questioner: &Questioner,
     pairs_for_new: usize,
     epochs: usize,
 ) -> Result<(DbcRouter, TrainStats), PersistError> {
-    let new_graph = SchemaGraph::build(grown);
     let new_vocab = PieceVocab::build(&new_graph);
     let mut cfg = router.model.cfg.clone();
     cfg.epochs = epochs;
@@ -414,10 +414,9 @@ pub fn extend_router(
     transplant(&router.model, &router.vocab, &mut model, &new_vocab);
 
     // Synthesize data only for databases absent from the old graph.
-    let old_dbs: std::collections::HashSet<String> =
-        router.graph.database_nodes().iter().map(|&d| router.graph.name(d).to_string()).collect();
+    let old_dbs: BTreeSet<String> = database_names(&router.graph).into_iter().collect();
     let new_db_names: Vec<String> =
-        grown.databases.keys().filter(|d| !old_dbs.contains(*d)).cloned().collect();
+        database_names(&new_graph).into_iter().filter(|d| !old_dbs.contains(d)).collect();
     let mut examples: Vec<TrainExample> = Vec::new();
     {
         use rand::SeedableRng;
@@ -524,7 +523,7 @@ mod tests {
     use crate::model::RouterConfig;
     use crate::train::TrainExample;
     use dbcopilot_graph::QuerySchema;
-    use dbcopilot_sqlengine::{DataType, DatabaseSchema, TableSchema};
+    use dbcopilot_sqlengine::{Collection, DataType, DatabaseSchema, TableSchema};
 
     fn collection(extra: bool) -> Collection {
         let mut c = Collection::new();
@@ -660,8 +659,15 @@ mod tests {
             &dbcopilot_synth::QuestionerConfig::default(),
         );
         let meta = dbcopilot_synth::CorpusMeta::default();
-        let (extended, _) =
-            extend_router(&routers[0], &collection(true), &meta, &questioner, 12, 1).unwrap();
+        let (extended, _) = extend_router(
+            &routers[0],
+            SchemaGraph::build(&collection(true)),
+            &meta,
+            &questioner,
+            12,
+            1,
+        )
+        .unwrap();
         assert!(extended.vocab.id_of("library").is_some());
         routers.push(Arc::new(extended));
         assert_eq!(routers.len(), 1 + 3 + 1, "a monolith, three non-empty shards, an extend");
@@ -1195,7 +1201,8 @@ mod tests {
             }],
             &dbcopilot_synth::QuestionerConfig::default(),
         );
-        let (extended, stats) = extend_router(&router, &grown, &meta, &questioner, 60, 10).unwrap();
+        let grown = SchemaGraph::build(&grown);
+        let (extended, stats) = extend_router(&router, grown, &meta, &questioner, 60, 10).unwrap();
         assert!(stats.examples > 0);
         // old knowledge survives transplantation + fine-tuning on new dbs
         let old = extended.best_schema("how many vocalists").unwrap();
@@ -1230,7 +1237,8 @@ mod tests {
             }],
             &dbcopilot_synth::QuestionerConfig::default(),
         );
-        let (extended, stats) = extend_router(&router, &grown, &meta, &questioner, 6, 1).unwrap();
+        let grown = SchemaGraph::build(&grown);
+        let (extended, stats) = extend_router(&router, grown, &meta, &questioner, 6, 1).unwrap();
         assert!(stats.examples >= 6, "new-db examples still gathered: {}", stats.examples);
         assert!(extended.graph.database_node("library").is_some());
     }

@@ -5,7 +5,8 @@
 //! schema change retrains the whole model, every bundle load decodes every
 //! weight, and fit time grows with the full collection. [`ShardedRouter`]
 //! partitions the collection into N shards by a stable hash of the database
-//! name ([`shard_of`]) and keeps one independent `DbcRouter` per shard:
+//! name ([`shard_of`]) and keeps one independent `DbcRouter` per shard, each
+//! routing on its [`SchemaGraph::restrict`]ion of the one schema graph:
 //!
 //! * **`route` is scatter-gather** — fan out to every non-empty shard on the
 //!   persistent worker pool, calibrate each shard's scores for cross-model
@@ -14,7 +15,7 @@
 //!   with a deterministic score-then-name tie-break. Results are
 //!   bit-identical at any `DBC_THREADS` value (shards are merged in index
 //!   order).
-//! * **`extend` is shard-local** — adding or evicting a database retrains
+//! * **`extend_on` is shard-local** — adding or evicting a database retrains
 //!   only the owning shard via [`crate::persist::extend_router`]; every
 //!   other shard's weights are shared untouched (same `Arc`s, bit-identical).
 //! * **Loading is lazy** — a multi-shard `DBC1` bundle (see
@@ -22,7 +23,7 @@
 //!   weights behind a [`OnceLock`] on first touch, so a 64-shard bundle
 //!   serves its first request after loading one shard, not all of them.
 //!   The calibration background is *not* part of that first touch: the job
-//!   that trains a shard (in `fit` or `extend`) computes it, the bundle
+//!   that trains a shard (in `fit_on` or `extend_on`) computes it, the bundle
 //!   manifest carries it, and the loader refuses a manifest without it.
 //! * **A hot swap keeps what it did not change** — [`SchemaRouter::inherit`]
 //!   lets each shard of a newly loaded tier adopt the decoded router of the
@@ -352,16 +353,10 @@ fn shard_background(router: &DbcRouter, db_names: &[String], probes: &[String]) 
 }
 
 impl ShardedRouter {
-    /// Train a sharded router: partition `collection` and `examples` by
-    /// [`shard_of`], then fit one `DbcRouter` per non-empty shard,
-    /// data-parallel over the persistent worker pool. Each shard trains on
-    /// its own sub-collection with the *unchanged* `cfg` (same seed), so a
-    /// 1-shard fit is bit-identical to a monolithic [`DbcRouter::fit`] over
-    /// the same graph.
-    ///
-    /// Returns the router and per-shard training stats (empty stats for
-    /// empty shards). Examples whose database is absent from `collection`
-    /// are dropped.
+    /// [`ShardedRouter::fit_on`] over `SchemaGraph::build(collection)`: a
+    /// join-less graph, which no table of the paper reports. Kept for
+    /// `exp_perf`'s deployment, which `tests/bench_surface.rs` pins; ROADMAP
+    /// item 1(iv)'s `benchmark` change deletes it.
     pub fn fit(
         collection: &Collection,
         examples: &[TrainExample],
@@ -369,16 +364,31 @@ impl ShardedRouter {
         mode: SerializationMode,
         num_shards: usize,
     ) -> (Self, Vec<TrainStats>) {
+        Self::fit_on(&SchemaGraph::build(collection), examples, cfg, mode, num_shards)
+    }
+
+    /// Train a sharded router: partition `graph` and `examples` by
+    /// [`shard_of`], then fit one `DbcRouter` per non-empty shard on its
+    /// [`SchemaGraph::restrict`]ion of `graph`, data-parallel over the
+    /// persistent worker pool. Each shard trains with the *unchanged* `cfg`
+    /// (same seed), so a 1-shard fit is bit-identical to a monolithic
+    /// [`DbcRouter::fit`] over the same graph.
+    ///
+    /// Returns the router and per-shard training stats (empty stats for
+    /// empty shards). Examples whose database is absent from `graph` are
+    /// dropped.
+    pub fn fit_on(
+        graph: &SchemaGraph,
+        examples: &[TrainExample],
+        cfg: RouterConfig,
+        mode: SerializationMode,
+        num_shards: usize,
+    ) -> (Self, Vec<TrainStats>) {
         assert!(num_shards > 0, "a sharded router needs at least one shard");
-        let mut subs: Vec<Collection> = (0..num_shards).map(|_| Collection::new()).collect();
-        for (name, db) in &collection.databases {
-            subs[shard_of(name, num_shards)].add_database(db.clone());
-        }
         let mut parts: Vec<Vec<TrainExample>> = vec![Vec::new(); num_shards];
         for ex in examples {
-            let s = shard_of(&ex.schema.database, num_shards);
-            if subs[s].databases.contains_key(&ex.schema.database) {
-                parts[s].push(ex.clone());
+            if graph.database_node(&ex.schema.database).is_some() {
+                parts[shard_of(&ex.schema.database, num_shards)].push(ex.clone());
             }
         }
         // The shared calibration probes: a prefix of the training stream,
@@ -389,12 +399,12 @@ impl ShardedRouter {
         let indices: Vec<usize> = (0..num_shards).collect();
         let fitted: Vec<(ShardSlot, TrainStats)> =
             dbcopilot_runtime::pooled_map(&indices, |_, &s| {
-                let db_names: Vec<String> = subs[s].databases.keys().cloned().collect();
+                let graph = graph.restrict(|name| shard_of(name, num_shards) == s);
+                let db_names = database_names(&graph);
                 if db_names.is_empty() {
                     let stats = TrainStats { epoch_losses: Vec::new(), examples: 0 };
                     return (ShardSlot::eager(db_names, None, Vec::new()), stats);
                 }
-                let graph = SchemaGraph::build(&subs[s]);
                 let (mut router, stats) = DbcRouter::fit(graph, &parts[s], cfg.clone(), mode);
                 router.set_label(&format!("DBCopilot[shard {s}]"));
                 let background = if num_shards > 1 {
@@ -417,12 +427,7 @@ impl ShardedRouter {
     /// Wrap an existing monolithic router as a 1-shard tier (how
     /// pre-manifest `DBC1` bundles load).
     pub fn from_monolith(router: DbcRouter) -> Self {
-        let db_names: Vec<String> = router
-            .graph
-            .database_nodes()
-            .iter()
-            .map(|&d| router.graph.name(d).to_string())
-            .collect();
+        let db_names = database_names(&router.graph);
         let cfg = router.model.cfg.clone();
         let slot = ShardSlot::eager(db_names, Some(Arc::new(router)), Vec::new());
         ShardedRouter {
@@ -554,14 +559,10 @@ impl ShardedRouter {
         dbcopilot_runtime::pooled_map(questions, |_, q| self.route(q.as_ref(), top_tables))
     }
 
-    /// Shard-local ingestion: grow (or shrink) the collection and retrain
-    /// *only* the shards owning changed databases via
-    /// [`extend_router`]; every unaffected shard's router is shared into
-    /// the returned tier untouched (same `Arc`, bit-identical weights).
-    ///
-    /// Previously-empty shards that gain databases are fit from scratch on
-    /// synthesized questions for their new schemata. Returns the new tier
-    /// plus `(shard, stats)` for each retrained shard.
+    /// [`ShardedRouter::extend_on`] over `SchemaGraph::build(grown)`: a
+    /// join-less graph, which no table of the paper reports. Kept for
+    /// `exp_perf`'s deployment, which `tests/bench_surface.rs` pins; ROADMAP
+    /// item 1(iv)'s `benchmark` change deletes it.
     pub fn extend(
         &self,
         grown: &Collection,
@@ -570,10 +571,31 @@ impl ShardedRouter {
         pairs_for_new: usize,
         epochs: usize,
     ) -> Result<(ShardedRouter, Vec<(usize, TrainStats)>), PersistError> {
+        self.extend_on(&SchemaGraph::build(grown), meta, questioner, pairs_for_new, epochs)
+    }
+
+    /// Shard-local ingestion: grow (or shrink) the schema graph and retrain
+    /// *only* the shards owning changed databases, each on its
+    /// [`SchemaGraph::restrict`]ion of `grown`, via [`extend_router`];
+    /// every unaffected shard's router is shared into the returned tier
+    /// untouched (same `Arc`, bit-identical weights).
+    ///
+    /// Previously-empty shards that gain databases are fit from scratch on
+    /// synthesized questions for their new schemata. Returns the new tier
+    /// plus `(shard, stats)` for each retrained shard.
+    pub fn extend_on(
+        &self,
+        grown: &SchemaGraph,
+        meta: &CorpusMeta,
+        questioner: &Questioner,
+        pairs_for_new: usize,
+        epochs: usize,
+    ) -> Result<(ShardedRouter, Vec<(usize, TrainStats)>), PersistError> {
         let n = self.shards.len();
         let old_names: BTreeSet<&str> =
             self.shards.iter().flat_map(|s| s.db_names.iter().map(String::as_str)).collect();
-        let new_names: BTreeSet<&str> = grown.databases.keys().map(String::as_str).collect();
+        let grown_names = database_names(grown);
+        let new_names: BTreeSet<&str> = grown_names.iter().map(String::as_str).collect();
         let affected: BTreeSet<usize> =
             old_names.symmetric_difference(&new_names).map(|name| shard_of(name, n)).collect();
 
@@ -584,17 +606,12 @@ impl ShardedRouter {
                 shards.push(Arc::clone(slot));
                 continue;
             }
-            let mut sub = Collection::new();
-            for (name, db) in &grown.databases {
-                if shard_of(name, n) == s {
-                    sub.add_database(db.clone());
-                }
-            }
-            let db_names: Vec<String> = sub.databases.keys().cloned().collect();
+            let graph = grown.restrict(|name| shard_of(name, n) == s);
+            let db_names = database_names(&graph);
             let (router, stats) = match slot.router() {
-                Some(old) if !sub.databases.is_empty() => {
+                Some(old) if !db_names.is_empty() => {
                     let (r, stats) =
-                        extend_router(old, &sub, meta, questioner, pairs_for_new, epochs)?;
+                        extend_router(old, graph, meta, questioner, pairs_for_new, epochs)?;
                     (Some(r), stats)
                 }
                 Some(_) => {
@@ -606,7 +623,6 @@ impl ShardedRouter {
                     // scratch on synthesized questions for its schemata.
                     // The seed is split per shard so distinct shards never
                     // share a sample stream.
-                    let graph = SchemaGraph::build(&sub);
                     let mut cfg = self.cfg.clone();
                     cfg.epochs = epochs;
                     let seed = dbcopilot_runtime::split_seed(cfg.seed, s as u64);
@@ -635,6 +651,14 @@ impl ShardedRouter {
         };
         Ok((tier, retrained))
     }
+}
+
+/// A graph's database names, sorted (the order a shard slot keeps them in).
+pub(crate) fn database_names(graph: &SchemaGraph) -> Vec<String> {
+    let mut names: Vec<String> =
+        graph.database_nodes().into_iter().map(|d| graph.name(d).to_string()).collect();
+    names.sort();
+    names
 }
 
 impl std::fmt::Debug for ShardedRouter {
@@ -729,9 +753,10 @@ impl SchemaRouter for ShardedRouter {
 /// under one common question distribution — what remains is how much
 /// *this* question raises the name above background, a quantity comparable
 /// across independently trained models. This is the standard
-/// centred-score merge from federated search, and empirically it not only
-/// closes the shard-vs-monolith recall gap but beats the monolith (each
-/// shard's within-shard discrimination is sharper than a 16-way softmax).
+/// centred-score merge from federated search. How much of the monolith's
+/// recall it keeps depends on scale: on Spider at quick scale the 4-shard
+/// tier beats it (DB R@1 88.3 vs 76.7), at full scale it falls short
+/// (28.0 vs 40.2, ROADMAP item 18).
 ///
 /// Table scores shift along with their database, so within-database table
 /// rankings survive the merge untouched.

@@ -31,7 +31,7 @@ pub struct PieceVocab {
 }
 
 /// Split a schema identifier into lowercase word pieces.
-pub fn split_name(name: &str) -> Vec<String> {
+fn split_name(name: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut cur = String::new();
     for c in name.chars() {

@@ -6,12 +6,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dbcopilot_core::{
-    load_router_slice, load_sharded_router_bytes, router_to_vec, sharded_router_to_vec, DbcRouter,
-    PersistError, RouterConfig, SerializationMode, ShardedRouter, TrainExample,
+    extend_router, load_router_slice, load_sharded_router_bytes, router_to_vec,
+    sharded_router_to_vec, DbcRouter, PersistError, RouterConfig, SerializationMode, ShardedRouter,
+    TrainExample,
 };
 use dbcopilot_graph::{QuerySchema, SchemaGraph};
 use dbcopilot_retrieval::{RoutingResult, SchemaRouter};
-use dbcopilot_sqlengine::{Collection, DataType, DatabaseSchema, TableSchema};
+use dbcopilot_sqlengine::{
+    Collection, DataType, Database, DatabaseSchema, Store, TableSchema, Value,
+};
 
 fn collection() -> Collection {
     let mut c = Collection::new();
@@ -53,6 +56,75 @@ fn examples() -> Vec<TrainExample> {
     out
 }
 
+/// `collection()` grown by `aquarium`, a database of two tables.
+fn grown_collection() -> Collection {
+    let mut grown = collection();
+    let mut extra = DatabaseSchema::new("aquarium");
+    for t in ["tank", "fish"] {
+        extra.add_table(TableSchema::new(t).column("id", DataType::Int).primary(0));
+    }
+    grown.add_database(extra);
+    grown
+}
+
+/// A questioner that knows one question about `aquarium`.
+fn fish_questioner() -> dbcopilot_synth::Questioner {
+    dbcopilot_synth::Questioner::train(
+        &[dbcopilot_synth::TrainPair {
+            entities: vec!["fish".into()],
+            attrs: vec![],
+            question: "how many fish live in the tank".into(),
+        }],
+        &dbcopilot_synth::QuestionerConfig::default(),
+    )
+}
+
+/// Content for `c` in which every table holds the ids 0..5, so the two
+/// tables of each database overlap completely and are joinable.
+fn overlapping_store(c: &Collection) -> Store {
+    let mut store = Store::new();
+    for schema in c.databases.values() {
+        let mut db = Database::from_schema(schema);
+        for t in &schema.tables {
+            for id in 0..5 {
+                db.insert(&t.name, vec![Value::Int(id)]).unwrap();
+            }
+        }
+        store.add(db);
+    }
+    store
+}
+
+/// Every table relation of `graph` as sorted `(database, table, related
+/// table)` triples. These collections declare no foreign keys, so every
+/// relation is a joinable one.
+fn relations(graph: &SchemaGraph) -> Vec<(String, String, String)> {
+    let mut out = Vec::new();
+    for db in graph.database_nodes() {
+        for t in graph.tables_of(db) {
+            for r in graph.related_tables(t) {
+                let name = |id| graph.name(id).to_string();
+                out.push((name(db), name(t), name(r)));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A routing result's tables and databases, names and score bits.
+type RankedBits = (Vec<(String, String, u32)>, Vec<(String, u32)>);
+
+/// A routing result's names and score bits in the tier's total order.
+fn ranked_bits(mut r: RoutingResult) -> RankedBits {
+    r.tables.sort_by(|x, y| {
+        y.2.total_cmp(&x.2).then_with(|| x.0.cmp(&y.0)).then_with(|| x.1.cmp(&y.1))
+    });
+    r.databases.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
+    let tables = r.tables.into_iter().map(|(d, t, s)| (d, t, s.to_bits())).collect();
+    (tables, r.databases.into_iter().map(|(d, s)| (d, s.to_bits())).collect())
+}
+
 fn cfg() -> RouterConfig {
     let mut cfg = RouterConfig::tiny();
     cfg.epochs = 5;
@@ -68,25 +140,29 @@ fn one_shard_fit_is_bit_identical_to_monolith() {
     // The sharded tier at N=1 *is* the monolith: same graph, same examples,
     // same seed, so the weights must match bit for bit and routing must be
     // the same ranking (the tier re-sorts with the total-order tie-break).
-    let sharded = fit_sharded(1);
-    let (mono, _) = DbcRouter::fit(
-        SchemaGraph::build(&collection()),
-        &examples(),
-        cfg(),
-        SerializationMode::Dfs,
-    );
-    let shard = sharded.shard_router(0).expect("single shard");
-    for ((an, av), (bn, bv)) in mono.model.store.iter_values().zip(shard.model.store.iter_values())
-    {
-        assert_eq!(an, bn);
-        let ab: Vec<u32> = av.as_slice().iter().map(|v| v.to_bits()).collect();
-        let bb: Vec<u32> = bv.as_slice().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ab, bb, "{an} drifted between monolith and 1-shard fit");
-    }
-    for q in ["how many vocalists are there", "who directed the longest film"] {
-        let a = mono.route(q, 10);
-        let b = sharded.route(q, 10);
-        assert_eq!(a.database_names(), b.database_names(), "question {q:?}");
+    // Once through `fit` over the bare collection, once through `fit_on`
+    // over the paper's graph, whose joinable relations (§3.2, §4.1.5) the
+    // shard must keep: that tier is the monolith Table 3 reports.
+    let c = collection();
+    let joined = SchemaGraph::with_joins(&c, &overlapping_store(&c));
+    assert!(relations(&SchemaGraph::build(&c)).is_empty());
+    assert_eq!(relations(&joined).len(), 8, "one joinable pair per database, both directions");
+    let on_joined = ShardedRouter::fit_on(&joined, &examples(), cfg(), SerializationMode::Dfs, 1);
+    for (graph, sharded) in [(SchemaGraph::build(&c), fit_sharded(1)), (joined, on_joined.0)] {
+        let (mono, _) = DbcRouter::fit(graph.clone(), &examples(), cfg(), SerializationMode::Dfs);
+        let shard = sharded.shard_router(0).expect("single shard");
+        assert_eq!(relations(&shard.graph), relations(&graph));
+        for ((an, av), (bn, bv)) in
+            mono.model.store.iter_values().zip(shard.model.store.iter_values())
+        {
+            assert_eq!(an, bn);
+            let ab: Vec<u32> = av.as_slice().iter().map(|v| v.to_bits()).collect();
+            let bb: Vec<u32> = bv.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(ab, bb, "{an} drifted between monolith and 1-shard fit");
+        }
+        for q in ["how many vocalists are there", "who directed the longest film", "towns"] {
+            assert_eq!(ranked_bits(mono.route(q, 10)), ranked_bits(sharded.route(q, 10)), "{q:?}");
+        }
     }
 }
 
@@ -96,8 +172,6 @@ fn one_shard_tier_stays_bit_identical_to_the_monolith_across_an_extend() {
     // builds a new graph, so the retrained router must come with new tables
     // (stale ones could not even spell the new database) and the 1-shard
     // tier must keep routing exactly like the monolith it mirrors.
-    use dbcopilot_core::extend_router;
-
     let sharded = fit_sharded(1);
     let (mono, _) = DbcRouter::fit(
         SchemaGraph::build(&collection()),
@@ -105,46 +179,57 @@ fn one_shard_tier_stays_bit_identical_to_the_monolith_across_an_extend() {
         cfg(),
         SerializationMode::Dfs,
     );
-    let mut grown = collection();
-    let mut extra = DatabaseSchema::new("aquarium");
-    for t in ["tank", "fish"] {
-        extra.add_table(TableSchema::new(t).column("id", DataType::Int).primary(0));
-    }
-    grown.add_database(extra);
+    let grown = grown_collection();
     let meta = dbcopilot_synth::CorpusMeta::default();
-    let questioner = dbcopilot_synth::Questioner::train(
-        &[dbcopilot_synth::TrainPair {
-            entities: vec!["fish".into()],
-            attrs: vec![],
-            question: "how many fish live in the tank".into(),
-        }],
-        &dbcopilot_synth::QuestionerConfig::default(),
-    );
+    let questioner = fish_questioner();
     let (sharded, retrained) = sharded.extend(&grown, &meta, &questioner, 24, 2).unwrap();
     assert_eq!(retrained.len(), 1);
-    let (mono, _) = extend_router(&mono, &grown, &meta, &questioner, 24, 2).unwrap();
+    let (mono, _) =
+        extend_router(&mono, SchemaGraph::build(&grown), &meta, &questioner, 24, 2).unwrap();
 
     let mut saw_new_database = false;
     for q in ["how many vocalists are there", "how many fish live in the tank", "fish tank"] {
-        let (mut a, b) = (mono.route(q, 10), sharded.route(q, 10));
-        // the tier re-sorts with its total-order tie-break; do the same
-        a.tables.sort_by(|x, y| {
-            y.2.total_cmp(&x.2).then_with(|| x.0.cmp(&y.0)).then_with(|| x.1.cmp(&y.1))
-        });
-        a.databases.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
-        let bits = |r: &dbcopilot_retrieval::RoutingResult| {
-            let tables: Vec<_> =
-                r.tables.iter().map(|(d, t, s)| (d.clone(), t.clone(), s.to_bits())).collect();
-            let dbs: Vec<_> = r.databases.iter().map(|(d, s)| (d.clone(), s.to_bits())).collect();
-            (tables, dbs)
-        };
-        assert_eq!(bits(&a), bits(&b), "question {q:?}");
+        let (a, b) = (mono.route(q, 10), sharded.route(q, 10));
+        assert_eq!(ranked_bits(a), ranked_bits(b.clone()), "question {q:?}");
         saw_new_database |= b.database_names().contains(&"aquarium");
         for cand in sharded.shard_router(0).unwrap().sequences(q) {
             assert!(mono.graph.is_valid_schema(&cand.schema), "{} after extend", cand.schema);
         }
     }
     assert!(saw_new_database, "the extended routers never decoded the new database");
+}
+
+#[test]
+fn extending_on_the_joined_graph_keeps_old_joins_and_adds_the_new_ones() {
+    let c = collection();
+    let graph = SchemaGraph::with_joins(&c, &overlapping_store(&c));
+    let grown_c = grown_collection();
+    let grown = SchemaGraph::with_joins(&grown_c, &overlapping_store(&grown_c));
+    let mut want = relations(&graph);
+    for (t, r) in [("fish", "tank"), ("tank", "fish")] {
+        want.push(("aquarium".into(), t.into(), r.into()));
+    }
+    want.sort();
+    assert_eq!(relations(&grown), want);
+
+    let meta = dbcopilot_synth::CorpusMeta::default();
+    let questioner = fish_questioner();
+    let (mono, _) = DbcRouter::fit(graph.clone(), &examples(), cfg(), SerializationMode::Dfs);
+    let (mono, _) = extend_router(&mono, grown.clone(), &meta, &questioner, 24, 2).unwrap();
+    assert_eq!(relations(&mono.graph), want, "the extended monolith's relations");
+
+    // Two shards: the one owning `aquarium` retrains on its restriction of
+    // `grown`, the other keeps the graph its fit restricted.
+    let (tier, _) = ShardedRouter::fit_on(&graph, &examples(), cfg(), SerializationMode::Dfs, 2);
+    let (tier, retrained) = tier.extend_on(&grown, &meta, &questioner, 24, 2).unwrap();
+    assert_eq!(
+        retrained.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+        [tier.shard_of_db("aquarium")]
+    );
+    let mut have: Vec<_> =
+        (0..2).filter_map(|s| tier.shard_router(s)).flat_map(|r| relations(&r.graph)).collect();
+    have.sort();
+    assert_eq!(have, want, "the extended tier's relations");
 }
 
 #[test]

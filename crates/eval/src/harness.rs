@@ -60,12 +60,7 @@ pub fn prepare(kind: CorpusKind, scale: &Scale) -> Prepared {
         CorpusKind::Bird => build_bird_like(&scale.bird, scale.seed),
         CorpusKind::Fiben => build_fiben_like(scale.fiben_test, scale.fiben_areas, scale.seed),
     };
-    let mut graph = SchemaGraph::build(&corpus.collection);
-    dbcopilot_graph::augment_graph_with_joinable(
-        &mut graph,
-        &corpus.store,
-        dbcopilot_graph::joinable::DEFAULT_JACCARD_THRESHOLD,
-    );
+    let graph = SchemaGraph::with_joins(&corpus.collection, &corpus.store);
     let targets = TargetSet::from_collection(&corpus.collection);
 
     // The paper trains one questioner on the Spider+Bird training splits;

@@ -15,7 +15,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use dbcopilot_sqlengine::Collection;
+use dbcopilot_sqlengine::{Collection, Store};
+
+use crate::joinable::{augment_graph_with_joinable, DEFAULT_JACCARD_THRESHOLD};
 
 /// Index of a node in the schema graph. Node `0` is always `ν_s`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -76,8 +78,8 @@ pub const ROOT: NodeId = NodeId(0);
 impl SchemaGraph {
     /// Build the inclusion skeleton plus explicit PF and implicit FF table
     /// relations from a schema collection (Algorithm 1, lines 1–6 and the
-    /// FK-derived part of `getJoinableTables`). Content-based joinable edges
-    /// can be added afterwards with [`SchemaGraph::add_joinable_edge`].
+    /// FK-derived part of `getJoinableTables`). No content-based joinable
+    /// edges: [`SchemaGraph::with_joins`] builds the graph with them.
     pub fn build(collection: &Collection) -> Self {
         let mut g = SchemaGraph {
             nodes: vec![Node { name: "<root>".into(), kind: NodeKind::Root }],
@@ -130,6 +132,61 @@ impl SchemaGraph {
                     }
                 }
             }
+        }
+        g
+    }
+
+    /// The paper's schema graph: [`SchemaGraph::build`] plus the joinable
+    /// relations `store`'s content implies at the paper's Jaccard threshold
+    /// (§4.1.5). The routers of the paper's tables route on this graph; each
+    /// shard of a sharded tier routes on a [`SchemaGraph::restrict`]ion of
+    /// it.
+    pub fn with_joins(collection: &Collection, store: &Store) -> Self {
+        let mut g = SchemaGraph::build(collection);
+        augment_graph_with_joinable(&mut g, store, DEFAULT_JACCARD_THRESHOLD);
+        g
+    }
+
+    /// The subgraph over the databases whose names `keep` accepts: the
+    /// root, those databases, their tables and every edge among them. Node
+    /// order and each node's adjacency order are preserved, and every table
+    /// relation stays within one database, so restricting a built graph to
+    /// some databases yields, byte for byte, the graph built from those
+    /// databases alone.
+    pub fn restrict(&self, keep: impl Fn(&str) -> bool) -> SchemaGraph {
+        let mut new_id = Vec::with_capacity(self.nodes.len());
+        let mut next = 0;
+        for node in &self.nodes {
+            let kept = match node.kind {
+                NodeKind::Root => true,
+                NodeKind::Database => keep(&node.name),
+                NodeKind::Table { database } => keep(self.name(database)),
+            };
+            new_id.push(kept.then_some(NodeId(next)));
+            next += u32::from(kept);
+        }
+        let remap = |index: &BTreeMap<String, NodeId>| -> BTreeMap<String, NodeId> {
+            index
+                .iter()
+                .filter_map(|(key, id)| new_id[id.0 as usize].map(|id| (key.clone(), id)))
+                .collect()
+        };
+        let mut g = SchemaGraph {
+            nodes: Vec::with_capacity(next as usize),
+            adj: Vec::with_capacity(next as usize),
+            db_by_name: remap(&self.db_by_name),
+            table_by_name: remap(&self.table_by_name),
+        };
+        for (i, node) in self.nodes.iter().enumerate().filter(|&(i, _)| new_id[i].is_some()) {
+            let kind = match node.kind {
+                NodeKind::Table { database } => {
+                    NodeKind::Table { database: new_id[database.0 as usize].expect("kept") }
+                }
+                ref kind => kind.clone(),
+            };
+            g.nodes.push(Node { name: node.name.clone(), kind });
+            let edges = self.adj[i].iter().filter_map(|&(to, k)| Some((new_id[to.0 as usize]?, k)));
+            g.adj.push(edges.collect());
         }
         g
     }
@@ -269,10 +326,7 @@ impl SchemaGraph {
     }
 
     /// Out-neighbors with edge kinds.
-    pub fn successors_with_kind(
-        &self,
-        id: NodeId,
-    ) -> impl Iterator<Item = (NodeId, EdgeKind)> + '_ {
+    fn successors_with_kind(&self, id: NodeId) -> impl Iterator<Item = (NodeId, EdgeKind)> + '_ {
         self.adj[id.0 as usize].iter().copied()
     }
 

@@ -3,7 +3,8 @@
 //! "We adopted a heuristic way that two tables are joinable if the exact
 //! match overlap (Jaccard similarity) of their column values is greater than
 //! 0.85." Detection runs over populated databases and feeds
-//! [`crate::graph::SchemaGraph::add_joinable_edge`].
+//! [`crate::graph::SchemaGraph::add_joinable_edge`];
+//! [`crate::graph::SchemaGraph::with_joins`] builds the graph with them.
 
 use std::collections::BTreeSet;
 
@@ -165,13 +166,12 @@ mod tests {
         let db = db_with_overlap();
         let mut coll = dbcopilot_sqlengine::Collection::new();
         coll.add_database(db.schema());
-        let mut g = SchemaGraph::build(&coll);
-        let orders = g.table_node("d", "orders").unwrap();
-        assert!(g.related_tables(orders).is_empty());
+        let bare = SchemaGraph::build(&coll);
+        let orders = bare.table_node("d", "orders").unwrap();
+        assert!(bare.related_tables(orders).is_empty());
         let mut store = dbcopilot_sqlengine::Store::new();
         store.add(db);
-        let added = augment_graph_with_joinable(&mut g, &store, DEFAULT_JACCARD_THRESHOLD);
-        assert_eq!(added, 1);
+        let g = SchemaGraph::with_joins(&coll, &store);
         assert_eq!(g.related_tables(orders).len(), 1);
     }
 }

@@ -386,8 +386,7 @@ mod tests {
     fn schemas_are_valid_on_graph() {
         let gc = small_corpus();
         let lex = Lexicon::new();
-        let mut graph = dbcopilot_graph::SchemaGraph::build(&gc.collection);
-        dbcopilot_graph::augment_graph_with_joinable(&mut graph, &gc.store, 0.85);
+        let graph = dbcopilot_graph::SchemaGraph::with_joins(&gc.collection, &gc.store);
         let insts = generate_instances(&gc, &lex, 120, SurfaceStyle::Mixed(0.35), 11);
         for inst in &insts {
             assert!(

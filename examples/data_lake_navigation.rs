@@ -72,8 +72,8 @@ fn main() {
     // -----------------------------------------------------------------
     println!("\nGrowing the scenario: a lake of independent marts, sharded …");
     let lake = prepare(CorpusKind::Spider, &Scale::quick());
-    let (tier, _) = ShardedRouter::fit(
-        &lake.corpus.collection,
+    let (tier, _) = ShardedRouter::fit_on(
+        &lake.graph,
         &lake.synth_examples,
         Scale::quick().router,
         SerializationMode::Dfs,

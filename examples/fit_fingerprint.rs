@@ -16,7 +16,6 @@ use dbcopilot::core::{
     self, DbcRouter, PrecisionSwitch, RoutePrecision, RouterConfig, SerializationMode,
     ShardedRouter,
 };
-use dbcopilot::graph::{augment_graph_with_joinable, joinable::DEFAULT_JACCARD_THRESHOLD};
 use dbcopilot::retrieval::SchemaRouter;
 use dbcopilot::synth::{build_spider_like, questioner_pairs, CorpusSizes, Questioner};
 
@@ -36,8 +35,7 @@ fn name(out: &mut Vec<u8>, s: &str) {
 fn main() {
     let corpus =
         build_spider_like(&CorpusSizes { num_databases: 16, train_n: 600, test_n: 8192 }, 6);
-    let mut graph = dbcopilot::graph::SchemaGraph::build(&corpus.collection);
-    augment_graph_with_joinable(&mut graph, &corpus.store, DEFAULT_JACCARD_THRESHOLD);
+    let graph = dbcopilot::graph::SchemaGraph::with_joins(&corpus.collection, &corpus.store);
     let questioner = Questioner::train(&questioner_pairs(&corpus), &Default::default());
     let data = core::synthesize_training_data(&graph, &corpus.meta, &questioner, 1000, 37);
     let cfg = RouterConfig { epochs: 5, ..RouterConfig::default() };

@@ -1,7 +1,7 @@
 //! Input-size ladder for `wire::parse_question` — the numbers in
 //! `BENCH_24.json`'s `work` block. One JSON string of 80 B … 1000 KiB per
 //! rung; the reader is linear when the per-byte column is flat. Run by hand
-//! on two commits to compare them; CI neither runs nor times it.
+//! on two commits to compare them; CI runs it but compares no time.
 //!
 //! ```sh
 //! cargo run --release --example parse_ladder

@@ -129,12 +129,7 @@ impl DbCopilot {
     /// Train the full pipeline over a corpus: schema graph construction,
     /// questioner training, training-data synthesis, and router fitting.
     pub fn fit(corpus: &Corpus, cfg: PipelineConfig) -> Self {
-        let mut graph = SchemaGraph::build(&corpus.collection);
-        dbcopilot_graph::augment_graph_with_joinable(
-            &mut graph,
-            &corpus.store,
-            dbcopilot_graph::joinable::DEFAULT_JACCARD_THRESHOLD,
-        );
+        let graph = SchemaGraph::with_joins(&corpus.collection, &corpus.store);
         let pairs = questioner_pairs(corpus);
         let questioner = Questioner::train(&pairs, &QuestionerConfig::default());
         let examples = dbcopilot_core::synthesize_training_data(

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use dbcopilot_graph::{
     deserialize_schema, dfs_serialize, sample_schema, IterOrder, SchemaGraph, WalkConfig,
 };
-use dbcopilot_sqlengine::PreparedDb;
+use dbcopilot_sqlengine::{Collection, PreparedDb, Store};
 use dbcopilot_synth::{generate_collection, generate_instances, GenConfig, Lexicon, SurfaceStyle};
 
 fn small_gen(seed: u64) -> GenConfig {
@@ -40,8 +40,7 @@ proptest! {
     #[test]
     fn schemata_serialize_roundtrip(seed in 0u64..500) {
         let gc = generate_collection(&small_gen(seed));
-        let mut graph = SchemaGraph::build(&gc.collection);
-        dbcopilot_graph::augment_graph_with_joinable(&mut graph, &gc.store, 0.85);
+        let graph = SchemaGraph::with_joins(&gc.collection, &gc.store);
         let lex = Lexicon::new();
         let insts = generate_instances(&gc, &lex, 20, SurfaceStyle::Canonical, seed ^ 0x99);
         for inst in &insts {
@@ -57,13 +56,32 @@ proptest! {
     fn walks_always_valid(seed in 0u64..500) {
         use rand::SeedableRng;
         let gc = generate_collection(&small_gen(seed));
-        let mut graph = SchemaGraph::build(&gc.collection);
-        dbcopilot_graph::augment_graph_with_joinable(&mut graph, &gc.store, 0.85);
+        let graph = SchemaGraph::with_joins(&gc.collection, &gc.store);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         for _ in 0..30 {
             let s = sample_schema(&graph, &WalkConfig::default(), &mut rng);
             prop_assert!(graph.is_valid_schema(&s), "{s}");
         }
+    }
+
+    /// Restricting the schema graph to some databases is building it from
+    /// those databases alone: equal `GRPH` bytes (a router bundle's graph
+    /// section), with the joinable relations and without. `seed` picks the
+    /// collection and, in its low six bits, which of its six databases stay.
+    #[test]
+    fn restricting_the_graph_is_building_it_from_the_kept_databases(seed in 0u64..32_000) {
+        let (gc, mask) = (generate_collection(&small_gen(seed / 64)), seed % 64);
+        let names: Vec<&String> = gc.collection.databases.keys().collect();
+        let keep = |name: &str| names.iter().position(|n| *n == name).is_some_and(|i| mask >> i & 1 == 1);
+        let mut sub_c = Collection::new();
+        let mut sub_s = Store::new();
+        gc.collection.databases.values().filter(|db| keep(&db.name)).for_each(|db| sub_c.add_database(db.clone()));
+        gc.store.databases.values().filter(|db| keep(&db.name)).for_each(|db| sub_s.add(db.clone()));
+        let grph = |g: SchemaGraph| serde_json::to_vec(&g).unwrap();
+        let joined = SchemaGraph::with_joins(&gc.collection, &gc.store);
+        prop_assert!(grph(joined.restrict(keep)) == grph(SchemaGraph::with_joins(&sub_c, &sub_s)));
+        let bare = SchemaGraph::build(&gc.collection);
+        prop_assert!(grph(bare.restrict(keep)) == grph(SchemaGraph::build(&sub_c)));
     }
 
     /// Execution-accuracy comparison is reflexive for every gold query:
